@@ -29,9 +29,9 @@
 #include "bench/bench_util.h"
 #include "io/file_block_device.h"
 #include "io/io_engine.h"
-#include "io/memory_arbiter.h"
 #include "io/prefetch_governor.h"
 #include "search/bplus_tree.h"
+#include "serve/execution_context.h"
 #include "sort/external_sort.h"
 #include "util/options.h"
 #include "util/random.h"
@@ -81,13 +81,13 @@ Run RunMixed(bool arbitrated, IoEngine* engine, bool direct,
     return run;
   }
   const size_t pool_frames = kMemBytes / 2 / kBlockBytes;  // the old split
-  std::unique_ptr<ArbitratedMemory> mem;
+  std::unique_ptr<ExecutionContext> ctx;
   std::unique_ptr<PrefetchGovernor> fixed_gov;
   std::unique_ptr<BufferPool> fixed_pool;
   BufferPool* pool;
   if (arbitrated) {
-    mem = std::make_unique<ArbitratedMemory>(&dev, opts);
-    pool = mem->pool();
+    ctx = std::make_unique<ExecutionContext>(&dev, opts);
+    pool = ctx->pool();
   } else {
     fixed_gov = std::make_unique<PrefetchGovernor>(opts);
     dev.set_prefetch_governor(fixed_gov.get());

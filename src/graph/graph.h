@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "core/ext_vector.h"
-#include "io/memory_arbiter.h"
 #include "serve/execution_context.h"
 #include "sort/external_sort.h"
 #include "util/status.h"
@@ -35,11 +34,6 @@ class ExtGraph {
  public:
   ExtGraph(BlockDevice* dev, BufferPool* pool)
       : num_vertices_(0), offsets_(dev, pool), neighbors_(dev, pool) {}
-
-  /// Offsets paged through an arbitrated machine memory: frontier scans
-  /// (staging) and offset lookups (frames) share one M.
-  explicit ExtGraph(ArbitratedMemory* mem)
-      : ExtGraph(mem->device(), mem->pool()) {}
 
   /// Serving-plane wiring: offsets paged through an ExecutionContext
   /// (one tenant of a possibly shared M; serve/execution_context.h).
@@ -111,7 +105,7 @@ class ExtGraph {
 
   /// Append all neighbors of v to *out (1 + deg/B reads).
   Status Neighbors(uint64_t v, std::vector<uint64_t>* out) const {
-    uint64_t begin, end;
+    uint64_t begin = 0, end = 0;
     VEM_RETURN_IF_ERROR(NeighborRange(v, &begin, &end));
     ExtVector<uint64_t>::Reader r(&neighbors_, begin);
     uint64_t nb;

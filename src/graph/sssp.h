@@ -15,7 +15,6 @@
 
 #include "core/ext_vector.h"
 #include "graph/graph.h"
-#include "io/memory_arbiter.h"
 #include "search/external_pq.h"
 #include "serve/execution_context.h"
 #include "sort/external_sort.h"
@@ -45,11 +44,6 @@ class WeightedGraph {
   WeightedGraph(BlockDevice* dev, BufferPool* pool)
       : num_vertices_(0), offsets_(dev, pool), targets_(dev, pool),
         weights_(dev, pool) {}
-
-  /// Adjacency paged through an arbitrated machine memory (one M for
-  /// frames and staging; see io/memory_arbiter.h).
-  explicit WeightedGraph(ArbitratedMemory* mem)
-      : WeightedGraph(mem->device(), mem->pool()) {}
 
   /// Serving-plane wiring: adjacency paged through an ExecutionContext
   /// (one tenant of a possibly shared M; serve/execution_context.h).
@@ -140,11 +134,6 @@ class SemiExternalSssp {
   SemiExternalSssp(BlockDevice* dev, BufferPool* pool,
                    size_t memory_budget_bytes)
       : dev_(dev), pool_(pool), memory_budget_(memory_budget_bytes) {}
-
-  /// Arbitrated machine memory: the tentative-distance pages (frames)
-  /// and the PQ's run streams (staging) charge one shared M.
-  SemiExternalSssp(ArbitratedMemory* mem, const Options& opts)
-      : SemiExternalSssp(mem->device(), mem->pool(), opts.memory_budget) {}
 
   /// Serving-plane wiring: distances and PQ run streams charge the
   /// context tenant's slice of M (serve/execution_context.h).

@@ -437,7 +437,7 @@ Status BufferPool::Resize(size_t new_frames) {
   } else {
     // Shrink: dirty victims allowed (write-back); pinned are immovable.
     while (frames_.size() > new_frames) {
-      size_t victim;
+      size_t victim = 0;
       if (!FindShedVictim(/*allow_dirty=*/true, &victim)) break;
       Frame& f = frames_[victim];
       if (f.valid && f.dirty) VEM_RETURN_IF_ERROR(WriteBack(&f));
@@ -476,7 +476,7 @@ void BufferPool::ShedTo(size_t target) {
   if (target == 0) target = 1;
   // Dirty and pinned frames never shed here (no I/O allowed).
   while (frames_.size() > target) {
-    size_t victim;
+    size_t victim = 0;
     if (!FindShedVictim(/*allow_dirty=*/false, &victim)) return;
     RemoveFrame(victim);
   }

@@ -512,46 +512,4 @@ size_t MemoryArbiter::floor_reserved_blocks() const {
   return floor_reserved_;
 }
 
-// ----------------------------------------------------- ArbitratedMemory
-
-namespace {
-PrefetchGovernor::Config GovernorConfigForArbiter(const Options& opts,
-                                                  double pool_share) {
-  PrefetchGovernor::Config cfg = PrefetchGovernor::ConfigFromOptions(opts);
-  // The staging side starts with the non-pool share of M instead of the
-  // fixed M/2 (identical when pool_share is the default 0.5); from then
-  // on the budget tracks the arbiter's lease.
-  size_t bs = opts.block_size != 0 ? opts.block_size : 4096;
-  double share = 1.0 - pool_share;
-  if (share < 0.0) share = 0.0;
-  cfg.budget_blocks = std::max<size_t>(
-      static_cast<size_t>(double(opts.memory_budget) * share) / bs, 4);
-  return cfg;
-}
-}  // namespace
-
-ArbitratedMemory::ArbitratedMemory(BlockDevice* dev, const Options& opts,
-                                   MemoryArbiter::Clock clock)
-    : dev_(dev),
-      arbiter_(opts, clock),
-      tenant_(arbiter_.RegisterTenant("main")),
-      governor_(GovernorConfigForArbiter(opts, arbiter_.config().pool_share),
-                clock),
-      pool_(dev,
-            std::max<size_t>(
-                static_cast<size_t>(double(opts.memory_budget) *
-                                    arbiter_.config().pool_share) /
-                    arbiter_.config().block_size,
-                arbiter_.config().min_pool_frames),
-            &arbiter_, tenant_.get()) {
-  governor_.AttachArbiter(&arbiter_, tenant_.get());
-  dev_->set_prefetch_governor(&governor_);
-}
-
-ArbitratedMemory::~ArbitratedMemory() {
-  if (dev_->prefetch_governor() == &governor_) {
-    dev_->set_prefetch_governor(nullptr);
-  }
-}
-
 }  // namespace vem

@@ -83,8 +83,8 @@ class TenantLease;
 /// proportional-share reclaim), and a guaranteed floor in blocks that
 /// revocation never crosses. Pool and staging leases opened with a
 /// tenant charge that tenant's account; the default constructor-less
-/// tenant (used by tenantless leases and the ArbitratedMemory shim)
-/// has priority 1 and no floor — whole-M share when it is alone.
+/// tenant (used by tenantless leases) has priority 1 and no floor —
+/// whole-M share when it is alone.
 /// Destroying the tenant releases its floor reservation; any leases
 /// still open against it are re-pointed at the default tenant, so the
 /// tenant handle may be dropped before (or after) its leases.
@@ -212,15 +212,15 @@ class StagingLease {
 /// Global accountant for one machine's internal memory M.
 class MemoryArbiter {
  public:
-  /// Policy knobs. Defaults are what ArbitratedMemory ships with; unit
-  /// tests pin them explicitly.
+  /// Policy knobs. Defaults are what a standalone ExecutionContext ships
+  /// with; unit tests pin them explicitly.
   struct Config {
     /// Total internal memory (PDM M), in bytes.
     size_t budget_bytes = 1u << 20;
     /// Bytes per block/frame.
     size_t block_size = 4096;
-    /// Initial pool fraction of M handed out by ArbitratedMemory — the
-    /// historical fixed split, as the starting point the policy moves.
+    /// Initial pool fraction of M handed to an ExecutionContext's pool —
+    /// the historical fixed split, as the starting point the policy moves.
     double pool_share = 0.5;
     /// Pool frames never drop below this (nor below the pinned set).
     size_t min_pool_frames = 4;
@@ -359,7 +359,7 @@ class MemoryArbiter {
   size_t total_blocks_;
   size_t charged_blocks_ = 0;
   // Live leases of each kind; revocation picks the victim showing the
-  // most waste. Short-lived leases (a transpose's tile pool) come and
+  // most waste. Short-lived leases (one query's context pool) come and
   // go without disturbing the long-lived ones' revocability.
   std::vector<PoolLease*> pools_;
   std::vector<StagingLease*> stagings_;
@@ -379,50 +379,6 @@ class MemoryArbiter {
   size_t quarantine_denied_grows_ = 0;
   // Declared after mu_ so its destructor (which takes mu_) runs first.
   std::unique_ptr<TenantLease> default_tenant_;
-};
-
-/// Convenience bundle: one machine memory built from Options — arbiter,
-/// lease-backed BufferPool, and a governor whose staging budget is a
-/// revocable lease, attached to `dev`. Detaches the governor from the
-/// device on destruction. The IoEngine (if any) is still attached by the
-/// caller, as elsewhere.
-///
-/// MIGRATION: ArbitratedMemory is now a SINGLE-TENANT shim over the
-/// multi-tenant plane — it owns a private arbiter and registers one
-/// whole-M tenant ("main", priority 1, no floor) that its pool and
-/// staging leases charge, so behavior and IoStats are unchanged from
-/// the PR-4 bundle. New code, and anything that wants to share one M
-/// across several clients, should build a serve/execution_context.h
-/// ExecutionContext instead: same bundle plus engine wiring, built
-/// either standalone (this shim's shape) or as one tenant of a shared
-/// MemoryArbiter behind an AdmissionController.
-class ArbitratedMemory {
- public:
-  ArbitratedMemory(BlockDevice* dev, const Options& opts,
-                   MemoryArbiter::Clock clock = nullptr);
-  ~ArbitratedMemory();
-  ArbitratedMemory(const ArbitratedMemory&) = delete;
-  ArbitratedMemory& operator=(const ArbitratedMemory&) = delete;
-
-  /// Forward the engine-saturation signal to both the arbiter and the
-  /// governor (call after attaching the engine to the device).
-  void AttachEngine(IoEngine* engine) {
-    arbiter_.AttachEngine(engine);
-    governor_.AttachEngine(engine);
-  }
-
-  MemoryArbiter* arbiter() { return &arbiter_; }
-  TenantLease* tenant() { return tenant_.get(); }
-  BufferPool* pool() { return &pool_; }
-  PrefetchGovernor* governor() { return &governor_; }
-  BlockDevice* device() const { return dev_; }
-
- private:
-  BlockDevice* dev_;
-  MemoryArbiter arbiter_;
-  std::unique_ptr<TenantLease> tenant_;  // the shim's whole-M tenant
-  PrefetchGovernor governor_;
-  BufferPool pool_;
 };
 
 }  // namespace vem

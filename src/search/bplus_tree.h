@@ -18,7 +18,6 @@
 
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "serve/execution_context.h"
 #include "util/status.h"
 
@@ -37,16 +36,11 @@ class BPlusTree {
     int_cap_ = (block_size_ - kHeaderBytes - 8) / (sizeof(K) + 8);
   }
 
-  /// Cache nodes in an arbitrated machine memory: the pool's frames are
-  /// a revocable lease on the shared M, so the index gains frames while
-  /// scans idle and cedes cold ones under staging pressure — at
-  /// unchanged per-operation I/O charges (io/memory_arbiter.h).
-  explicit BPlusTree(ArbitratedMemory* mem, Cmp cmp = Cmp())
-      : BPlusTree(mem->pool(), cmp) {}
-
   /// Serving-plane wiring: cache nodes in an ExecutionContext's pool —
   /// one tenant's slice of a (possibly shared) machine M
-  /// (serve/execution_context.h).
+  /// (serve/execution_context.h). The frames are a revocable lease, so
+  /// the index gains frames while scans idle and cedes cold ones under
+  /// staging pressure, at unchanged per-operation I/O charges.
   explicit BPlusTree(ExecutionContext* ctx, Cmp cmp = Cmp())
       : BPlusTree(ctx->pool(), cmp) {}
 

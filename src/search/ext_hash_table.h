@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "serve/execution_context.h"
 #include "util/status.h"
 
@@ -34,11 +33,6 @@ class ExtHashTable {
       : pool_(pool), block_size_(pool->device()->block_size()) {
     bucket_cap_ = (block_size_ - kHeaderBytes) / (sizeof(K) + sizeof(V));
   }
-
-  /// Cache buckets in an arbitrated machine memory (lease-backed pool on
-  /// the shared M; see io/memory_arbiter.h).
-  explicit ExtHashTable(ArbitratedMemory* mem)
-      : ExtHashTable(mem->pool()) {}
 
   /// Serving-plane wiring: cache buckets in an ExecutionContext's pool
   /// (one tenant of a possibly shared M; serve/execution_context.h).

@@ -20,9 +20,10 @@
 //
 // Two construction modes:
 //  - STANDALONE: the context owns a private MemoryArbiter over
-//    opts.memory_budget and registers one whole-M tenant ("main").
-//    This is exactly the ArbitratedMemory shim's shape plus engine
-//    wiring — single-query tools and tests use it.
+//    opts.memory_budget and registers one whole-M tenant ("main") —
+//    single-query tools and tests use it. This is the only bundle that
+//    puts a structure on arbitrated memory; a bare BufferPool* is the
+//    fixed-pool alternative.
 //  - SHARED-ARBITER: the context is ONE TENANT of a machine-wide
 //    MemoryArbiter, holding the TenantLease an AdmissionController
 //    ticket (or a direct RegisterTenant call) granted. Its pool and
@@ -142,9 +143,9 @@ class ExecutionContext {
   static PrefetchGovernor::Config GovernorConfig(const Options& opts,
                                                  double pool_share) {
     PrefetchGovernor::Config cfg = PrefetchGovernor::ConfigFromOptions(opts);
-    // Staging starts with the non-pool share of the tenant's slice (the
-    // same derivation ArbitratedMemory uses); from then on the budget
-    // tracks the arbiter's lease.
+    // Staging starts with the non-pool share of the tenant's slice
+    // instead of the fixed M/2 (identical at the default 0.5 share);
+    // from then on the budget tracks the arbiter's lease.
     size_t bs = opts.block_size != 0 ? opts.block_size : 4096;
     double share = 1.0 - pool_share;
     if (share < 0.0) share = 0.0;

@@ -23,7 +23,6 @@
 
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "util/options.h"
 #include "util/status.h"
 
@@ -77,17 +76,13 @@ inline void FftInMemory(std::vector<Complex>* a, bool inverse) {
 }
 
 /// Tiled out-of-core transpose of a rows×cols row-major ExtVector<T>.
-/// `out` must be empty and share the input's device; uses its own pool —
-/// lease-backed on the shared M when an arbiter is passed, so the
-/// transpose's dirtied-tile pages can grow into idle staging memory.
+/// `out` must be empty and share the input's device; uses its own pool.
 template <typename T>
 Status TransposeTiledT(const ExtVector<T>& in, size_t rows, size_t cols,
-                       ExtVector<T>* out, size_t memory_budget_bytes,
-                       MemoryArbiter* arbiter = nullptr) {
+                       ExtVector<T>* out, size_t memory_budget_bytes) {
   BlockDevice* dev = out->device();
   BufferPool pool(dev,
-                  std::max<size_t>(memory_budget_bytes / dev->block_size(), 4),
-                  arbiter);
+                  std::max<size_t>(memory_budget_bytes / dev->block_size(), 4));
   ExtVector<T> result(dev, &pool);
   {
     typename ExtVector<T>::Writer w(&result);
@@ -136,12 +131,9 @@ class ExternalFft {
   ExternalFft(BlockDevice* dev, size_t memory_budget_bytes)
       : dev_(dev), memory_budget_(memory_budget_bytes) {}
 
-  /// Machine-configuration form: M from Options; with an arbiter the
-  /// transpose passes lease their tile pools from the shared M instead
-  /// of claiming a private fixed budget.
-  ExternalFft(BlockDevice* dev, const Options& opts,
-              MemoryArbiter* arbiter = nullptr)
-      : dev_(dev), memory_budget_(opts.memory_budget), arbiter_(arbiter) {}
+  /// Machine-configuration form: M from Options.
+  ExternalFft(BlockDevice* dev, const Options& opts)
+      : dev_(dev), memory_budget_(opts.memory_budget) {}
 
   /// Forward DFT: out[k] = sum_n in[n] e^{-2 pi i nk / N}. N must be a
   /// power of two with sqrt(N) <= M/sizeof(Complex) (single-level regime).
@@ -185,7 +177,7 @@ class ExternalFft {
     // Step 1: transpose -> N1 x N2 (rows indexed by n1).
     ExtVector<Complex> t1(dev_);
     VEM_RETURN_IF_ERROR(
-        TransposeTiledT(in, n2, n1, &t1, memory_budget_, arbiter_));
+        TransposeTiledT(in, n2, n1, &t1, memory_budget_));
     // Steps 2+3: N2-point FFT per row, then twiddle by w_N^{n1*k2}.
     ExtVector<Complex> s2(dev_);
     VEM_RETURN_IF_ERROR(RowFftPass(t1, n1, n2, inverse,
@@ -194,7 +186,7 @@ class ExternalFft {
     // Step 4: transpose -> N2 x N1 (rows indexed by k2).
     ExtVector<Complex> t2(dev_);
     VEM_RETURN_IF_ERROR(
-        TransposeTiledT(s2, n1, n2, &t2, memory_budget_, arbiter_));
+        TransposeTiledT(s2, n1, n2, &t2, memory_budget_));
     s2.Destroy();
     // Step 5: N1-point FFT per row.
     ExtVector<Complex> s3(dev_);
@@ -204,7 +196,7 @@ class ExternalFft {
     // Step 6: transpose -> N1 x N2 so index = k1*N2 + k2.
     ExtVector<Complex> t3(dev_);
     VEM_RETURN_IF_ERROR(
-        TransposeTiledT(s3, n2, n1, &t3, memory_budget_, arbiter_));
+        TransposeTiledT(s3, n2, n1, &t3, memory_budget_));
     s3.Destroy();
     if (!inverse) {
       *out = std::move(t3);
@@ -260,7 +252,6 @@ class ExternalFft {
 
   BlockDevice* dev_;
   size_t memory_budget_;
-  MemoryArbiter* arbiter_ = nullptr;
 };
 
 /// Baseline for bench_fft: textbook in-place iterative FFT over a pooled

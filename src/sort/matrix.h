@@ -19,7 +19,6 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "serve/execution_context.h"
 #include "util/options.h"
 #include "util/status.h"
@@ -32,11 +31,6 @@ class ExtMatrix {
   ExtMatrix(BlockDevice* dev, size_t rows, size_t cols,
             BufferPool* pool = nullptr)
       : rows_(rows), cols_(cols), data_(dev, pool) {}
-
-  /// Tiles paged through an arbitrated machine memory (lease-backed
-  /// pool on the shared M; see io/memory_arbiter.h).
-  ExtMatrix(ArbitratedMemory* mem, size_t rows, size_t cols)
-      : ExtMatrix(mem->device(), rows, cols, mem->pool()) {}
 
   /// Serving-plane wiring: tiles paged through an ExecutionContext (one
   /// tenant of a possibly shared M; serve/execution_context.h).

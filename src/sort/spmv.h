@@ -11,7 +11,6 @@
 
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
-#include "io/memory_arbiter.h"
 #include "sort/external_sort.h"
 #include "util/status.h"
 
@@ -104,21 +103,17 @@ class SparseMatVec {
 };
 
 /// Baseline: stream the entries in given order and fetch x[col] through
-/// a buffer pool — ~1 I/O per nonzero for scattered columns.
+/// x's own buffer pool — ~1 I/O per nonzero for scattered columns.
 inline Status SparseMatVecNaive(const ExtVector<CooEntry>& a,
                                 const ExtVector<double>& x, uint64_t rows,
-                                BufferPool* pool, ExtVector<double>* y,
-                                MemoryArbiter* arbiter = nullptr) {
+                                ExtVector<double>* y) {
   if (x.pool() == nullptr) {
     return Status::InvalidArgument("naive SpMV needs a pooled x");
   }
-  (void)pool;
   // Accumulate y in RAM? No — that would hide the cost model. y is built
-  // via a pooled vector of partial sums; with an arbiter the accumulator
-  // pool is lease-backed and can grow past its 4-frame baseline while
-  // the scan side idles (at baseline-identical charges).
+  // via a pooled vector of partial sums.
   BlockDevice* dev = y->device();
-  BufferPool ypool(dev, 4, arbiter);
+  BufferPool ypool(dev, 4);
   ExtVector<double> acc(dev, &ypool);
   {
     ExtVector<double>::Writer w(&acc);

@@ -105,14 +105,14 @@ struct Options {
   bool direct_io = false;
 
   /// Knobs for the MemoryArbiter (io/memory_arbiter.h): construct an
-  /// ArbitratedMemory from these Options to run caching frames and
-  /// prefetch staging against ONE memory budget — the BufferPool's
-  /// frames and the PrefetchGovernor's staging budget become revocable
-  /// leases on M that grow on miss/stall evidence and are reclaimed
-  /// from whichever side shows waste. Without an ArbitratedMemory the
-  /// historical fixed split stands: pool frames as constructed, staging
-  /// at M/2. Never affects IoStats either way — arbitration moves
-  /// memory, not charges.
+  /// ExecutionContext (serve/execution_context.h) from these Options to
+  /// run caching frames and prefetch staging against ONE memory budget —
+  /// the BufferPool's frames and the PrefetchGovernor's staging budget
+  /// become revocable leases on M that grow on miss/stall evidence and
+  /// are reclaimed from whichever side shows waste. Without a context
+  /// the historical fixed split stands: pool frames as constructed,
+  /// staging at M/2. Never affects IoStats either way — arbitration
+  /// moves memory, not charges.
   ///
   /// Initial pool fraction of M handed to the BufferPool by the arbiter
   /// (the rest seeds the staging side). 0.5 reproduces the fixed split

@@ -203,7 +203,7 @@ TEST(SparseMatVec, SortBasedBeatsNaiveOnIos) {
   uint64_t sort_ios = p1.delta().block_ios();
 
   IoProbe p2(dev);
-  ASSERT_TRUE(SparseMatVecNaive(a, x, kRows, &pool, &y2).ok());
+  ASSERT_TRUE(SparseMatVecNaive(a, x, kRows, &y2).ok());
   uint64_t naive_ios = p2.delta().block_ios();
   EXPECT_LT(sort_ios * 3, naive_ios)
       << "sort=" << sort_ios << " naive=" << naive_ios;

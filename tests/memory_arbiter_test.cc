@@ -2,8 +2,9 @@
 // grow and shed in both directions, pinned-floor respect, budget
 // conservation (pool + staging charges never exceed M) — plus the
 // system-level contract: IoStats stay bit-identical with the arbiter
-// enabled, on a scan layer (governed streams) and on a pool-backed
-// structure (B+-tree through the lease-backed, ghost-charged pool).
+// enabled, on a scan layer (governed streams), on a pool-backed
+// structure (B+-tree through the lease-backed, ghost-charged pool) and
+// on every ExecutionContext entry point of the algorithm layers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,10 +14,16 @@
 #include <vector>
 
 #include "core/ext_vector.h"
+#include "core/relational.h"
+#include "graph/graph.h"
+#include "graph/sssp.h"
 #include "io/memory_arbiter.h"
 #include "io/memory_block_device.h"
 #include "search/bplus_tree.h"
+#include "search/ext_hash_table.h"
 #include "serve/execution_context.h"
+#include "sort/external_sort.h"
+#include "sort/matrix.h"
 #include "util/options.h"
 #include "util/random.h"
 
@@ -402,9 +409,9 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
   ASSERT_TRUE(fill(&sync_vec, 0).ok());
   std::vector<uint64_t> sync_out;
   ASSERT_TRUE(sync_vec.ReadAll(&sync_out, 0).ok());
-  // Arbitrated: governor attached by the bundle, streams lease depth.
+  // Arbitrated: governor attached by the context, streams lease depth.
   MemoryBlockDevice arb_dev(4096);
-  ArbitratedMemory mem(&arb_dev, ArbiterOptions());
+  ExecutionContext ctx(&arb_dev, ArbiterOptions());
   ExtVector<uint64_t> arb_vec(&arb_dev);
   arb_vec.set_prefetch_depth(8);
   ASSERT_TRUE(fill(&arb_vec, 8).ok());
@@ -419,16 +426,16 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
 /// for builds, probes and flushes.
 TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
   Options opts = ArbiterOptions();
-  const size_t kBaselineFrames = 32;  // == the bundle's pool share of M
+  const size_t kBaselineFrames = 32;  // == the context's pool share of M
   const size_t kKeys = 20000;
   auto run = [&](bool arbitrated) {
     MemoryBlockDevice dev(4096);
-    std::unique_ptr<ArbitratedMemory> mem;
+    std::unique_ptr<ExecutionContext> ctx;
     std::unique_ptr<BufferPool> fixed;
     BufferPool* pool;
     if (arbitrated) {
-      mem = std::make_unique<ArbitratedMemory>(&dev, opts);
-      pool = mem->pool();
+      ctx = std::make_unique<ExecutionContext>(&dev, opts);
+      pool = ctx->pool();
       EXPECT_EQ(pool->baseline_frames(), kBaselineFrames);
     } else {
       fixed = std::make_unique<BufferPool>(&dev, kBaselineFrames);
@@ -520,6 +527,210 @@ TEST(MemoryArbiterIdentity, MultiTenantStatsMatchSingleTenantRuns) {
   EXPECT_LE(machine.charged_blocks(), machine.total_blocks());
   EXPECT_EQ(devs[0]->stats(), base[0]);
   EXPECT_EQ(devs[1]->stats(), base[1]);
+}
+
+/// Runs one entry point twice on fresh devices: through a standalone
+/// context (`ctx` set, `pool` its lease-backed pool), then as the
+/// reference without one (`ctx` null, `pool` a fixed pool of the
+/// context's baseline frames). `body` returns its output; output and
+/// logical IoStats must match.
+template <typename Body>
+void ExpectContextMatchesReference(const char* what, const Options& opts,
+                                   Body body) {
+  MemoryBlockDevice ctx_dev(opts.block_size);
+  ExecutionContext ctx(&ctx_dev, opts);
+  auto ctx_out = body(&ctx_dev, &ctx, ctx.pool());
+  EXPECT_TRUE(ctx.pool()->FlushAll().ok()) << what;
+
+  MemoryBlockDevice ref_dev(opts.block_size);
+  BufferPool ref_pool(&ref_dev, ctx.pool()->baseline_frames());
+  auto ref_out = body(&ref_dev, nullptr, &ref_pool);
+  EXPECT_TRUE(ref_pool.FlushAll().ok()) << what;
+
+  EXPECT_FALSE(ref_out.empty()) << what;
+  EXPECT_TRUE(ctx_out == ref_out) << what;
+  EXPECT_EQ(ctx_dev.stats(), ref_dev.stats()) << what;
+}
+
+struct KeyVal {
+  uint64_t key;
+  uint64_t val;
+  bool operator==(const KeyVal&) const = default;
+};
+
+/// With the shim gone, the ExecutionContext overloads are the only
+/// arbitrated wiring of the algorithm layers. Each must match the same
+/// operations on a fixed pool (structures) or the (budget, depth)
+/// overload with the same Options (sort and relational wrappers). Each
+/// structure's working set outgrows the 32-frame baseline, so its
+/// arbitrated pool grows mid-run while the charges stay the baseline's.
+TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
+  Options opts = ArbiterOptions();
+  opts.prefetch_depth = 4;
+
+  ExpectContextMatchesReference(
+      "ExtHashTable", opts,
+      [](BlockDevice*, ExecutionContext* ctx, BufferPool* pool) {
+        using Table = ExtHashTable<uint64_t, uint64_t>;
+        auto table = ctx != nullptr ? std::make_unique<Table>(ctx)
+                                    : std::make_unique<Table>(pool);
+        EXPECT_TRUE(table->Init().ok());
+        Rng rng(41);
+        std::vector<uint64_t> keys;
+        for (size_t i = 0; i < 20000; ++i) {
+          keys.push_back(rng.Next());
+          EXPECT_TRUE(table->Insert(keys.back(), i).ok());
+        }
+        std::vector<uint64_t> got;
+        for (size_t i = 0; i < keys.size(); i += 7) {
+          uint64_t v = 0;
+          EXPECT_TRUE(table->Get(keys[i], &v).ok());
+          got.push_back(v);
+        }
+        return got;
+      });
+
+  ExpectContextMatchesReference(
+      "ExtMatrix", opts,
+      [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool* pool) {
+        const size_t n = 256;  // 128 blocks per matrix
+        auto make = [&] {
+          return ctx != nullptr ? std::make_unique<ExtMatrix>(ctx, n, n)
+                                : std::make_unique<ExtMatrix>(dev, n, n, pool);
+        };
+        auto in = make();
+        auto out = make();
+        std::vector<double> values(n * n);
+        for (size_t i = 0; i < values.size(); ++i) values[i] = double(i);
+        EXPECT_TRUE(in->Load(values.data()).ok());
+        EXPECT_TRUE(TransposeNaive(*in, out.get()).ok());
+        std::vector<double> got;
+        EXPECT_TRUE(out->data().ReadAll(&got).ok());
+        return got;
+      });
+
+  ExpectContextMatchesReference(
+      "ExtGraph", opts,
+      [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool* pool) {
+        const uint64_t n = 20000;  // offsets span 40 blocks
+        Rng rng(43);
+        std::vector<Edge> e;
+        for (size_t i = 0; i < 2 * n; ++i) {
+          e.push_back({rng.Uniform(n), rng.Uniform(n)});
+        }
+        ExtVector<Edge> arcs(dev);
+        EXPECT_TRUE(arcs.AppendAll(e.data(), e.size()).ok());
+        auto g = ctx != nullptr ? std::make_unique<ExtGraph>(ctx)
+                                : std::make_unique<ExtGraph>(dev, pool);
+        EXPECT_TRUE(g->Build(arcs, n, opts.memory_budget, true).ok());
+        std::vector<uint64_t> got;
+        Rng probe(44);
+        for (size_t i = 0; i < 3000; ++i) {
+          EXPECT_TRUE(g->Neighbors(probe.Uniform(n), &got).ok());
+        }
+        return got;
+      });
+
+  ExpectContextMatchesReference(
+      "WeightedGraph+SemiExternalSssp", opts,
+      [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool* pool) {
+        const uint64_t n = 20000;  // PQ traffic spills past M
+        Rng rng(45);
+        std::vector<WeightedEdge> e;
+        for (size_t i = 0; i < 4 * n; ++i) {
+          e.push_back({rng.Uniform(n), rng.Uniform(n), 1 + rng.Uniform(100)});
+        }
+        ExtVector<WeightedEdge> arcs(dev);
+        EXPECT_TRUE(arcs.AppendAll(e.data(), e.size()).ok());
+        auto g = ctx != nullptr ? std::make_unique<WeightedGraph>(ctx)
+                                : std::make_unique<WeightedGraph>(dev, pool);
+        EXPECT_TRUE(g->Build(arcs, n, opts.memory_budget).ok());
+        auto sssp = ctx != nullptr
+                        ? std::make_unique<SemiExternalSssp>(ctx)
+                        : std::make_unique<SemiExternalSssp>(
+                              dev, pool, opts.memory_budget);
+        ExtVector<uint64_t> dist(dev, pool);
+        EXPECT_TRUE(sssp->Run(*g, 0, &dist).ok());
+        std::vector<uint64_t> got;
+        EXPECT_TRUE(dist.ReadAll(&got).ok());
+        return got;
+      });
+
+  ExpectContextMatchesReference(
+      "ExternalSort", opts,
+      [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool*) {
+        Rng rng(46);
+        std::vector<uint64_t> v(50000);  // ~98 blocks, M is 64
+        for (auto& x : v) x = rng.Next();
+        ExtVector<uint64_t> in(dev), out(dev);
+        EXPECT_TRUE(in.AppendAll(v.data(), v.size()).ok());
+        Status s = ctx != nullptr
+                       ? ExternalSort(ctx, in, &out)
+                       : ExternalSort(in, &out, opts.memory_budget,
+                                      std::less<uint64_t>(),
+                                      opts.prefetch_depth);
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        std::vector<uint64_t> got;
+        EXPECT_TRUE(out.ReadAll(&got).ok());
+        return got;
+      });
+
+  auto key = [](const KeyVal& r) { return r.key; };
+  ExpectContextMatchesReference(
+      "SortMergeJoin", opts,
+      [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool*) {
+        Rng rng(47);
+        std::vector<KeyVal> orders, custs;
+        for (uint64_t i = 0; i < 20000; ++i) {
+          orders.push_back({rng.Uniform(4000), i});
+        }
+        for (uint64_t c = 0; c < 2000; ++c) custs.push_back({c, c % 7});
+        ExtVector<KeyVal> lv(dev), rv(dev), out(dev);
+        EXPECT_TRUE(lv.AppendAll(orders.data(), orders.size()).ok());
+        EXPECT_TRUE(rv.AppendAll(custs.data(), custs.size()).ok());
+        auto combine = [](const KeyVal& l, const KeyVal& r) {
+          return KeyVal{l.val, r.val};
+        };
+        Status s =
+            ctx != nullptr
+                ? SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
+                      ctx, lv, rv, &out, key, key, combine)
+                : SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
+                      lv, rv, &out, opts.memory_budget, key, key, combine,
+                      opts.prefetch_depth);
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        std::vector<KeyVal> got;
+        EXPECT_TRUE(out.ReadAll(&got).ok());
+        return got;
+      });
+
+  ExpectContextMatchesReference(
+      "GroupByAggregate", opts,
+      [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool*) {
+        Rng rng(48);
+        std::vector<KeyVal> rows;
+        for (size_t i = 0; i < 30000; ++i) {
+          rows.push_back({rng.Uniform(500), rng.Uniform(1000)});
+        }
+        ExtVector<KeyVal> in(dev), out(dev);
+        EXPECT_TRUE(in.AppendAll(rows.data(), rows.size()).ok());
+        auto init = [](const uint64_t&) { return uint64_t{0}; };
+        auto fold = [](uint64_t* acc, const KeyVal& r) { *acc += r.val; };
+        auto finish = [](const uint64_t& k, const uint64_t& acc) {
+          return KeyVal{k, acc};
+        };
+        Status s =
+            ctx != nullptr
+                ? GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
+                      ctx, in, &out, key, init, fold, finish)
+                : GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
+                      in, &out, opts.memory_budget, key, init, fold, finish,
+                      opts.prefetch_depth);
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        std::vector<KeyVal> got;
+        EXPECT_TRUE(out.ReadAll(&got).ok());
+        return got;
+      });
 }
 
 }  // namespace
