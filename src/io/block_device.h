@@ -248,14 +248,13 @@ class BlockDevice {
   /// Log sequence number of the most recent journaled mutation on this
   /// device: 0 on every device without a write-ahead log. A journaling
   /// device (DurableBlockDevice) returns the end-LSN of the last record
-  /// it appended; the BufferPool records it per written-back frame so
-  /// FlushAll can gate on it.
+  /// it appended. No library code calls this or EnsureWalDurable any
+  /// more (the durability point is DurableBlockDevice::Commit); both stay
+  /// because perfbench's TracingBlockDevice forwards them.
   virtual uint64_t wal_last_lsn() const { return 0; }
 
   /// Make the write-ahead log durable through `lsn` (force the log).
-  /// No-op without a WAL. This is the page-LSN gate the BufferPool
-  /// enforces: a dirty frame does not count as flushed until the log
-  /// record holding its content is durable.
+  /// No-op without a WAL.
   virtual Status EnsureWalDurable(uint64_t lsn) {
     (void)lsn;
     return Status::OK();

@@ -58,7 +58,6 @@ Status BufferPool::WriteBack(Frame* f) {
                                : dev_->Write(f->block_id, f->data.get());
   if (s.ok()) {
     f->dirty = false;
-    f->rec_lsn = dev_->wal_last_lsn();
     writebacks_++;
   }
   return s;
@@ -375,7 +374,6 @@ Status BufferPool::FlushAll() {
   // written frames clean — a retry rewrites (and re-charges) at most
   // one segment, as the old per-frame loop would.
   size_t s = 0;
-  uint64_t gate_lsn = 0;
   while (s < dirty.size()) {
     size_t len = 1;
     while (s + len < dirty.size() &&
@@ -395,24 +393,13 @@ Status BufferPool::FlushAll() {
         lease_ != nullptr
             ? dev_->WriteBatchUncounted(ids.data(), bufs.data(), len)
             : dev_->WriteBatch(ids.data(), bufs.data(), len));
-    // On a journaling device the batch just appended one record per
-    // block: stamp the segment's frames with the log position they must
-    // outwait, and widen the flush gate to it.
-    uint64_t seg_lsn = dev_->wal_last_lsn();
-    for (size_t i = s; i < s + len; ++i) {
-      frames_[dirty[i]].dirty = false;
-      frames_[dirty[i]].rec_lsn = seg_lsn;
-    }
-    if (seg_lsn > gate_lsn) gate_lsn = seg_lsn;
+    for (size_t i = s; i < s + len; ++i) frames_[dirty[i]].dirty = false;
     if (lease_ != nullptr) {
       for (size_t i = 0; i < len; ++i) GhostFlushId(ids[i]);
     }
     writebacks_ += len;
     s += len;
   }
-  // Page-LSN gate: "flushed" means the journal records holding these
-  // images are durable, not merely that the device accepted the writes.
-  if (gate_lsn > 0) VEM_RETURN_IF_ERROR(dev_->EnsureWalDurable(gate_lsn));
   return Status::OK();
 }
 

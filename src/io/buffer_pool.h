@@ -70,11 +70,11 @@ class BufferPool {
   void Unpin(uint64_t id, bool dirty);
 
   /// Write back all dirty pages (pages stay cached). On a journaling
-  /// device (DurableBlockDevice with the WAL on) this is page-LSN gated:
-  /// each write-back journals the page image, and FlushAll does not
-  /// return OK until the log is durable through the highest LSN those
-  /// records got (BlockDevice::EnsureWalDurable) — "flushed" means
-  /// crash-recoverable, not merely handed to the device.
+  /// device (DurableBlockDevice with the WAL on) each write-back only
+  /// journals the page into the open transaction and does not force the
+  /// log: the device is no-steal and recovery redoes only committed
+  /// transactions, so the transaction's Commit() — which forces every
+  /// record appended before its commit record — is the durability point.
   Status FlushAll();
 
   /// Drop `id` from the cache (no write-back) — pair with device Free()
@@ -122,11 +122,6 @@ class BufferPool {
     bool dirty = false;
     bool valid = false;
     bool referenced = false;
-    // End-LSN of the log record carrying the last written-back image of
-    // this frame (0 on WAL-less devices). Eviction write-backs record it
-    // but do not force the log — eviction is not a durability point;
-    // FlushAll is, and gates on the highest such LSN.
-    uint64_t rec_lsn = 0;
   };
 
   /// Ghost directory entry: the baseline pool's bookkeeping without the

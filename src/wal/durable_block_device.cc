@@ -87,15 +87,42 @@ Status DurableBlockDevice::Write(uint64_t id, const void* buf) {
     return s;
   }
   std::lock_guard<std::mutex> lk(mu_);
-  uint64_t lsn = 0;
-  VEM_RETURN_IF_ERROR(wal_->Append(wal::RecordType::kBlockImage, cur_txn_, id,
-                                   buf, block_size(), &lsn));
+  VEM_RETURN_IF_ERROR(JournalWriteLocked(id, static_cast<const char*>(buf)));
   auto& img = pending_[id];
   img.assign(static_cast<const char*>(buf),
              static_cast<const char*>(buf) + block_size());
   stats_.block_writes++;
   stats_.parallel_writes++;
   stats_.bytes_written += block_size();
+  return Status::OK();
+}
+
+Status DurableBlockDevice::JournalWriteLocked(uint64_t id, const char* buf) {
+  const size_t B = block_size();
+  if (imaged_.count(id) != 0 && inner_->SupportsUncounted()) {
+    std::vector<char> inner_img;
+    const char* base = nullptr;
+    auto it = pending_.find(id);
+    if (it != pending_.end()) {
+      base = it->second.data();
+    } else if (id < inner_->num_allocated()) {
+      inner_img.resize(B);
+      if (inner_->ReadUncounted(id, inner_img.data()).ok()) {
+        base = inner_img.data();
+      }
+    }
+    if (base != nullptr) {
+      std::vector<char> delta = wal::EncodeBlockDelta(base, buf, B);
+      if (delta.empty()) return Status::OK();
+      if (delta.size() < B / 2) {
+        return wal_->Append(wal::RecordType::kBlockDelta, cur_txn_, id,
+                            delta.data(), delta.size(), nullptr);
+      }
+    }
+  }
+  VEM_RETURN_IF_ERROR(wal_->Append(wal::RecordType::kBlockImage, cur_txn_, id,
+                                   buf, B, nullptr));
+  imaged_.insert(id);
   return Status::OK();
 }
 
@@ -116,20 +143,33 @@ Status DurableBlockDevice::Commit() {
     // and leave the images to recovery rather than half-applying.
     return s;
   }
+  const bool uncounted = inner_->SupportsUncounted();
   std::vector<uint64_t> ids;
   ids.reserve(batch.size());
-  for (auto& kv : batch) {
+  Status w;
+  auto it = batch.begin();
+  for (; it != batch.end(); ++it) {
     WalTestMaybeCrash();  // between commit-ack and data apply
-    ExtendInnerTo(kv.first);
-    Status w = inner_->SupportsUncounted()
-                   ? inner_->WriteUncounted(kv.first, kv.second.data())
-                   : inner_->Write(kv.first, kv.second.data());
-    VEM_RETURN_IF_ERROR(w);
-    if (inner_->SupportsUncounted()) ids.push_back(kv.first);
+    ExtendInnerTo(it->first);
+    w = uncounted ? inner_->WriteUncounted(it->first, it->second.data())
+                  : inner_->Write(it->first, it->second.data());
+    if (!w.ok()) break;
+    if (uncounted) ids.push_back(it->first);
   }
-  WalTestMaybeCrash();  // applied, ack not yet returned
+  if (w.ok()) WalTestMaybeCrash();  // applied, ack not yet returned
   if (!ids.empty()) inner_->AccountWriteIds(ids.data(), ids.size());
-  return Status::OK();
+  if (!w.ok()) {
+    // The transaction is durable but not fully applied. Park every image
+    // not yet applied back in the overlay: reads keep seeing the
+    // committed state, Checkpoint() refuses to cut the log that holds
+    // it, and the next Commit() applies it. An image written since the
+    // swap is newer and wins.
+    lk.lock();
+    for (; it != batch.end(); ++it) {
+      pending_.emplace(it->first, std::move(it->second));
+    }
+  }
+  return w;
 }
 
 size_t DurableBlockDevice::pending_blocks() const {
@@ -144,6 +184,7 @@ Status DurableBlockDevice::Checkpoint() {
     return Status::InvalidArgument(
         "Checkpoint with uncommitted writes: Commit() first");
   }
+  imaged_.clear();  // the cut log holds no full images any more
   // Data first, then cut the log: the log must stay the durable copy of
   // anything the data device hasn't persisted yet.
   VEM_RETURN_IF_ERROR(inner_->Sync());
@@ -249,6 +290,7 @@ void DurableBlockDevice::Free(uint64_t id) {
   free_list_.push_back(id);
   live_blocks_--;
   pending_.erase(id);  // a freed block's uncommitted image is moot
+  imaged_.erase(id);   // a re-allocated id starts with a full image
   (void)wal_->Append(wal::RecordType::kFree, cur_txn_, id, nullptr, 0,
                      nullptr);
 }

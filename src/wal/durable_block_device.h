@@ -9,23 +9,36 @@
 //  it changes no counter anywhere — the engine's standing IoStats
 //  identity holds bit-for-bit.
 //
-//  WAL ON: no-steal journaling. Write() appends the block's after-image
-//  to the log and parks it in an in-memory pending overlay — the inner
-//  data device is NOT touched. Read() serves the overlay first. At
-//  Commit() the log is forced (group commit — the durability point, and
-//  the moment the journal's physical writes are charged), then the
-//  pending images are applied to the inner device on its uncounted plane
-//  and charged via AccountWriteIds, exactly mirroring what per-block
-//  counted writes would have recorded. A crash at ANY point leaves the
+//  WAL ON: no-steal journaling. Write() journals the block and parks its
+//  new image in an in-memory pending overlay — the inner data device is
+//  NOT touched. Read() serves the overlay first. At Commit() the log is
+//  forced (group commit — the durability point, and the moment the
+//  journal's physical writes are charged), then the pending images are
+//  applied to the inner device on its uncounted plane and charged via
+//  AccountWriteIds, exactly mirroring what per-block counted writes
+//  would have recorded. If an apply fails, every image not yet applied
+//  goes back into the overlay, so reads still see the committed state
+//  and the next Commit() applies it. A crash at ANY point leaves the
 //  inner device holding only committed history (possibly missing the
 //  tail the log will redo); uncommitted writes vanish with the overlay.
 //  Allocate/Free move to a journaled allocation map owned by the wrapper
 //  (the inner device only ever grows), persisted across clean closes by
 //  a checkpoint record and rebuilt by recovery otherwise.
 //
+//  What Write() journals: the first write of a block in a checkpoint
+//  cycle (construction or recovery up to the next Checkpoint()) logs a
+//  full kBlockImage, which also repairs a torn data page at redo. Later
+//  writes of the block log a kBlockDelta — the byte runs that differ
+//  from the block's current image (the overlay's when pending, else the
+//  inner block read on its uncounted plane, so the data device's
+//  logical IoStats do not move). A delta that would encode to half a
+//  block or more, or an inner device without an uncounted plane, falls
+//  back to the full image. A write that changes no byte logs nothing.
+//
 // Transactions are an implicit single stream: everything between two
-// Commit() calls is one transaction. Concurrent transactions need the
-// lock manager the roadmap still lists as open.
+// Commit() calls is one transaction, and no Write() may race a Commit()
+// (a delta's base is the image Commit() is applying). Concurrent
+// transactions would need a lock manager, which vem does not have yet.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +46,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "io/block_device.h"
@@ -74,10 +88,11 @@ class DurableBlockDevice final : public BlockDevice {
   /// Uncommitted journaled writes parked in the overlay (tests).
   size_t pending_blocks() const;
 
-  /// Truncate the log down to a fresh checkpoint of the allocation map.
-  /// Requires an empty overlay (commit first); the inner device is
-  /// Sync()ed before the log is cut so no durable state ever exists only
-  /// in the discarded log.
+  /// Truncate the log down to a fresh checkpoint of the allocation map
+  /// and start a new checkpoint cycle (every block's next write logs a
+  /// full image again). Requires an empty overlay (commit first); the
+  /// inner device is Sync()ed before the log is cut so no durable state
+  /// ever exists only in the discarded log.
   Status Checkpoint();
 
   // --------------------------------------------------- BlockDevice API
@@ -115,6 +130,9 @@ class DurableBlockDevice final : public BlockDevice {
   void ExtendInnerTo(uint64_t id);
   /// Append a fresh checkpoint of the allocation map and force it.
   Status WriteCheckpointLocked();
+  /// Journal the write of `buf` to block `id`: a delta against the
+  /// block's current image when one is cheaper, else a full image.
+  Status JournalWriteLocked(uint64_t id, const char* buf);
 
   BlockDevice* inner_;
   WalManager* wal_;  // null = pass-through
@@ -124,6 +142,8 @@ class DurableBlockDevice final : public BlockDevice {
   // Journaling-mode state (untouched in pass-through mode).
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, std::vector<char>> pending_;  // overlay
+  // Blocks with a full image in the log since the last checkpoint.
+  std::unordered_set<uint64_t> imaged_;
   uint64_t cur_txn_ = 1;
   uint64_t next_id_ = 0;
   std::vector<uint64_t> free_list_;

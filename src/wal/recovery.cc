@@ -157,6 +157,52 @@ bool DecodeAllocMap(const void* payload, size_t n, uint64_t* next_id,
   return true;
 }
 
+std::vector<char> EncodeBlockDelta(const char* base, const char* img,
+                                   size_t n) {
+  std::vector<char> out;
+  size_t i = 0;
+  while (i < n) {
+    if (base[i] == img[i]) {
+      ++i;
+      continue;
+    }
+    // Extend the run over every change less than kDeltaMergeGap past
+    // the last changed byte seen.
+    size_t last = i;
+    for (size_t j = i + 1; j < n && j - last <= kDeltaMergeGap; ++j) {
+      if (base[j] != img[j]) last = j;
+    }
+    const uint32_t off = static_cast<uint32_t>(i);
+    const uint32_t len = static_cast<uint32_t>(last + 1 - i);
+    const size_t at = out.size();
+    out.resize(at + 2 * sizeof(uint32_t) + len);
+    std::memcpy(out.data() + at, &off, sizeof(off));
+    std::memcpy(out.data() + at + 4, &len, sizeof(len));
+    std::memcpy(out.data() + at + 8, img + i, len);
+    i = last + 1;
+  }
+  return out;
+}
+
+bool ApplyBlockDelta(const void* payload, size_t payload_size, char* block,
+                     size_t n) {
+  const char* p = static_cast<const char*>(payload);
+  size_t at = 0;
+  while (at < payload_size) {
+    if (payload_size - at < 2 * sizeof(uint32_t)) return false;
+    uint32_t off = 0, len = 0;
+    std::memcpy(&off, p + at, sizeof(off));
+    std::memcpy(&len, p + at + 4, sizeof(len));
+    at += 2 * sizeof(uint32_t);
+    if (len == 0 || off > n || len > n - off || len > payload_size - at) {
+      return false;
+    }
+    std::memcpy(block + off, p + at, len);
+    at += len;
+  }
+  return true;
+}
+
 }  // namespace wal
 
 Status RecoverWal(WalManager* wal, BlockDevice* data, RecoveryResult* result) {
@@ -180,9 +226,10 @@ Status RecoverWal(WalManager* wal, BlockDevice* data, RecoveryResult* result) {
   }
   result->committed_txns = committed.size();
 
-  // --- Pass 2: redo committed block images in log order; replay the
-  // allocation map from the checkpoint base.
+  // --- Pass 2: redo committed block images and deltas in log order;
+  // replay the allocation map from the checkpoint base.
   uint64_t next_id = data->num_allocated();
+  std::vector<char> block(data->block_size());
   std::unordered_set<uint64_t> free_set;
   {
     wal::WalScanner scan(log);
@@ -218,6 +265,23 @@ Status RecoverWal(WalManager* wal, BlockDevice* data, RecoveryResult* result) {
                          : data->Write(id, rec.payload.data());
           VEM_RETURN_IF_ERROR(s);
           result->redone_blocks++;
+          break;
+        }
+        case wal::RecordType::kBlockDelta: {
+          if (committed.count(rec.header.txn) == 0) break;
+          uint64_t id = rec.header.block_id;
+          while (data->num_allocated() <= id) data->Allocate();
+          VEM_RETURN_IF_ERROR(data->SupportsUncounted()
+                                  ? data->ReadUncounted(id, block.data())
+                                  : data->Read(id, block.data()));
+          if (!wal::ApplyBlockDelta(rec.payload.data(), rec.payload.size(),
+                                    block.data(), block.size())) {
+            return Status::Corruption("WAL: malformed block delta");
+          }
+          VEM_RETURN_IF_ERROR(data->SupportsUncounted()
+                                  ? data->WriteUncounted(id, block.data())
+                                  : data->Write(id, block.data()));
+          result->redone_deltas++;
           break;
         }
         case wal::RecordType::kAlloc: {

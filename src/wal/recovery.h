@@ -13,12 +13,14 @@
 //     record before the tear was covered by the fsync that acknowledged
 //     it, everything at or after the tear was never acknowledged.
 //  2. REDO — scan again and re-apply, in log order, every kBlockImage of
-//     a committed transaction to the data device, and replay committed
+//     a committed transaction to the data device, redo every committed
+//     kBlockDelta as read, patch, write, and replay committed
 //     kAlloc/kFree records into the allocation map (seeded from the
 //     log's kCheckpoint record when present, else from the data file's
-//     size). Replaying a full after-image is idempotent, so recovering
-//     twice — or crashing during recovery and recovering again — lands
-//     in the same state.
+//     size). Every delta follows its block's full image in the log, so
+//     redo rebuilds each block from that image whatever the data file
+//     held, and is idempotent: recovering twice — or crashing during
+//     recovery and recovering again — lands in the same state.
 //
 // Recovery ends by Sync()ing the data device and Reset()ing the log; the
 // caller then persists a fresh checkpoint of the recovered allocation
@@ -85,6 +87,18 @@ std::vector<char> EncodeAllocMap(uint64_t next_id,
 bool DecodeAllocMap(const void* payload, size_t n, uint64_t* next_id,
                     std::vector<uint64_t>* free_list);
 
+/// kBlockDelta payload turning block content `base` into `img` (both
+/// `n` bytes): one {u32 offset, u32 length, bytes} run per stretch of
+/// changed bytes, runs less than kDeltaMergeGap apart merged. Empty when
+/// the two are identical.
+std::vector<char> EncodeBlockDelta(const char* base, const char* img,
+                                   size_t n);
+/// Patch `block` (`n` bytes) with a kBlockDelta payload. False — with
+/// `block` possibly half patched, never written out of bounds — when a
+/// run is truncated, empty, or reaches past the block end.
+bool ApplyBlockDelta(const void* payload, size_t payload_size, char* block,
+                     size_t n);
+
 }  // namespace wal
 
 /// What recovery found and did (introspection for tests and logs).
@@ -92,6 +106,7 @@ struct RecoveryResult {
   uint64_t scanned_records = 0;   ///< valid records seen (pads excluded)
   uint64_t committed_txns = 0;    ///< transactions with a durable commit
   uint64_t redone_blocks = 0;     ///< block images re-applied to data
+  uint64_t redone_deltas = 0;     ///< block deltas re-applied to data
   bool torn_tail = false;         ///< log ended in a torn record
   uint64_t next_block_id = 0;     ///< recovered allocation bound
   std::vector<uint64_t> free_list;  ///< recovered free ids

@@ -6,7 +6,7 @@
 // and payload, and its LSN. LSNs are byte offsets: a record's lsn is the
 // offset just past its final byte, so "the log is durable through LSN L"
 // means every byte below L has been fsynced — one monotone counter
-// orders records, commit points, and the buffer pool's page gates alike.
+// orders records and commit points alike.
 //
 // Durability relies on two invariants the writer maintains:
 //  - no flushed block is ever rewritten: every flush pads the stream to
@@ -30,6 +30,12 @@ namespace wal {
 /// "VWL1" — identifies the start of a record header.
 inline constexpr uint32_t kWalMagic = 0x314C5756u;
 
+/// Record types. A block's first write in a checkpoint cycle (the span
+/// from construction, recovery or Checkpoint() to the next Checkpoint())
+/// logs a full kBlockImage; each later write of that block in the same
+/// cycle logs a kBlockDelta against the block's then-current content, so
+/// every delta in the log follows its block's full image and redo
+/// rebuilds the block whatever the data file holds (torn pages included).
 enum class RecordType : uint32_t {
   kBlockImage = 1,  ///< after-image of data block `block_id` (payload = B bytes)
   kAlloc = 2,       ///< block `block_id` allocated in txn `txn`
@@ -37,7 +43,14 @@ enum class RecordType : uint32_t {
   kCommit = 4,      ///< txn `txn` committed — the redo gate
   kCheckpoint = 5,  ///< allocation-map snapshot (payload: next_id + free list)
   kPad = 6,         ///< filler to the next block boundary; carries no state
+  kBlockDelta = 7,  ///< byte runs that changed in block `block_id`
+                    ///< (payload: {u32 offset, u32 length, bytes} repeated)
 };
+
+/// Changed-byte runs closer than this are merged into one delta run: a
+/// run header costs 8 bytes, so bridging a short unchanged gap is cheaper
+/// than starting a new run.
+inline constexpr size_t kDeltaMergeGap = 16;
 
 /// Fixed 40-byte record header. The CRC covers bytes [8, 40) of the
 /// header (everything after the crc field) followed by the payload, so a

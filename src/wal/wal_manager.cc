@@ -255,13 +255,20 @@ Status WalManager::Reset() {
     use_uncounted_ = dev_->SupportsUncounted();
     alloc_blocks_ = 0;
   } else if (dev_ != nullptr && alloc_blocks_ > 0) {
-    // Borrowed device: zero block 0 so a scanner sees a clean empty log.
+    // Borrowed device: zero every block the log allocated. LSNs restart
+    // at 0, so a stale record past the new tail would pass the scanner's
+    // LSN check and be replayed. Block 0 goes first and is made durable
+    // before the rest: a crash mid-way then leaves a clean empty log,
+    // never a scannable prefix of the old one.
     std::vector<char> zeros(block_size_, 0);
-    Status s = use_uncounted_ ? dev_->WriteUncounted(0, zeros.data())
-                              : dev_->Write(0, zeros.data());
-    if (!s.ok()) {
-      sticky_ = s;
-      return s;
+    for (uint64_t b = 0; b < alloc_blocks_; ++b) {
+      Status s = use_uncounted_ ? dev_->WriteUncounted(b, zeros.data())
+                                : dev_->Write(b, zeros.data());
+      if (s.ok() && b == 0) s = dev_->Sync();
+      if (!s.ok()) {
+        sticky_ = s;
+        return s;
+      }
     }
   }
   flush_base_ = 0;

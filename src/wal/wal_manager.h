@@ -102,8 +102,7 @@ class WalManager {
   /// end-LSN.
   Status Commit(uint64_t txn, uint64_t* commit_lsn = nullptr);
 
-  /// Force the log durable through `lsn` (clamped to last_lsn()). The
-  /// page-LSN gate (BlockDevice::EnsureWalDurable) lands here.
+  /// Force the log durable through `lsn` (clamped to last_lsn()).
   Status SyncTo(uint64_t lsn);
 
   /// Pad the tail to a block boundary and write it to the log device
@@ -113,7 +112,9 @@ class WalManager {
 
   /// Truncate the log and restart LSNs from zero (post-recovery /
   /// checkpoint). Owned device: recreate the file (O_TRUNC). Borrowed:
-  /// zero the first block so a scanner sees a clean empty log.
+  /// zero every block the log allocated (block 0 first, synced) so a
+  /// scanner sees a clean empty log and no stale record past the new
+  /// tail.
   Status Reset();
 
   /// End-LSN of the last appended record (0 = empty log).

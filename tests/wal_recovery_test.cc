@@ -383,29 +383,301 @@ TEST(DurableDeviceTest, WalOffIsStatsInvisible) {
   EXPECT_TRUE(wrapped.stats() == raw.stats());
 }
 
-// ---------------------------------------- BufferPool page-LSN gate
+// ------------------------------------- BufferPool and the log force
 
-TEST(BufferPoolWalTest, FlushAllForcesJournalDurability) {
+TEST(BufferPoolWalTest, CommitIsTheOnlyLogForce) {
   MemoryBlockDevice logdev(512), datadev(512);
   WalManager wal(&logdev, WalManager::Config{});
   DurableBlockDevice dev(&datadev, &wal);
   ASSERT_TRUE(dev.valid());
-  const uint64_t baseline = wal.durable_lsn();
+  const uint64_t lsn0 = wal.last_lsn();
+  const uint64_t fsyncs0 = wal.fsync_count();
 
   BufferPool pool(&dev, 4);
-  uint64_t id;
-  char* data;
-  ASSERT_TRUE(pool.PinNew(&id, &data).ok());
-  FillBytes(data, 512, 9);
-  pool.Unpin(id, /*dirty=*/true);
-  // Dirty in the pool: nothing journaled or forced yet.
-  EXPECT_EQ(wal.durable_lsn(), baseline);
+  for (int i = 0; i < 2; ++i) {
+    uint64_t id;
+    char* data;
+    ASSERT_TRUE(pool.PinNew(&id, &data).ok());
+    FillBytes(data, 512, 9 + i);
+    pool.Unpin(id, /*dirty=*/true);
+  }
+  const size_t dirty = pool.dirty_frames();
+  ASSERT_EQ(dirty, 2u);
 
+  // FlushAll journals the pages into the open transaction...
   ASSERT_TRUE(pool.FlushAll().ok());
-  // The flush journaled the page image and gated on it: the log is
-  // durable through everything the write-back appended.
-  EXPECT_GT(wal.last_lsn(), baseline);
+  EXPECT_GT(wal.last_lsn(), lsn0);
+  EXPECT_EQ(dev.pending_blocks(), dirty);
+  // ...but forces nothing: uncommitted records make nothing recoverable.
+  EXPECT_EQ(wal.fsync_count(), fsyncs0);
+  EXPECT_LT(wal.durable_lsn(), wal.last_lsn());
+
+  // Commit forces everything appended before its commit record, once.
+  ASSERT_TRUE(dev.Commit().ok());
   EXPECT_EQ(wal.durable_lsn(), wal.last_lsn());
+  EXPECT_EQ(wal.fsync_count(), fsyncs0 + 1);
+}
+
+// ------------------------------------------ failed apply, stale log
+
+TEST(DurableDeviceTest, FailedApplyKeepsCommittedImages) {
+  MemoryBlockDevice logdev(512), datamem(512);
+  FaultyBlockDevice data(&datamem);
+  std::vector<char> a(512, 'A'), b(512, 'B'), got(512);
+  uint64_t x, y;
+  {
+    WalManager wal(&logdev, WalManager::Config{});
+    DurableBlockDevice dev(&data, &wal);
+    ASSERT_TRUE(dev.valid());
+    x = dev.Allocate();
+    y = dev.Allocate();
+    ASSERT_TRUE(dev.Write(x, a.data()).ok());
+    ASSERT_TRUE(dev.Write(y, a.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+
+    ASSERT_TRUE(dev.Write(x, b.data()).ok());
+    ASSERT_TRUE(dev.Write(y, b.data()).ok());
+    // The log force succeeds; the first data apply fails once.
+    data.SetTransientWriteFault(data.writes_seen() + 1, 1);
+    Status s = dev.Commit();
+    EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+
+    // The durable transaction stays visible and blocks the log cut.
+    for (uint64_t id : {x, y}) {
+      ASSERT_TRUE(dev.Read(id, got.data()).ok());
+      EXPECT_EQ(std::memcmp(got.data(), b.data(), 512), 0) << "id " << id;
+    }
+    EXPECT_GE(dev.pending_blocks(), 1u);
+    EXPECT_TRUE(dev.Checkpoint().IsInvalidArgument());
+
+    // The next Commit applies it; then the log may be cut.
+    ASSERT_TRUE(dev.Commit().ok());
+    EXPECT_EQ(dev.pending_blocks(), 0u);
+    ASSERT_TRUE(dev.Checkpoint().ok());
+  }
+  WalManager wal(&logdev, WalManager::Config{});
+  DurableBlockDevice dev(&data, &wal);
+  ASSERT_TRUE(dev.valid()) << dev.status().ToString();
+  for (uint64_t id : {x, y}) {
+    ASSERT_TRUE(datamem.Read(id, got.data()).ok());
+    EXPECT_EQ(std::memcmp(got.data(), b.data(), 512), 0) << "id " << id;
+  }
+}
+
+TEST(WalManagerTest, BorrowedResetDropsStaleRecords) {
+  MemoryBlockDevice logdev(512), datadev(512);
+  std::vector<char> img(512), got(512);
+  uint64_t x;
+  {
+    WalManager wal(&logdev, WalManager::Config{});
+    DurableBlockDevice dev(&datadev, &wal);
+    ASSERT_TRUE(dev.valid());
+    uint64_t y = dev.Allocate();
+    x = dev.Allocate();
+    FillBytes(img.data(), img.size(), 0x7);
+    ASSERT_TRUE(dev.Write(y, img.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+    std::memset(img.data(), 'B', img.size());
+    ASSERT_TRUE(dev.Write(x, img.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+    ASSERT_TRUE(dev.Checkpoint().ok());
+    std::memset(img.data(), 'C', img.size());
+    ASSERT_TRUE(dev.Write(x, img.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+  }  // abandoned: reopening runs recovery over the borrowed log
+  WalManager wal(&logdev, WalManager::Config{});
+  DurableBlockDevice dev(&datadev, &wal);
+  ASSERT_TRUE(dev.valid()) << dev.status().ToString();
+  ASSERT_TRUE(dev.Read(x, got.data()).ok());
+  EXPECT_EQ(std::memcmp(got.data(), img.data(), 512), 0)
+      << "a record from before the checkpoint was replayed";
+}
+
+// ------------------------------------------------------ block deltas
+
+TEST(WalFormat, BlockDeltaRoundTripAndMergeRule) {
+  constexpr size_t kB = 512;
+  std::vector<char> base(kB), img(kB), out(kB);
+  FillBytes(base.data(), kB, 11);
+  EXPECT_TRUE(wal::EncodeBlockDelta(base.data(), base.data(), kB).empty());
+
+  img = base;
+  img[10] ^= 1;
+  img[10 + wal::kDeltaMergeGap] ^= 1;       // 15 unchanged bytes apart
+  img[300] ^= 1;
+  img[300 + wal::kDeltaMergeGap + 1] ^= 1;  // 16 unchanged bytes apart
+  img[kB - 1] ^= 1;                         // last byte
+  std::vector<char> d = wal::EncodeBlockDelta(base.data(), img.data(), kB);
+  // Runs: [10, 26], [300], [317], [511] -> four 8-byte run headers.
+  EXPECT_EQ(d.size(), 4 * 8 + (wal::kDeltaMergeGap + 1) + 1 + 1 + 1);
+  out = base;
+  ASSERT_TRUE(wal::ApplyBlockDelta(d.data(), d.size(), out.data(), kB));
+  EXPECT_EQ(out, img);
+}
+
+/// Every valid record in `log`, in log order.
+std::vector<wal::WalRecord> ScanLog(BlockDevice* log) {
+  std::vector<wal::WalRecord> recs;
+  wal::WalScanner scan(log);
+  wal::WalRecord rec;
+  bool valid = false;
+  while (scan.Next(&rec, &valid).ok() && valid) recs.push_back(rec);
+  return recs;
+}
+
+/// Block-record types the log holds for `id`, in log order.
+std::vector<wal::RecordType> BlockRecordTypes(BlockDevice* log,
+                                              uint64_t id) {
+  std::vector<wal::RecordType> types;
+  for (const wal::WalRecord& rec : ScanLog(log)) {
+    if ((rec.type() == wal::RecordType::kBlockImage ||
+         rec.type() == wal::RecordType::kBlockDelta) &&
+        rec.header.block_id == id) {
+      types.push_back(rec.type());
+    }
+  }
+  return types;
+}
+
+TEST(DeltaRecoveryTest, RebuildsGarbageBlockFromImageAndDeltas) {
+  MemoryBlockDevice logdev(512), datadev(512);
+  std::vector<char> img(512), got(512);
+  uint64_t id;
+  {
+    WalManager wal(&logdev, WalManager::Config{});
+    DurableBlockDevice dev(&datadev, &wal);
+    ASSERT_TRUE(dev.valid());
+    id = dev.Allocate();
+    FillBytes(img.data(), img.size(), 21);
+    ASSERT_TRUE(dev.Write(id, img.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+    for (int t = 0; t < 3; ++t) {
+      std::memset(img.data() + 40 * t, 'a' + t, 8);
+      img[500 - t] ^= 0x5A;
+      ASSERT_TRUE(dev.Write(id, img.data()).ok());
+      ASSERT_TRUE(dev.Commit().ok());
+    }
+    const std::vector<wal::RecordType> want = {
+        wal::RecordType::kBlockImage, wal::RecordType::kBlockDelta,
+        wal::RecordType::kBlockDelta, wal::RecordType::kBlockDelta};
+    EXPECT_EQ(BlockRecordTypes(&logdev, id), want);
+  }
+  // Torn or scribbled data page: redo must not depend on what it holds.
+  std::vector<char> garbage(512);
+  FillBytes(garbage.data(), garbage.size(), 0xBAD);
+  ASSERT_TRUE(datadev.WriteUncounted(id, garbage.data()).ok());
+
+  WalManager wal(&logdev, WalManager::Config{});
+  DurableBlockDevice dev(&datadev, &wal);
+  ASSERT_TRUE(dev.valid()) << dev.status().ToString();
+  EXPECT_EQ(dev.recovery().redone_blocks, 1u);
+  EXPECT_EQ(dev.recovery().redone_deltas, 3u);
+  ASSERT_TRUE(datadev.Read(id, got.data()).ok());
+  EXPECT_EQ(got, img);
+}
+
+TEST(DeltaRecoveryTest, RewriteInOneTxnAndAcrossCheckpoint) {
+  MemoryBlockDevice logdev(512), datadev(512);
+  std::vector<char> img(512), got(512);
+  uint64_t id;
+  {
+    WalManager wal(&logdev, WalManager::Config{});
+    DurableBlockDevice dev(&datadev, &wal);
+    ASSERT_TRUE(dev.valid());
+    id = dev.Allocate();
+    FillBytes(img.data(), img.size(), 51);
+    ASSERT_TRUE(dev.Write(id, img.data()).ok());
+    // A rewrite of a pending block diffs against the overlay image.
+    std::memset(img.data() + 100, 'p', 4);
+    ASSERT_TRUE(dev.Write(id, img.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+    const std::vector<wal::RecordType> before = {
+        wal::RecordType::kBlockImage, wal::RecordType::kBlockDelta};
+    EXPECT_EQ(BlockRecordTypes(&logdev, id), before);
+
+    // A checkpoint starts a new cycle: the next write is a full image.
+    ASSERT_TRUE(dev.Checkpoint().ok());
+    std::memset(img.data() + 200, 'q', 4);
+    ASSERT_TRUE(dev.Write(id, img.data()).ok());
+    std::memset(img.data() + 300, 'r', 4);
+    ASSERT_TRUE(dev.Write(id, img.data()).ok());
+    ASSERT_TRUE(dev.Commit().ok());
+    EXPECT_EQ(BlockRecordTypes(&logdev, id), before);
+  }
+  std::vector<char> garbage(512);
+  FillBytes(garbage.data(), garbage.size(), 0xBAD);
+  ASSERT_TRUE(datadev.WriteUncounted(id, garbage.data()).ok());
+
+  WalManager wal(&logdev, WalManager::Config{});
+  DurableBlockDevice dev(&datadev, &wal);
+  ASSERT_TRUE(dev.valid()) << dev.status().ToString();
+  ASSERT_TRUE(datadev.Read(id, got.data()).ok());
+  EXPECT_EQ(got, img);
+}
+
+TEST(DeltaRecoveryTest, FreeThenReallocateLogsFullImage) {
+  MemoryBlockDevice logdev(512), datadev(512);
+  WalManager wal(&logdev, WalManager::Config{});
+  DurableBlockDevice dev(&datadev, &wal);
+  ASSERT_TRUE(dev.valid());
+  std::vector<char> img(512);
+  FillBytes(img.data(), img.size(), 31);
+  uint64_t id = dev.Allocate();
+  ASSERT_TRUE(dev.Write(id, img.data()).ok());
+  ASSERT_TRUE(dev.Commit().ok());
+  img[7] ^= 1;
+  ASSERT_TRUE(dev.Write(id, img.data()).ok());
+  ASSERT_TRUE(dev.Commit().ok());
+
+  dev.Free(id);
+  ASSERT_EQ(dev.Allocate(), id);
+  img[8] ^= 1;
+  ASSERT_TRUE(dev.Write(id, img.data()).ok());
+  ASSERT_TRUE(dev.Commit().ok());
+  const std::vector<wal::RecordType> want = {wal::RecordType::kBlockImage,
+                                             wal::RecordType::kBlockDelta,
+                                             wal::RecordType::kBlockImage};
+  EXPECT_EQ(BlockRecordTypes(&logdev, id), want);
+}
+
+TEST(DeltaRecoveryTest, RunPastBlockEndIsCorruption) {
+  constexpr size_t kB = 512;
+  auto run = [](uint32_t off, uint32_t len, size_t bytes) {
+    std::vector<char> p(8 + bytes, 'z');
+    std::memcpy(p.data(), &off, 4);
+    std::memcpy(p.data() + 4, &len, 4);
+    return p;
+  };
+  const std::vector<std::vector<char>> bad = {
+      run(kB - 4, 16, 16),                  // reaches past the block end
+      run(kB + 1, 1, 1),                    // starts past the block end
+      run(8, 0xFFFFFFF8u, 16),              // off + len wraps 32 bits
+      run(0, 0, 0),                         // empty run
+      run(0, 32, 16),                       // run longer than the payload
+      std::vector<char>{1, 0, 0},           // truncated run header
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "payload " << i);
+    MemoryBlockDevice logdev(kB), datadev(kB);
+    WalManager wal(&logdev, WalManager::Config{});
+    std::vector<char> img(kB), got(kB);
+    FillBytes(img.data(), kB, 41);
+    ASSERT_TRUE(wal.Append(wal::RecordType::kBlockImage, 1, 0, img.data(),
+                           kB, nullptr)
+                    .ok());
+    // Valid CRC, malformed run: only the payload decoder can catch it.
+    ASSERT_TRUE(wal.Append(wal::RecordType::kBlockDelta, 1, 0,
+                           bad[i].data(), bad[i].size(), nullptr)
+                    .ok());
+    ASSERT_TRUE(wal.Commit(1).ok());
+
+    RecoveryResult res;
+    Status s = RecoverWal(&wal, &datadev, &res);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(datadev.num_allocated(), 1u);
+    ASSERT_TRUE(datadev.Read(0, got.data()).ok());
+    EXPECT_EQ(got, img);  // the bad delta was never written back
+  }
 }
 
 // ------------------------------------------- kill-point harness
@@ -421,6 +693,11 @@ constexpr size_t kKPBlockSize = 512;
 constexpr int kKPBlocks = 6;
 constexpr int kKPTxns = 10;
 
+// What one transaction does to each block it touches: rewrite the whole
+// block (every write logs a full image), or rewrite a few short byte
+// runs of it (every write after a block's first logs a delta).
+enum class KPWorkload { kWholeBlocks, kPartialUpdates };
+
 uint64_t Mix(uint64_t a, uint64_t b, uint64_t c) {
   uint64_t x = a * 0x9E3779B97F4A7C15ull + b * 0xBF58476D1CE4E5B9ull +
                c * 0x94D049BB133111EBull + 1;
@@ -434,15 +711,27 @@ bool TxnWritesBlock(uint64_t seed, int t, int b) {
   return b == (t % kKPBlocks) || Mix(seed, t, b) % 3 == 0;
 }
 
-void TxnBlockImage(uint64_t seed, int t, int b, char* buf) {
-  FillBytes(buf, kKPBlockSize, Mix(seed, t, b));
+// Turn block b's content before transaction t into its content after.
+void TxnUpdateBlock(KPWorkload w, uint64_t seed, int t, int b, char* buf) {
+  const uint64_t h = Mix(seed, t, b);
+  if (w == KPWorkload::kWholeBlocks) {
+    FillBytes(buf, kKPBlockSize, h);
+    return;
+  }
+  const int runs = 1 + static_cast<int>(h % 3);
+  for (int r = 0; r < runs; ++r) {
+    const uint64_t g = Mix(h, r, 0x5EED);
+    const size_t len = 1 + g % 24;
+    const size_t off = (g >> 8) % (kKPBlockSize - len + 1);
+    FillBytes(buf + off, len, g);
+  }
 }
 
 // Expected content of block b after the first k transactions committed.
-void ExpectedBlock(uint64_t seed, int k, int b, char* buf) {
+void ExpectedBlock(KPWorkload w, uint64_t seed, int k, int b, char* buf) {
   std::memset(buf, 0, kKPBlockSize);
   for (int t = 1; t <= k; ++t) {
-    if (TxnWritesBlock(seed, t, b)) TxnBlockImage(seed, t, b, buf);
+    if (TxnWritesBlock(seed, t, b)) TxnUpdateBlock(w, seed, t, b, buf);
   }
 }
 
@@ -459,7 +748,7 @@ void AppendStatusLine(int fd, char tag, int value) {
 }
 
 // Runs in the forked child; never returns.
-[[noreturn]] void KillPointChild(const std::string& base,
+[[noreturn]] void KillPointChild(KPWorkload w, const std::string& base,
                                  const std::string& status_path,
                                  uint64_t seed, int kill_at) {
   int sfd = open(status_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -474,12 +763,13 @@ void AppendStatusLine(int fd, char tag, int value) {
     DurableStorage st(base, opts);
     if (!st.valid()) _exit(11);
     for (int b = 0; b < kKPBlocks; ++b) st.device->Allocate();
-    std::vector<char> buf(kKPBlockSize);
+    std::vector<std::vector<char>> cur(kKPBlocks,
+                                       std::vector<char>(kKPBlockSize, 0));
     for (int t = 1; t <= kKPTxns; ++t) {
       for (int b = 0; b < kKPBlocks; ++b) {
         if (!TxnWritesBlock(seed, t, b)) continue;
-        TxnBlockImage(seed, t, b, buf.data());
-        if (!st.device->Write(b, buf.data()).ok()) _exit(12);
+        TxnUpdateBlock(w, seed, t, b, cur[b].data());
+        if (!st.device->Write(b, cur[b].data()).ok()) _exit(12);
       }
       AppendStatusLine(sfd, 'S', t);
       if (!st.device->Commit().ok()) _exit(13);
@@ -498,14 +788,14 @@ struct ChildOutcome {
   int total_events = -1;  // -1 when the child died before finishing
 };
 
-ChildOutcome RunKillPointChild(const std::string& base, uint64_t seed,
-                               int kill_at) {
+ChildOutcome RunKillPointChild(KPWorkload w, const std::string& base,
+                               uint64_t seed, int kill_at) {
   const std::string status_path = base + ".status";
   std::remove(base.c_str());
   std::remove((base + ".wal").c_str());
   std::remove(status_path.c_str());
   pid_t pid = fork();
-  if (pid == 0) KillPointChild(base, status_path, seed, kill_at);
+  if (pid == 0) KillPointChild(w, base, status_path, seed, kill_at);
   EXPECT_GT(pid, 0);
   int wstatus = 0;
   waitpid(pid, &wstatus, 0);
@@ -525,8 +815,20 @@ ChildOutcome RunKillPointChild(const std::string& base, uint64_t seed,
   return out;
 }
 
-TEST(WalKillPointTest, AckedCommitsSurviveUnackedVanish) {
-  const std::string base = ScratchPath("killpoint");
+// Records of type `type` in the log file at `path`.
+int CountLogRecords(const std::string& path, wal::RecordType type) {
+  FileBlockDevice log(path, kKPBlockSize, /*unlink_on_close=*/false,
+                      /*direct_io=*/false, /*sync_on_close=*/false,
+                      /*open_existing=*/true);
+  int n = 0;
+  for (const wal::WalRecord& rec : ScanLog(&log)) n += rec.type() == type;
+  return n;
+}
+
+// Probe the workload's event count, then SIGKILL it at VEM_WAL_KILL_POINTS
+// (default 100) points spread over that range and check each recovery.
+void RunKillPointSweep(KPWorkload w, const char* name) {
+  const std::string base = ScratchPath(name);
   uint64_t seed = 0xC0FFEE;
   if (const char* s = std::getenv("VEM_WAL_KILL_SEED")) {
     seed = std::strtoull(s, nullptr, 0);
@@ -537,9 +839,14 @@ TEST(WalKillPointTest, AckedCommitsSurviveUnackedVanish) {
   }
 
   // Probe run: no kill, count the instrumented events of the workload.
-  ChildOutcome probe = RunKillPointChild(base, seed, /*kill_at=*/0);
+  ChildOutcome probe = RunKillPointChild(w, base, seed, /*kill_at=*/0);
   ASSERT_GT(probe.total_events, 0) << "seed=" << seed;
   ASSERT_EQ(probe.max_acked, kKPTxns);
+  if (w == KPWorkload::kPartialUpdates) {
+    EXPECT_GT(CountLogRecords(base + ".wal", wal::RecordType::kBlockDelta),
+              0)
+        << "the partial-update workload logged no block delta";
+  }
   const int total = probe.total_events;
   if (points > total) points = total;
 
@@ -555,7 +862,7 @@ TEST(WalKillPointTest, AckedCommitsSurviveUnackedVanish) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed
                                     << " kill_at=" << kill_at << "/"
                                     << total << " (point " << i << ")");
-    ChildOutcome out = RunKillPointChild(base, seed, kill_at);
+    ChildOutcome out = RunKillPointChild(w, base, seed, kill_at);
     ASSERT_LE(out.max_acked, out.max_started);
 
     // Recover (DurableStorage construction replays the log).
@@ -569,7 +876,7 @@ TEST(WalKillPointTest, AckedCommitsSurviveUnackedVanish) {
          ++k) {
       bool all = true;
       for (int b = 0; b < kKPBlocks && all; ++b) {
-        ExpectedBlock(seed, k, b, want.data());
+        ExpectedBlock(w, seed, k, b, want.data());
         ASSERT_TRUE(st.device->Read(b, got.data()).ok());
         all = std::memcmp(got.data(), want.data(), kKPBlockSize) == 0;
       }
@@ -582,6 +889,14 @@ TEST(WalKillPointTest, AckedCommitsSurviveUnackedVanish) {
   std::remove(base.c_str());
   std::remove((base + ".wal").c_str());
   std::remove((base + ".status").c_str());
+}
+
+TEST(WalKillPointTest, AckedCommitsSurviveUnackedVanish) {
+  RunKillPointSweep(KPWorkload::kWholeBlocks, "killpoint");
+}
+
+TEST(WalKillPointTest, PartialUpdatesSurviveAsDeltas) {
+  RunKillPointSweep(KPWorkload::kPartialUpdates, "killpoint_delta");
 }
 
 }  // namespace
