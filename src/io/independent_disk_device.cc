@@ -245,39 +245,23 @@ void IndependentDiskDevice::Free(uint64_t id) {
   // between the content fix-up and the placement update.
   std::lock_guard<std::mutex> plock(parity_mu_);
   Loc l{};
-  bool was_written = false;
   ReconPlan plan;
-  bool have_plan = false;
+  bool xor_out = false;
   {
     std::unique_lock<std::shared_mutex> lock(loc_mu_);
     if (id >= loc_.size() || freed_[id]) return;
     l = loc_[id];
-    was_written = written_[id] != 0;
-    if (redundancy_ == Redundancy::kParity && was_written) {
-      have_plan = BuildReconPlan(id, /*loc_locked=*/true, &plan);
-    }
+    xor_out = redundancy_ == Redundancy::kParity && written_[id] &&
+              BuildReconPlan(id, /*loc_locked=*/true, &plan);
   }
-  if (redundancy_ == Redundancy::kParity && was_written) {
+  if (xor_out) {
     // XOR the departing content back out of the group parity so the
     // freed slot contributes zeros again — otherwise every later
     // reconstruction in the group would be poisoned by a ghost block.
-    std::vector<char> old(block_size_);
-    Status s = Status::OK();
-    if (DiskDead(l.disk)) {
-      s = have_plan ? ExecuteReconPlan(plan, old.data())
-                    : Status::IOError("IndependentDiskDevice: dead head");
-    } else {
-      s = disks_[l.disk]->ReadUncounted(l.child_id, old.data());
-      if (s.ok()) {
-        g_parity_bytes_.fetch_add(block_size_, std::memory_order_relaxed);
-      } else if (s.IsIOError() && have_plan) {
-        MarkDiskDead(l.disk);
-        s = ExecuteReconPlan(plan, old.data());
-      }
-    }
     // Best effort: an unreadable AND unreconstructable block (a double
     // failure) leaves the group parity stale; a rebuild recomputes it.
-    if (s.ok()) {
+    std::vector<char> old(block_size_);
+    if (ReadCurrentLocked(plan, old.data()).ok()) {
       (void)ApplyParityLocked(id / group_data_, old.data(),
                               /*absolute=*/false);
     }
@@ -355,14 +339,8 @@ Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
           "on a dead head)");
     }
     BlockDevice* d = disks_[l.disk].get();
-    Status s;
-    if (retry_ == nullptr) {
-      s = d->ReadUncounted(l.child_id, buf);
-    } else {
-      s = RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(d),
-                           l.child_id,
-                           [&] { return d->ReadUncounted(l.child_id, buf); });
-    }
+    Status s = WithRetry(d, l.child_id,
+                         [&] { return d->ReadUncounted(l.child_id, buf); });
     if (s.ok()) g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
     return s;
   };
@@ -391,12 +369,18 @@ Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
   return Status::OK();
 }
 
-Status IndependentDiskDevice::ReconstructLocked(uint64_t id, void* out) {
-  ReconPlan plan;
-  if (!BuildReconPlan(id, /*loc_locked=*/false, &plan)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
+Status IndependentDiskDevice::ReadCurrentLocked(const ReconPlan& plan,
+                                                void* out) {
+  const Loc& t = plan.target;
+  if (DiskDead(t.disk)) return ExecuteReconPlan(plan, out);
+  Status s = disks_[t.disk]->ReadUncounted(t.child_id, out);
+  if (s.ok()) {
+    g_parity_bytes_.fetch_add(block_size_, std::memory_order_relaxed);
+  } else if (s.IsIOError()) {
+    MarkDiskDead(t.disk);
+    s = ExecuteReconPlan(plan, out);
   }
-  return ExecuteReconPlan(plan, out);
+  return s;
 }
 
 Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
@@ -464,49 +448,75 @@ void IndependentDiskDevice::MarkWrittenShared(const uint64_t* ids, size_t n) {
   }
 }
 
-Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, const Loc& l,
-                                                void* buf, bool counted) {
-  Status s;
+Status IndependentDiskDevice::Locate(const uint64_t* ids, size_t n,
+                                     Loc* out) const {
+  if (!valid_) {
+    return Status::InvalidArgument(
+        "IndependentDiskDevice children violate preconditions");
+  }
+  std::shared_lock<std::shared_mutex> lock(loc_mu_);
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] >= loc_.size()) {
+      return Status::InvalidArgument("IndependentDiskDevice: bad block id");
+    }
+    out[i] = loc_[ids[i]];
+  }
+  return Status::OK();
+}
+
+void IndependentDiskDevice::ChargeParent(bool write, uint64_t blocks,
+                                         uint64_t steps) {
+  if (write) {
+    stats_.block_writes += blocks;
+    stats_.parallel_writes += steps;
+    stats_.bytes_written += blocks * block_size_;
+  } else {
+    stats_.block_reads += blocks;
+    stats_.parallel_reads += steps;
+    stats_.bytes_read += blocks * block_size_;
+  }
+}
+
+Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, uint32_t disk,
+                                                void* buf, bool charge) {
   {
     std::lock_guard<std::mutex> plock(parity_mu_);
-    s = ReconstructLocked(id, buf);
+    ReconPlan plan;
+    if (!BuildReconPlan(id, /*loc_locked=*/false, &plan)) {
+      return Status::InvalidArgument("IndependentDiskDevice: bad block id");
+    }
+    VEM_RETURN_IF_ERROR(ExecuteReconPlan(plan, buf));
   }
-  VEM_RETURN_IF_ERROR(s);
   // The home child is charged through its deferred plane exactly what
   // its healthy synchronous read would have recorded, so per-child
   // IoStats stay bit-identical; the reconstruction's physical reads
   // already rode the gauge.
-  if (counted) disks_[l.disk]->AccountReads(1);
+  if (charge) disks_[disk]->AccountReads(1);
   return Status::OK();
 }
 
-Status IndependentDiskDevice::Read(uint64_t id, void* buf) {
-  Loc l;
-  if (!valid_ || !Lookup(id, &l)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  BlockDevice* disk = disks_[l.disk].get();
+Status IndependentDiskDevice::ReadOne(uint64_t id, void* buf, bool counted) {
+  Loc l{};
+  VEM_RETURN_IF_ERROR(Locate(&id, 1, &l));
+  Status s;
   if (RedundancyArmed() && DiskDegraded(l.disk)) {
-    VEM_RETURN_IF_ERROR(DegradedReadBlock(id, l, buf, /*counted=*/true));
+    s = DegradedReadBlock(id, l.disk, buf, counted);
   } else {
-    Status s;
-    if (retry_ == nullptr) {
-      s = disk->Read(l.child_id, buf);
-    } else {
-      // Per-block retry at the parent: the child's counted single-block
-      // Read charges only on success, so whole-op re-execution cannot
-      // double-count, and failed attempts feed the child head's health.
-      s = RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(disk),
-                           l.child_id,
-                           [&] { return disk->Read(l.child_id, buf); });
-    }
+    // Per-block retry at the parent: the child's counted single-block
+    // Read charges only on success, so whole-op re-execution cannot
+    // double-count, and failed attempts feed the child head's health.
+    BlockDevice* disk = disks_[l.disk].get();
+    s = WithRetry(disk, l.child_id, [&] {
+      return counted ? disk->Read(l.child_id, buf)
+                     : disk->ReadUncounted(l.child_id, buf);
+    });
     if (RedundancyArmed() && !s.ok()) {
       // A rebuild swap may have re-homed the block between the lookup
       // and the transfer; one re-lookup closes that window.
       Loc l2;
       if (Lookup(id, &l2) &&
           (l2.disk != l.disk || l2.child_id != l.child_id)) {
-        return Read(id, buf);
+        return ReadOne(id, buf, counted);
       }
       if (s.IsIOError()) {
         // Permanent failure past the retry plane: latch the head dead
@@ -514,41 +524,29 @@ Status IndependentDiskDevice::Read(uint64_t id, void* buf) {
         // charged nothing, so the degraded path's deferred charge is
         // the only one.
         MarkDiskDead(l.disk);
-        s = DegradedReadBlock(id, l, buf, /*counted=*/true);
+        s = DegradedReadBlock(id, l.disk, buf, counted);
       }
     }
-    VEM_RETURN_IF_ERROR(s);
   }
-  stats_.block_reads++;
-  stats_.parallel_reads++;  // one head moved: one PDM step
-  stats_.bytes_read += block_size_;
+  VEM_RETURN_IF_ERROR(s);
+  if (counted) ChargeParent(/*write=*/false, 1, 1);  // one head: one step
   return Status::OK();
 }
 
-Status IndependentDiskDevice::Write(uint64_t id, const void* buf) {
+Status IndependentDiskDevice::WriteOne(uint64_t id, const void* buf,
+                                       bool counted) {
   if (RedundancyArmed()) {
-    const void* one = buf;
-    VEM_RETURN_IF_ERROR(FanOutWrite(&id, &one, 1, /*counted=*/true));
-    stats_.block_writes++;
-    stats_.parallel_writes++;
-    stats_.bytes_written += block_size_;
-    return Status::OK();
-  }
-  Loc l;
-  if (!valid_ || !Lookup(id, &l)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  BlockDevice* disk = disks_[l.disk].get();
-  if (retry_ == nullptr) {
-    VEM_RETURN_IF_ERROR(disk->Write(l.child_id, buf));
+    VEM_RETURN_IF_ERROR(WriteMany(&id, &buf, 1, counted));
   } else {
-    VEM_RETURN_IF_ERROR(RunWithDiskRetry(
-        retry_, engine_, reinterpret_cast<uintptr_t>(disk), l.child_id,
-        [&] { return disk->Write(l.child_id, buf); }));
+    Loc l{};
+    VEM_RETURN_IF_ERROR(Locate(&id, 1, &l));
+    BlockDevice* disk = disks_[l.disk].get();
+    VEM_RETURN_IF_ERROR(WithRetry(disk, l.child_id, [&] {
+      return counted ? disk->Write(l.child_id, buf)
+                     : disk->WriteUncounted(l.child_id, buf);
+    }));
   }
-  stats_.block_writes++;
-  stats_.parallel_writes++;
-  stats_.bytes_written += block_size_;
+  if (counted) ChargeParent(/*write=*/true, 1, 1);
   return Status::OK();
 }
 
@@ -577,92 +575,96 @@ uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
   return waves;
 }
 
-Status IndependentDiskDevice::FanOut(const uint64_t* ids, void* const* bufs,
-                                     size_t n, bool write, bool counted) {
-  if (!valid_) {
-    return Status::InvalidArgument(
-        "IndependentDiskDevice children violate preconditions");
-  }
-  // Per-disk grouping, order preserved within each disk so contiguous
-  // child ids still coalesce in file-backed children. The arrays outlive
-  // the batch (all jobs are waited before returning), so engine workers
-  // may read them. Grouping happens under the shared lock; transfers run
-  // after it is released.
-  std::vector<std::vector<uint64_t>> child_ids(disks_.size());
-  std::vector<std::vector<void*>> child_bufs(disks_.size());
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= loc_.size()) {
-        return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const Loc& l = loc_[ids[i]];
-      child_ids[l.disk].push_back(l.child_id);
-      child_bufs[l.disk].push_back(bufs[i]);
-    }
-  }
-  auto disk_op = [&](size_t d) -> Status {
-    const size_t nd = child_ids[d].size();
+std::vector<Status> IndependentDiskDevice::RunPerDisk(
+    std::shared_ptr<const DiskBatches> batches, bool write, bool counted) {
+  const size_t D = disks_.size();
+  // Jobs share ownership of `batches` (child ids and buffer pointers): a
+  // job the engine watchdog abandons may still run after this returns.
+  auto run = [batches, write, counted](BlockDevice* disk, size_t d) {
+    const DiskBatch& b = (*batches)[d];
+    const size_t nd = b.child_ids.size();
     if (nd == 0) return Status::OK();
-    BlockDevice* disk = disks_[d].get();
-    if (counted) {
-      if (write) {
-        return disk->WriteBatch(child_ids[d].data(),
-                                const_cast<const void* const*>(
-                                    child_bufs[d].data()),
-                                nd);
-      }
-      return disk->ReadBatch(child_ids[d].data(), child_bufs[d].data(), nd);
-    }
     if (write) {
-      return disk->WriteBatchUncounted(
-          child_ids[d].data(),
-          const_cast<const void* const*>(child_bufs[d].data()), nd);
+      return counted ? disk->WriteBatch(b.child_ids.data(), b.bufs.data(), nd)
+                     : disk->WriteBatchUncounted(b.child_ids.data(),
+                                                 b.bufs.data(), nd);
     }
-    return disk->ReadBatchUncounted(child_ids[d].data(), child_bufs[d].data(),
-                                    nd);
+    return counted
+               ? disk->ReadBatch(b.child_ids.data(), b.bufs.data(), nd)
+               : disk->ReadBatchUncounted(b.child_ids.data(), b.bufs.data(),
+                                          nd);
   };
-  if (engine_ == nullptr || disks_.size() < 2) {
-    for (size_t d = 0; d < disks_.size(); ++d) VEM_RETURN_IF_ERROR(disk_op(d));
-    return Status::OK();
+  // Child-stat snapshots turn a mid-batch death into an exact top-up:
+  // healthy charge nd minus what landed before the failure. Reading the
+  // counters is safe — the failed disk's job has completed.
+  auto child_blocks = [&](size_t d) {
+    const IoStats& s = disks_[d]->stats();
+    return write ? s.block_writes : s.block_reads;
+  };
+  std::vector<uint64_t> before;
+  if (counted && RedundancyArmed()) {
+    for (size_t d = 0; d < D; ++d) before.push_back(child_blocks(d));
   }
-  // One disk-tagged job per non-empty disk: the engine's per-disk queues
-  // serialize same-disk traffic (one transfer per head) while distinct
-  // disks run concurrently. The child device pointer is the tag — unique
-  // per disk across every device sharing the engine.
-  std::vector<std::function<Status()>> jobs;
-  std::vector<uint64_t> tags;
-  for (size_t d = 0; d < disks_.size(); ++d) {
-    if (child_ids[d].empty()) continue;
-    jobs.push_back([&disk_op, d] { return disk_op(d); });
-    tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
+  std::vector<Status> st(D);
+  if (engine_ == nullptr || D < 2) {
+    for (size_t d = 0; d < D; ++d) st[d] = run(disks_[d].get(), d);
+  } else {
+    // One disk-tagged job per non-empty disk: the engine's per-disk
+    // queues serialize same-disk traffic (one transfer per head) while
+    // distinct disks run concurrently. The child device pointer is the
+    // tag — unique per disk across every device sharing the engine.
+    std::vector<std::function<Status()>> jobs;
+    std::vector<uint64_t> tags;
+    std::vector<size_t> job_disk;
+    for (size_t d = 0; d < D; ++d) {
+      if ((*batches)[d].child_ids.empty()) continue;
+      BlockDevice* disk = disks_[d].get();
+      jobs.push_back([run, disk, d] { return run(disk, d); });
+      tags.push_back(DiskTag(d));
+      job_disk.push_back(d);
+    }
+    // Uncounted jobs are charge-free end to end, so they may also opt
+    // into the ENGINE's whole-job retry plane (when one is configured
+    // there); counted jobs charge per block inside the child and must
+    // rely on the finer-grained retries below them instead. Each disk's
+    // status is the engine's own result for its job, so a watchdog
+    // Timeout reaches the caller.
+    std::vector<Status> job_st;
+    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted,
+                            &job_st);
+    for (size_t k = 0; k < job_disk.size(); ++k) {
+      st[job_disk[k]] = std::move(job_st[k]);
+    }
   }
-  // Uncounted fan-out jobs are charge-free end to end, so they may also
-  // opt into the ENGINE's whole-job retry plane (when one is configured
-  // there); counted jobs charge per block inside the child and must rely
-  // on the finer-grained retries below them instead.
-  return engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted);
+  if (RedundancyArmed()) {
+    for (size_t d = 0; d < D; ++d) {
+      if (!st[d].IsIOError()) continue;
+      // The head died mid-batch: latch it and make the child's charge
+      // what the healthy batch would have recorded.
+      MarkDiskDead(d);
+      if (!counted) continue;
+      const uint64_t nd = (*batches)[d].child_ids.size();
+      const uint64_t landed = child_blocks(d) - before[d];
+      if (landed >= nd) continue;
+      if (write) {
+        disks_[d]->AccountWrites(nd - landed);
+      } else {
+        disks_[d]->AccountReads(nd - landed);
+      }
+    }
+  }
+  return st;
 }
 
-Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
-                                         size_t n, bool counted) {
-  if (!RedundancyArmed()) {
-    return FanOut(ids, bufs, n, /*write=*/false, counted);
-  }
-  if (!valid_) {
-    return Status::InvalidArgument(
-        "IndependentDiskDevice children violate preconditions");
-  }
-  const size_t D = disks_.size();
-  std::vector<std::vector<uint64_t>> child_ids(D);
-  std::vector<std::vector<void*>> child_bufs(D);
-  std::vector<std::vector<uint64_t>> logical(D);
+Status IndependentDiskDevice::ReadMany(const uint64_t* ids, void* const* bufs,
+                                       size_t n, bool counted) {
+  if (n == 0) return Status::OK();
+  std::vector<Loc> locs(n);
+  VEM_RETURN_IF_ERROR(Locate(ids, n, locs.data()));
   // Blocks served by reconstruction: pre-known degraded heads get their
   // home child charged per block (what the healthy batch would have
-  // recorded); blocks of a head that dies MID-batch are topped up in
-  // bulk below, so their reconstructions carry no extra charge.
+  // recorded); blocks of a head that dies MID-batch were topped up in
+  // bulk by RunPerDisk, so their reconstructions carry no extra charge.
   struct Recon {
     uint64_t id;
     void* buf;
@@ -670,101 +672,46 @@ Status IndependentDiskDevice::FanOutRead(const uint64_t* ids, void* const* bufs,
     bool charge;
   };
   std::vector<Recon> recon;
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= loc_.size()) {
-        return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const Loc& l = loc_[ids[i]];
-      if (DiskDegraded(l.disk)) {
-        recon.push_back(Recon{ids[i], bufs[i], l.disk, counted});
-      } else {
-        child_ids[l.disk].push_back(l.child_id);
-        child_bufs[l.disk].push_back(bufs[i]);
-        logical[l.disk].push_back(ids[i]);
-      }
+  uint64_t degraded = 0;  // one view per batch (redundancy: D <= 64)
+  if (RedundancyArmed()) {
+    for (size_t d = 0; d < disks_.size(); ++d) {
+      if (DiskDegraded(d)) degraded |= uint64_t{1} << d;
     }
   }
-  // Child-stat snapshots turn a mid-batch death into an exact top-up:
-  // healthy charge nd minus what landed before the failure. Reading the
-  // counters here is safe — all jobs are waited before the re-read.
-  std::vector<uint64_t> before(D, 0);
-  if (counted) {
-    for (size_t d = 0; d < D; ++d) before[d] = disks_[d]->stats().block_reads;
-  }
-  std::vector<Status> st(D, Status::OK());
-  auto disk_op = [&](size_t d) -> Status {
-    const size_t nd = child_ids[d].size();
-    if (nd == 0) return Status::OK();
-    BlockDevice* disk = disks_[d].get();
-    Status s = counted
-                   ? disk->ReadBatch(child_ids[d].data(), child_bufs[d].data(),
-                                     nd)
-                   : disk->ReadBatchUncounted(child_ids[d].data(),
-                                              child_bufs[d].data(), nd);
-    st[d] = s;
-    return s;
-  };
-  if (engine_ == nullptr || D < 2) {
-    for (size_t d = 0; d < D; ++d) (void)disk_op(d);
-  } else {
-    std::vector<std::function<Status()>> jobs;
-    std::vector<uint64_t> tags;
-    for (size_t d = 0; d < D; ++d) {
-      if (child_ids[d].empty()) continue;
-      jobs.push_back([&disk_op, d] { return disk_op(d); });
-      tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
+  auto batches = std::make_shared<DiskBatches>(disks_.size());
+  for (size_t i = 0; i < n; ++i) {
+    const Loc& l = locs[i];
+    if ((degraded >> l.disk) & 1) {
+      recon.push_back(Recon{ids[i], bufs[i], l.disk, counted});
+    } else {
+      (*batches)[l.disk].Add(l.child_id, bufs[i]);
     }
-    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted);
   }
-  Status first_err = Status::OK();
-  for (size_t d = 0; d < D; ++d) {
+  const std::vector<Status> st = RunPerDisk(batches, /*write=*/false, counted);
+  for (size_t d = 0; d < st.size(); ++d) {
     if (st[d].ok()) continue;
-    if (st[d].IsIOError()) {
-      // The head died mid-batch: latch it, make the child's charge what
-      // the healthy batch would have recorded, and reconstruct every
-      // block it owed this batch (blocks that landed before the death
-      // are simply overwritten with identical content).
-      MarkDiskDead(d);
-      const size_t nd = child_ids[d].size();
-      if (counted) {
-        const uint64_t landed = disks_[d]->stats().block_reads - before[d];
-        if (landed < nd) disks_[d]->AccountReads(nd - landed);
+    // Only a permanent head failure is served by reconstruction; a
+    // watchdog Timeout (the job may still be running) or any other
+    // error fails the batch.
+    if (!RedundancyArmed() || !st[d].IsIOError()) return st[d];
+    // Reconstruct every block the dead head owed this batch (blocks that
+    // landed before the death are overwritten with identical content).
+    for (size_t i = 0; i < n; ++i) {
+      if (locs[i].disk == d) {
+        recon.push_back(Recon{ids[i], bufs[i], uint32_t(d), false});
       }
-      for (size_t k = 0; k < nd; ++k) {
-        recon.push_back(
-            Recon{logical[d][k], child_bufs[d][k], uint32_t(d), false});
-      }
-    } else if (first_err.ok()) {
-      first_err = st[d];
     }
   }
-  VEM_RETURN_IF_ERROR(first_err);
-  if (!recon.empty()) {
-    std::lock_guard<std::mutex> plock(parity_mu_);
-    for (const Recon& r : recon) {
-      VEM_RETURN_IF_ERROR(ReconstructLocked(r.id, r.buf));
-      if (r.charge) disks_[r.disk]->AccountReads(1);
-    }
+  for (const Recon& r : recon) {
+    VEM_RETURN_IF_ERROR(DegradedReadBlock(r.id, r.disk, r.buf, r.charge));
   }
   return Status::OK();
 }
 
-Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
-                                          const void* const* bufs, size_t n,
-                                          bool counted) {
-  if (!RedundancyArmed()) {
-    return FanOut(ids, const_cast<void* const*>(bufs), n, /*write=*/true,
-                  counted);
-  }
-  if (!valid_) {
-    return Status::InvalidArgument(
-        "IndependentDiskDevice children violate preconditions");
-  }
-  const size_t D = disks_.size();
+Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
+                                        const void* const* bufs, size_t n,
+                                        bool counted) {
+  if (n == 0) return Status::OK();
   const size_t B = block_size_;
   // Whole-batch parity critical section: deltas are computed against
   // pre-batch contents and must land before any other writer interleaves
@@ -773,25 +720,14 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
   // deadlock. NOTE: batches with duplicate ids are unsupported under
   // redundancy (a duplicate would fold a stale old value into the
   // delta); no caller in the repo issues them.
-  std::lock_guard<std::mutex> plock(parity_mu_);
+  std::unique_lock<std::mutex> plock(parity_mu_, std::defer_lock);
+  if (RedundancyArmed()) plock.lock();
   std::vector<Loc> locs(n);
-  std::vector<uint8_t> wrt(n);
-  std::vector<Loc> mls;
-  {
+  VEM_RETURN_IF_ERROR(Locate(ids, n, locs.data()));
+  std::vector<Loc> mls(redundancy_ == Redundancy::kMirror ? n : 0);
+  if (!mls.empty()) {
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= loc_.size()) {
-        return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      locs[i] = loc_[ids[i]];
-      wrt[i] = written_[ids[i]];
-    }
-    if (redundancy_ == Redundancy::kMirror) {
-      mls.resize(n);
-      for (size_t i = 0; i < n; ++i) mls[i] = mirror_[ids[i]];
-    }
+    for (size_t i = 0; i < n; ++i) mls[i] = mirror_[ids[i]];
   }
   // -------- phase A (parity): per-group deltas against old contents.
   std::unordered_map<uint64_t, std::vector<char>> delta;
@@ -827,21 +763,10 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
       // members. Never-written members contribute zeros without a read.
       for (size_t idx : idxs) {
         std::fill(old.begin(), old.end(), 0);
-        if (wrt[idx]) {
-          Status s;
-          if (DiskDead(locs[idx].disk)) {
-            s = ReconstructLocked(ids[idx], old.data());
-          } else {
-            s = disks_[locs[idx].disk]->ReadUncounted(locs[idx].child_id,
-                                                      old.data());
-            if (s.ok()) {
-              g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-            } else if (s.IsIOError()) {
-              MarkDiskDead(locs[idx].disk);
-              s = ReconstructLocked(ids[idx], old.data());
-            }
-          }
-          VEM_RETURN_IF_ERROR(s);
+        ReconPlan plan;
+        if (BuildReconPlan(ids[idx], /*loc_locked=*/false, &plan) &&
+            plan.written) {
+          VEM_RETURN_IF_ERROR(ReadCurrentLocked(plan, old.data()));
         }
         const char* nb = static_cast<const char*>(bufs[idx]);
         for (size_t j = 0; j < B; ++j) dl[j] ^= old[j] ^ nb[j];
@@ -852,65 +777,30 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
   // head's blocks are carried by the redundancy plane alone, charged
   // through the deferred plane exactly as the healthy write would have
   // been (bit-identical child IoStats).
-  std::vector<std::vector<uint64_t>> child_ids(D);
-  std::vector<std::vector<void*>> child_bufs(D);
+  auto batches = std::make_shared<DiskBatches>(disks_.size());
   for (size_t i = 0; i < n; ++i) {
     const uint32_t d = locs[i].disk;
-    if (DiskDead(d)) {
+    if (RedundancyArmed() && DiskDead(d)) {
       if (counted) disks_[d]->AccountWrites(1);
       g_degraded_writes_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      child_ids[d].push_back(locs[i].child_id);
-      child_bufs[d].push_back(const_cast<void*>(bufs[i]));
+      (*batches)[d].Add(locs[i].child_id, const_cast<void*>(bufs[i]));
     }
   }
-  std::vector<uint64_t> before(D, 0);
-  if (counted) {
-    for (size_t d = 0; d < D; ++d) before[d] = disks_[d]->stats().block_writes;
-  }
-  std::vector<Status> st(D, Status::OK());
-  auto disk_op = [&](size_t d) -> Status {
-    const size_t nd = child_ids[d].size();
-    if (nd == 0) return Status::OK();
-    BlockDevice* disk = disks_[d].get();
-    Status s =
-        counted
-            ? disk->WriteBatch(
-                  child_ids[d].data(),
-                  const_cast<const void* const*>(child_bufs[d].data()), nd)
-            : disk->WriteBatchUncounted(
-                  child_ids[d].data(),
-                  const_cast<const void* const*>(child_bufs[d].data()), nd);
-    st[d] = s;
-    return s;
-  };
-  if (engine_ == nullptr || D < 2) {
-    for (size_t d = 0; d < D; ++d) (void)disk_op(d);
-  } else {
-    std::vector<std::function<Status()>> jobs;
-    std::vector<uint64_t> tags;
-    for (size_t d = 0; d < D; ++d) {
-      if (child_ids[d].empty()) continue;
-      jobs.push_back([&disk_op, d] { return disk_op(d); });
-      tags.push_back(reinterpret_cast<uintptr_t>(disks_[d].get()));
-    }
-    (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted);
-  }
+  const std::vector<Status> st = RunPerDisk(batches, /*write=*/true, counted);
   Status first_err = Status::OK();
-  for (size_t d = 0; d < D; ++d) {
+  for (size_t d = 0; d < st.size(); ++d) {
     if (st[d].ok()) continue;
-    if (st[d].IsIOError()) {
-      MarkDiskDead(d);
-      const size_t nd = child_ids[d].size();
-      if (counted) {
-        const uint64_t landed = disks_[d]->stats().block_writes - before[d];
-        if (landed < nd) disks_[d]->AccountWrites(nd - landed);
-      }
-      g_degraded_writes_.fetch_add(nd, std::memory_order_relaxed);
+    if (RedundancyArmed() && st[d].IsIOError()) {
+      // Died mid-batch (latched and charged by RunPerDisk): phase C's
+      // redundancy copies carry these blocks.
+      g_degraded_writes_.fetch_add((*batches)[d].child_ids.size(),
+                                   std::memory_order_relaxed);
     } else if (first_err.ok()) {
       first_err = st[d];
     }
   }
+  if (!RedundancyArmed()) return first_err;
   // -------- phase C: land the redundancy copies — even when a head died
   // mid-batch. Parity reflects the ATTEMPTED contents, which is exactly
   // what reconstruction must return for the blocks that never landed.
@@ -949,27 +839,19 @@ Status IndependentDiskDevice::FanOutWrite(const uint64_t* ids,
 
 Status IndependentDiskDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
                                         size_t n) {
-  if (n == 0) return Status::OK();
-  VEM_RETURN_IF_ERROR(FanOutRead(ids, bufs, n, /*counted=*/true));
-  uint64_t waves = CountWaves(ids, n);
-  stats_.block_reads += n;
-  stats_.parallel_reads += waves;
-  stats_.bytes_read += n * block_size_;
+  VEM_RETURN_IF_ERROR(ReadMany(ids, bufs, n, /*counted=*/true));
+  ChargeParent(/*write=*/false, n, CountWaves(ids, n));
   return Status::OK();
 }
 
 Status IndependentDiskDevice::WriteBatch(const uint64_t* ids,
                                          const void* const* bufs, size_t n) {
-  if (n == 0) return Status::OK();
-  VEM_RETURN_IF_ERROR(FanOutWrite(ids, bufs, n, /*counted=*/true));
+  VEM_RETURN_IF_ERROR(WriteMany(ids, bufs, n, /*counted=*/true));
   // Independent-head charging, same rule as ReadBatch: every block
   // counted, one parallel step per wave of distinct disks. Randomized
   // cycling makes any D consecutive allocations a full wave, so grouped
   // write-behind scatters at the same D-way rate forecast reads gather.
-  uint64_t waves = CountWaves(ids, n);
-  stats_.block_writes += n;
-  stats_.parallel_writes += waves;
-  stats_.bytes_written += n * block_size_;
+  ChargeParent(/*write=*/true, n, CountWaves(ids, n));
   return Status::OK();
 }
 
@@ -987,156 +869,36 @@ bool IndependentDiskDevice::SupportsAsync() const {
   return !disks_.empty();
 }
 
-Status IndependentDiskDevice::ReadUncounted(uint64_t id, void* buf) {
-  Loc l;
-  if (!valid_ || !Lookup(id, &l)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  BlockDevice* disk = disks_[l.disk].get();
-  if (RedundancyArmed() && DiskDegraded(l.disk)) {
-    return DegradedReadBlock(id, l, buf, /*counted=*/false);
-  }
-  Status s;
-  if (retry_ == nullptr) {
-    s = disk->ReadUncounted(l.child_id, buf);
+void IndependentDiskDevice::ChargeIds(bool write, const uint64_t* ids,
+                                      uint64_t blocks, bool waves) {
+  auto charge_child = [write](BlockDevice* child) {
+    if (write) {
+      child->AccountWrites(1);
+    } else {
+      child->AccountReads(1);
+    }
+  };
+  uint64_t steps = blocks;
+  if (blocks == 1) {
+    // One-block fast path: this is the hottest counting call in the repo
+    // (every armed stream charges each consumed block through here), and
+    // a single block is trivially one step — skip CountWaves' scratch
+    // vector and second lock acquisition.
+    Loc l;
+    if (Lookup(ids[0], &l)) charge_child(disks_[l.disk].get());
   } else {
-    s = RunWithDiskRetry(retry_, engine_, reinterpret_cast<uintptr_t>(disk),
-                         l.child_id,
-                         [&] { return disk->ReadUncounted(l.child_id, buf); });
-  }
-  if (RedundancyArmed() && !s.ok()) {
-    Loc l2;  // a rebuild swap may have re-homed the block mid-flight
-    if (Lookup(id, &l2) && (l2.disk != l.disk || l2.child_id != l.child_id)) {
-      return ReadUncounted(id, buf);
-    }
-    if (s.IsIOError()) {
-      MarkDiskDead(l.disk);
-      return DegradedReadBlock(id, l, buf, /*counted=*/false);
-    }
-  }
-  return s;
-}
-
-Status IndependentDiskDevice::WriteUncounted(uint64_t id, const void* buf) {
-  if (RedundancyArmed()) {
-    const void* one = buf;
-    return FanOutWrite(&id, &one, 1, /*counted=*/false);
-  }
-  Loc l;
-  if (!valid_ || !Lookup(id, &l)) {
-    return Status::InvalidArgument("IndependentDiskDevice: bad block id");
-  }
-  BlockDevice* disk = disks_[l.disk].get();
-  if (retry_ == nullptr) return disk->WriteUncounted(l.child_id, buf);
-  return RunWithDiskRetry(
-      retry_, engine_, reinterpret_cast<uintptr_t>(disk), l.child_id,
-      [&] { return disk->WriteUncounted(l.child_id, buf); });
-}
-
-Status IndependentDiskDevice::ReadBatchUncounted(const uint64_t* ids,
-                                                 void* const* bufs, size_t n) {
-  if (n == 0) return Status::OK();
-  return FanOutRead(ids, bufs, n, /*counted=*/false);
-}
-
-Status IndependentDiskDevice::WriteBatchUncounted(const uint64_t* ids,
-                                                  const void* const* bufs,
-                                                  size_t n) {
-  if (n == 0) return Status::OK();
-  return FanOutWrite(ids, bufs, n, /*counted=*/false);
-}
-
-void IndependentDiskDevice::AccountReads(uint64_t blocks) {
-  // Id-less: sequential per-block semantics, parent only (see header).
-  stats_.block_reads += blocks;
-  stats_.parallel_reads += blocks;
-  stats_.bytes_read += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountWrites(uint64_t blocks) {
-  stats_.block_writes += blocks;
-  stats_.parallel_writes += blocks;
-  stats_.bytes_written += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountReadBatch(const uint64_t* ids,
-                                             uint64_t blocks) {
-  // One-block fast path: this is the hottest counting call in the repo
-  // (every armed stream charges each consumed block through here), and
-  // a single block is trivially one wave — skip CountWaves' scratch
-  // vector and second lock acquisition.
-  if (blocks == 1) {
-    Loc l;
-    if (Lookup(ids[0], &l)) disks_[l.disk]->AccountReads(1);
-    stats_.block_reads++;
-    stats_.parallel_reads++;
-    stats_.bytes_read += block_size_;
-    return;
-  }
-  // Mirror the counted ReadBatch exactly: every block charged on its
-  // child, wave-packed parallel steps on the parent. A child's counted
-  // ReadBatch charges one read per block (single-disk accounting), so
-  // per-child AccountReads matches whatever grouping served them.
-  // CountWaves first: nested shared-lock acquisition could deadlock
-  // against a pending writer.
-  uint64_t waves = CountWaves(ids, blocks);
-  {
+    // Mirror the counted batch exactly: every block charged on its
+    // child (a child's counted batch charges one transfer per block, so
+    // per-child charges match whatever grouping served them), and the
+    // parent's steps wave-packed or per block. CountWaves first: nested
+    // shared-lock acquisition could deadlock against a pending writer.
+    if (waves) steps = CountWaves(ids, blocks);
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
     for (uint64_t i = 0; i < blocks; ++i) {
-      if (ids[i] < loc_.size()) disks_[loc_[ids[i]].disk]->AccountReads(1);
+      if (ids[i] < loc_.size()) charge_child(disks_[loc_[ids[i]].disk].get());
     }
   }
-  stats_.block_reads += blocks;
-  stats_.parallel_reads += waves;
-  stats_.bytes_read += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountWriteIds(const uint64_t* ids,
-                                            uint64_t blocks) {
-  if (blocks == 1) {
-    Loc l;
-    if (Lookup(ids[0], &l)) disks_[l.disk]->AccountWrites(1);
-    stats_.block_writes++;
-    stats_.parallel_writes++;
-    stats_.bytes_written += block_size_;
-    return;
-  }
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (uint64_t i = 0; i < blocks; ++i) {
-      if (ids[i] < loc_.size()) disks_[loc_[ids[i]].disk]->AccountWrites(1);
-    }
-  }
-  stats_.block_writes += blocks;
-  stats_.parallel_writes += blocks;
-  stats_.bytes_written += blocks * block_size_;
-}
-
-void IndependentDiskDevice::AccountWriteBatch(const uint64_t* ids,
-                                              uint64_t blocks) {
-  // Mirror of the counted WriteBatch, structured like AccountReadBatch:
-  // one-block fast path, then per-child charges under the shared lock
-  // with wave-packed parallel steps on the parent. CountWaves first —
-  // nested shared-lock acquisition could deadlock against a pending
-  // writer.
-  if (blocks == 1) {
-    Loc l;
-    if (Lookup(ids[0], &l)) disks_[l.disk]->AccountWrites(1);
-    stats_.block_writes++;
-    stats_.parallel_writes++;
-    stats_.bytes_written += block_size_;
-    return;
-  }
-  uint64_t waves = CountWaves(ids, blocks);
-  {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (uint64_t i = 0; i < blocks; ++i) {
-      if (ids[i] < loc_.size()) disks_[loc_[ids[i]].disk]->AccountWrites(1);
-    }
-  }
-  stats_.block_writes += blocks;
-  stats_.parallel_writes += waves;
-  stats_.bytes_written += blocks * block_size_;
+  ChargeParent(write, blocks, steps);
 }
 
 Status IndependentDiskDevice::AttachSpare(std::unique_ptr<BlockDevice> spare) {
@@ -1186,17 +948,19 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     rebuilding_disk_ = int(d);
     rebuild_dirty_.clear();
   }
-  // Drained so far: logical id (or parity group) -> spare child block.
-  std::unordered_map<uint64_t, uint64_t> data_map;
-  std::unordered_map<uint64_t, uint64_t> mirror_map;
+  // Two drain lists: 0 = data blocks homed on d, 1 = mirror copies homed
+  // on d. Drained so far: logical id (or parity group) -> spare child
+  // block.
+  std::unordered_map<uint64_t, uint64_t> drained[2];
   std::unordered_map<uint64_t, uint64_t> parity_map;
   std::unordered_map<uint64_t, uint8_t> parity_has;
   std::vector<char> buf(B);
 
   // Undo everything and re-park the spare (cancel or failure).
   auto park = [&](Status why) -> Status {
-    for (auto& [id, sc] : data_map) spare->Free(sc);
-    for (auto& [id, sc] : mirror_map) spare->Free(sc);
+    for (const auto& map : drained) {
+      for (auto& [id, sc] : map) spare->Free(sc);
+    }
     for (auto& [g, sc] : parity_map) spare->Free(sc);
     {
       std::lock_guard<std::mutex> plock(parity_mu_);
@@ -1211,6 +975,13 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     return why;
   };
 
+  // Whether `id` is live with its `list` copy on head d (loc_mu_ held).
+  auto homed = [&](size_t list, uint64_t id) {
+    if (id >= loc_.size() || freed_[id]) return false;
+    if (list == 0) return loc_[id].disk == d;
+    return redundancy_ == Redundancy::kMirror && mirror_[id].disk == d;
+  };
+
   // Copy logical block `id` onto spare child `sc` (parity_mu_ held):
   // direct read while the head still answers (a quarantined-but-alive
   // head is current — writes keep landing on it), group reconstruction
@@ -1221,20 +992,7 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
       return Status::InvalidArgument("IndependentDiskDevice: lost block");
     }
     if (!plan.written) return Status::OK();
-    Status s;
-    if (DiskDead(plan.target.disk)) {
-      s = ExecuteReconPlan(plan, buf.data());
-    } else {
-      s = disks_[plan.target.disk]->ReadUncounted(plan.target.child_id,
-                                                  buf.data());
-      if (s.ok()) {
-        g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-      } else if (s.IsIOError()) {
-        MarkDiskDead(plan.target.disk);
-        s = ExecuteReconPlan(plan, buf.data());
-      }
-    }
-    VEM_RETURN_IF_ERROR(s);
+    VEM_RETURN_IF_ERROR(ReadCurrentLocked(plan, buf.data()));
     VEM_RETURN_IF_ERROR(spare->WriteUncounted(sc, buf.data()));
     g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
     g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
@@ -1270,6 +1028,16 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     return Status::OK();
   };
 
+  // Copy `id` of `list` into its spare slot (parity_mu_ held), claiming
+  // the slot on first touch; the final pass re-copies a drained block
+  // into the slot the drain claimed.
+  auto copy_one = [&](size_t list, uint64_t id) -> Status {
+    auto [it, fresh] = drained[list].try_emplace(id, 0);
+    if (fresh) it->second = spare->Allocate();
+    return list == 0 ? copy_data(id, it->second)
+                     : copy_mirror(id, it->second);
+  };
+
   // Depth-gauge politeness between batches: back off while demand
   // traffic saturates the engine (bounded — rebuild must still make
   // progress on a permanently busy box).
@@ -1285,23 +1053,19 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
   // may go stale while the workload keeps writing (a dead parity head's
   // updates are skipped), so the final quiesced pass recomputes every
   // one of them from its members instead.
-  std::vector<uint64_t> work;
-  std::vector<uint64_t> mwork;
+  std::vector<uint64_t> work[2];
   {
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (uint64_t id = 0; id < loc_.size(); ++id) {
-      if (!freed_[id] && loc_[id].disk == d) work.push_back(id);
-    }
-    if (redundancy_ == Redundancy::kMirror) {
+    for (size_t list = 0; list < 2; ++list) {
       for (uint64_t id = 0; id < loc_.size(); ++id) {
-        if (!freed_[id] && mirror_[id].disk == d) mwork.push_back(id);
+        if (homed(list, id)) work[list].push_back(id);
       }
     }
   }
   Status err = Status::OK();
   bool cancelled = false;
   for (size_t list = 0; list < 2 && err.ok() && !cancelled; ++list) {
-    const std::vector<uint64_t>& ids = list == 0 ? work : mwork;
+    const std::vector<uint64_t>& ids = work[list];
     size_t pos = 0;
     while (pos < ids.size()) {
       if (cancel && cancel()) {
@@ -1317,14 +1081,9 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
           // snapshot; the final pass handles anything that changes
           // AFTER this drain touches it (rebuild_dirty_).
           std::shared_lock<std::shared_mutex> lock(loc_mu_);
-          if (id >= loc_.size() || freed_[id]) continue;
-          if (list == 0 && loc_[id].disk != d) continue;
-          if (list == 1 && mirror_[id].disk != d) continue;
+          if (!homed(list, id)) continue;
         }
-        auto& map = list == 0 ? data_map : mirror_map;
-        const uint64_t sc = spare->Allocate();
-        map[id] = sc;
-        err = list == 0 ? copy_data(id, sc) : copy_mirror(id, sc);
+        err = copy_one(list, id);
         if (!err.ok()) break;
       }
       if (!err.ok()) break;
@@ -1341,22 +1100,16 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
   // frozen; the copies below still drop loc_mu_ around physical I/O.
   {
     std::lock_guard<std::mutex> plock(parity_mu_);
-    std::vector<uint64_t> fix_data;
-    std::vector<uint64_t> fix_mirror;
+    std::vector<uint64_t> fix[2];
     std::vector<uint64_t> groups;
     {
       std::unique_lock<std::shared_mutex> lock(loc_mu_);
-      for (uint64_t id = 0; id < loc_.size(); ++id) {
-        if (freed_[id]) continue;
-        if (loc_[id].disk == d &&
-            (data_map.find(id) == data_map.end() ||
-             rebuild_dirty_.count(id) != 0)) {
-          fix_data.push_back(id);
-        }
-        if (redundancy_ == Redundancy::kMirror && mirror_[id].disk == d &&
-            (mirror_map.find(id) == mirror_map.end() ||
-             rebuild_dirty_.count(id) != 0)) {
-          fix_mirror.push_back(id);
+      for (size_t list = 0; list < 2; ++list) {
+        for (uint64_t id = 0; id < loc_.size(); ++id) {
+          if (homed(list, id) && (drained[list].count(id) == 0 ||
+                                  rebuild_dirty_.count(id) != 0)) {
+            fix[list].push_back(id);
+          }
         }
       }
       if (redundancy_ == Redundancy::kParity) {
@@ -1366,20 +1119,9 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
         std::sort(groups.begin(), groups.end());
       }
     }
-    for (uint64_t id : fix_data) {
-      auto it = data_map.find(id);
-      const uint64_t sc = it == data_map.end() ? spare->Allocate() : it->second;
-      data_map[id] = sc;
-      err = copy_data(id, sc);
-      if (!err.ok()) break;
-    }
-    if (err.ok()) {
-      for (uint64_t id : fix_mirror) {
-        auto it = mirror_map.find(id);
-        const uint64_t sc =
-            it == mirror_map.end() ? spare->Allocate() : it->second;
-        mirror_map[id] = sc;
-        err = copy_mirror(id, sc);
+    for (size_t list = 0; list < 2 && err.ok(); ++list) {
+      for (uint64_t id : fix[list]) {
+        err = copy_one(list, id);
         if (!err.ok()) break;
       }
     }
@@ -1430,34 +1172,26 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
       // retired head stays alive for the device's lifetime — engine
       // queues and health records key on its pointer.
       std::unique_lock<std::shared_mutex> lock(loc_mu_);
-      for (auto& [id, sc] : data_map) {
-        if (id < loc_.size() && !freed_[id] && loc_[id].disk == d) {
-          loc_[id] = Loc{uint32_t(d), sc};
-        } else {
-          spare->Free(sc);  // freed or re-homed while draining
+      for (size_t list = 0; list < 2; ++list) {
+        for (auto& [id, sc] : drained[list]) {
+          if (homed(list, id)) {
+            (list == 0 ? loc_ : mirror_)[id] = Loc{uint32_t(d), sc};
+          } else {
+            spare->Free(sc);  // freed or re-homed while draining
+          }
         }
       }
-      if (redundancy_ == Redundancy::kMirror) {
-        for (auto& [id, sc] : mirror_map) {
-          if (id < loc_.size() && !freed_[id] && mirror_[id].disk == d) {
-            mirror_[id] = Loc{uint32_t(d), sc};
+      for (auto& [g, sc] : parity_map) {
+        auto it = parity_.find(g);
+        if (it != parity_.end() && it->second.disk == d) {
+          it->second.child_id = sc;
+          if (parity_has[g]) {
+            parity_written_.insert(g);
           } else {
-            spare->Free(sc);
+            parity_written_.erase(g);
           }
-        }
-      } else {
-        for (auto& [g, sc] : parity_map) {
-          auto it = parity_.find(g);
-          if (it != parity_.end() && it->second.disk == d) {
-            it->second.child_id = sc;
-            if (parity_has[g]) {
-              parity_written_.insert(g);
-            } else {
-              parity_written_.erase(g);
-            }
-          } else {
-            spare->Free(sc);  // group dissolved while draining
-          }
+        } else {
+          spare->Free(sc);  // group dissolved while draining
         }
       }
       retired_.push_back(std::move(disks_[d]));
@@ -1492,7 +1226,7 @@ void IndependentDiskDevice::set_io_engine(IoEngine* engine) {
   for (size_t d = 0; d < disks_.size(); ++d) {
     disks_[d]->set_io_engine(engine);
     if (engine != nullptr) {
-      // The child pointer is the disk tag FanOut and EngineDiskTag use;
+      // The child pointer is the disk tag RunPerDisk and EngineDiskTag use;
       // disk + 1 is the PrefetchRoute of every block it holds.
       engine->LabelDisk(reinterpret_cast<uintptr_t>(disks_[d].get()),
                         uint64_t{d} + 1);

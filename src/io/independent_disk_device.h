@@ -128,8 +128,12 @@ class IndependentDiskDevice final : public BlockDevice {
   bool valid() const { return valid_; }
 
   size_t block_size() const override { return block_size_; }
-  Status Read(uint64_t id, void* buf) override;
-  Status Write(uint64_t id, const void* buf) override;
+  Status Read(uint64_t id, void* buf) override {
+    return ReadOne(id, buf, /*counted=*/true);
+  }
+  Status Write(uint64_t id, const void* buf) override {
+    return WriteOne(id, buf, /*counted=*/true);
+  }
 
   /// Counted batches with independent-head accounting: n block
   /// transfers, but parallel steps = the number of waves the greedy
@@ -148,22 +152,36 @@ class IndependentDiskDevice final : public BlockDevice {
   // fan-out is safe because IoEngine::Wait work-steals.
   bool SupportsUncounted() const override;
   bool SupportsAsync() const override;
-  Status ReadUncounted(uint64_t id, void* buf) override;
-  Status WriteUncounted(uint64_t id, const void* buf) override;
+  Status ReadUncounted(uint64_t id, void* buf) override {
+    return ReadOne(id, buf, /*counted=*/false);
+  }
+  Status WriteUncounted(uint64_t id, const void* buf) override {
+    return WriteOne(id, buf, /*counted=*/false);
+  }
   Status ReadBatchUncounted(const uint64_t* ids, void* const* bufs,
-                            size_t n) override;
+                            size_t n) override {
+    return ReadMany(ids, bufs, n, /*counted=*/false);
+  }
   Status WriteBatchUncounted(const uint64_t* ids, const void* const* bufs,
-                             size_t n) override;
+                             size_t n) override {
+    return WriteMany(ids, bufs, n, /*counted=*/false);
+  }
 
-  /// Id-less deferred accounting charges this device only (sequential
-  /// per-block semantics); it cannot know which child served the block.
-  /// Every stream/pool path in the repo uses the id-aware forms below,
-  /// which route the charge to the owning child as well.
-  void AccountReads(uint64_t blocks) override;
-  void AccountWrites(uint64_t blocks) override;
-  void AccountReadBatch(const uint64_t* ids, uint64_t blocks) override;
-  void AccountWriteIds(const uint64_t* ids, uint64_t blocks) override;
-  void AccountWriteBatch(const uint64_t* ids, uint64_t blocks) override;
+  /// The inherited id-less AccountReads / AccountWrites charge this
+  /// device only (sequential per-block semantics); they cannot know which
+  /// child served the block. Every stream/pool path in the repo uses the
+  /// id-aware forms below, which route the charge to the owning child as
+  /// well: the batch forms charge waves like ReadBatch / WriteBatch,
+  /// AccountWriteIds one step per block like the Write loop.
+  void AccountReadBatch(const uint64_t* ids, uint64_t blocks) override {
+    ChargeIds(/*write=*/false, ids, blocks, /*waves=*/true);
+  }
+  void AccountWriteIds(const uint64_t* ids, uint64_t blocks) override {
+    ChargeIds(/*write=*/true, ids, blocks, /*waves=*/false);
+  }
+  void AccountWriteBatch(const uint64_t* ids, uint64_t blocks) override {
+    ChargeIds(/*write=*/true, ids, blocks, /*waves=*/true);
+  }
 
   /// Forwards the engine to every child (children execute the physical
   /// transfers, so the child is what picks the submission transport) and
@@ -180,9 +198,9 @@ class IndependentDiskDevice final : public BlockDevice {
   /// (route 0 stays the unrouted bucket).
   uint64_t PrefetchRoute(uint64_t block_id) const override;
 
-  /// The owning child's pointer — identical to the tag FanOut puts on
-  /// its own per-disk jobs, so external per-block submissions (forecast
-  /// merge) queue behind the same head.
+  /// The owning child's pointer — identical to the tag the device puts
+  /// on its own per-disk jobs, so external per-block submissions
+  /// (forecast merge) queue behind the same head.
   uint64_t EngineDiskTag(uint64_t block_id) const override;
 
   /// Durability barrier over every child disk; first failure wins.
@@ -291,25 +309,63 @@ class IndependentDiskDevice final : public BlockDevice {
     Loc mirror{};               // copy (mirror mode)
   };
 
-  /// Group a batch per disk (preserving order within each disk) and run
-  /// one child batch per disk — engine-parallel with disk-tagged jobs
-  /// when an engine is attached, sequential otherwise. `counted` uses
-  /// the children's counted plane. Healthy-path only; redundancy-armed
-  /// batches go through FanOutRead / FanOutWrite below.
-  Status FanOut(const uint64_t* ids, void* const* bufs, size_t n, bool write,
-                bool counted);
+  /// One disk's share of a batch, in batch order (so contiguous child
+  /// ids still coalesce in file-backed children).
+  struct DiskBatch {
+    std::vector<uint64_t> child_ids;
+    std::vector<void*> bufs;
+    void Add(uint64_t child_id, void* buf) {
+      child_ids.push_back(child_id);
+      bufs.push_back(buf);
+    }
+  };
+  using DiskBatches = std::vector<DiskBatch>;  // indexed by disk
 
-  /// Redundancy-aware batch read: degraded heads' blocks reconstruct in
-  /// the caller thread, healthy heads fan out as usual, and a head that
-  /// fails permanently MID-batch is latched dead, its child charges
-  /// topped up to the healthy count, and its blocks reconstructed.
-  Status FanOutRead(const uint64_t* ids, void* const* bufs, size_t n,
-                    bool counted);
-  /// Redundancy-aware batch write: parity read-modify-write (or
-  /// full-stripe) under parity_mu_, data writes fanned out to live
-  /// heads, dead heads' content carried by the redundancy plane alone.
-  Status FanOutWrite(const uint64_t* ids, const void* const* bufs, size_t n,
-                     bool counted);
+  /// The one precondition check of every transfer: a valid device and
+  /// known ids. Copies each id's placement into `out`.
+  Status Locate(const uint64_t* ids, size_t n, Loc* out) const;
+
+  /// The per-disk dispatch: one child batch per non-empty disk on the
+  /// counted or uncounted plane — in disk order without an engine, else
+  /// as disk-tagged engine jobs that share ownership of `batches`, so a
+  /// job the watchdog abandons never touches a dead frame. Returns one
+  /// Status per disk (Timeout for an abandoned job). With redundancy
+  /// armed, a disk that failed with IOError is latched dead and, when
+  /// counted, its child charge topped up to the healthy batch's; the
+  /// caller serves its blocks from the redundancy plane.
+  std::vector<Status> RunPerDisk(std::shared_ptr<const DiskBatches> batches,
+                                 bool write, bool counted);
+
+  /// Batch transfers: group by disk, dispatch, return the first error.
+  /// With redundancy armed, reads reconstruct degraded heads' blocks in
+  /// the caller thread (and those of a head that dies mid-batch);
+  /// writes maintain parity read-modify-write (or full-stripe) or the
+  /// mirror copy under parity_mu_, and a dead head's content lands in
+  /// the redundancy plane alone.
+  Status ReadMany(const uint64_t* ids, void* const* bufs, size_t n,
+                  bool counted);
+  Status WriteMany(const uint64_t* ids, const void* const* bufs, size_t n,
+                   bool counted);
+  /// Single-block transfers, retried per block at the parent.
+  Status ReadOne(uint64_t id, void* buf, bool counted);
+  Status WriteOne(uint64_t id, const void* buf, bool counted);
+
+  /// Run one transfer on `disk` through the retry plane. Without a
+  /// policy `op` runs directly: RunWithDiskRetry(nullptr, ...) would
+  /// still report fail-stop evidence to the engine.
+  template <typename Op>
+  Status WithRetry(BlockDevice* disk, uint64_t child_id, Op&& op) {
+    if (retry_ == nullptr) return op();
+    return RunWithDiskRetry(retry_, engine_,
+                            reinterpret_cast<uintptr_t>(disk), child_id, op);
+  }
+
+  /// Charge this device `blocks` transfers in `steps` parallel steps.
+  void ChargeParent(bool write, uint64_t blocks, uint64_t steps);
+  /// Deferred id-aware charge: each block on its home child, the parent
+  /// one step per wave (`waves`) or per block.
+  void ChargeIds(bool write, const uint64_t* ids, uint64_t blocks,
+                 bool waves);
 
   /// Placement lookup under the shared lock; false for unknown ids.
   bool Lookup(uint64_t id, Loc* out) const;
@@ -327,18 +383,20 @@ class IndependentDiskDevice final : public BlockDevice {
   /// mirror copy) into `out`. Physical reads are uncounted and ride the
   /// gauge. parity_mu_ must be held; loc_mu_ must NOT be needed.
   Status ExecuteReconPlan(const ReconPlan& plan, void* out);
-  /// Reconstruct `id` into `out` (parity_mu_ held, loc_mu_ not held).
-  Status ReconstructLocked(uint64_t id, void* out);
+  /// Read the plan's target block as it stands: directly while its head
+  /// answers (the read rides the gauge), by reconstruction when the head
+  /// is dead or dies on this read (parity_mu_ held, loc_mu_ not held).
+  Status ReadCurrentLocked(const ReconPlan& plan, void* out);
   /// Fold `delta` into group `g`'s parity block (parity_mu_ held).
   /// `absolute` overwrites instead of XORing (full-stripe). Skipped
   /// silently when the parity head is dead (single-failure model: the
   /// rebuild recomputes parity from members).
   Status ApplyParityLocked(uint64_t g, const char* delta, bool absolute);
 
-  /// Serve a single degraded read: reconstruct under parity_mu_, then
-  /// (counted only) charge the home child's deferred plane — the exact
-  /// charge its healthy synchronous Read would have recorded.
-  Status DegradedReadBlock(uint64_t id, const Loc& l, void* buf, bool counted);
+  /// Serve one degraded read: reconstruct under parity_mu_, then
+  /// (`charge` only) charge home child `disk`'s deferred plane — the
+  /// exact charge its healthy transfer would have recorded.
+  Status DegradedReadBlock(uint64_t id, uint32_t disk, void* buf, bool charge);
 
   bool RedundancyArmed() const { return redundancy_ != Redundancy::kNone; }
   void MarkWrittenShared(const uint64_t* ids, size_t n);

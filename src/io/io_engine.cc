@@ -225,7 +225,9 @@ Status IoEngine::Wait(Ticket t) {
 }
 
 Status IoEngine::RunBatch(std::vector<std::function<Status()>> ops,
-                          const std::vector<uint64_t>& disks, bool retryable) {
+                          const std::vector<uint64_t>& disks, bool retryable,
+                          std::vector<Status>* statuses) {
+  if (statuses != nullptr) statuses->assign(ops.size(), Status::OK());
   if (ops.empty()) return Status::OK();
   // Farm out all but the first op; run that one here so the caller's core
   // contributes instead of blocking.
@@ -238,9 +240,11 @@ Status IoEngine::RunBatch(std::vector<std::function<Status()>> ops,
   Job inline_job{0, disks.empty() ? kNoDisk : disks[0], retryable,
                  std::move(ops[0])};
   Status first = ExecuteJob(inline_job);
-  for (Ticket t : tickets) {
-    Status s = Wait(t);
+  if (statuses != nullptr) (*statuses)[0] = first;
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    Status s = Wait(tickets[i]);
     if (first.ok() && !s.ok()) first = s;
+    if (statuses != nullptr) (*statuses)[i + 1] = std::move(s);
   }
   return first;
 }

@@ -156,16 +156,23 @@ class IoEngine : public DepthGauge {
   /// discarded on completion.
   Status Wait(Ticket t);
 
-  /// Run `ops` with maximal concurrency and return the first error (all
-  /// ops run to completion regardless). The calling thread executes one
-  /// op itself instead of idling — with D jobs on D-1 busy workers this
-  /// still completes in one op's wall-clock time. `disks`, when
-  /// non-empty, must parallel `ops` and tags each job's queue (the
-  /// caller-run op bypasses its cap, as in Wait's self-steal).
+  /// Run `ops` with maximal concurrency and return the first error in op
+  /// order. Every op is waited for, but under the watchdog deadline an op
+  /// still running on a worker is abandoned as in Wait: it reports
+  /// Status::Timeout, keeps running, and its eventual result is dropped.
+  /// An op must therefore own everything it touches except the caller's
+  /// data buffers, which a timed-out batch leaves poisoned. The calling
+  /// thread executes one op itself instead of idling — with D jobs on
+  /// D-1 busy workers this still completes in one op's wall-clock time.
+  /// `disks`, when non-empty, must parallel `ops` and tags each job's
+  /// queue (the caller-run op bypasses its cap, as in Wait's self-steal).
   /// `retryable` as in Submit, applied to every op of the batch.
+  /// `statuses`, when non-null, receives each op's own Status in op
+  /// order (Timeout for an abandoned op).
   Status RunBatch(std::vector<std::function<Status()>> ops,
                   const std::vector<uint64_t>& disks = {},
-                  bool retryable = false);
+                  bool retryable = false,
+                  std::vector<Status>* statuses = nullptr);
 
   size_t num_threads() const { return workers_.size(); }
   size_t disk_inflight_cap() const { return disk_inflight_cap_; }

@@ -37,9 +37,6 @@ MemoryArbiter::Config MemoryArbiter::ConfigFromOptions(const Options& opts) {
   Config cfg;
   cfg.budget_bytes = opts.memory_budget;
   cfg.block_size = opts.block_size != 0 ? opts.block_size : 4096;
-  cfg.pool_share = opts.arbiter_pool_share;
-  if (cfg.pool_share < 0.0) cfg.pool_share = 0.0;
-  if (cfg.pool_share > 1.0) cfg.pool_share = 1.0;
   cfg.window_accesses = opts.arbiter_window_accesses != 0
                             ? opts.arbiter_window_accesses
                             : Config{}.window_accesses;

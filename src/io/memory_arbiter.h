@@ -219,9 +219,6 @@ class MemoryArbiter {
     size_t budget_bytes = 1u << 20;
     /// Bytes per block/frame.
     size_t block_size = 4096;
-    /// Initial pool fraction of M handed to an ExecutionContext's pool —
-    /// the historical fixed split, as the starting point the policy moves.
-    double pool_share = 0.5;
     /// Pool frames never drop below this (nor below the pinned set).
     size_t min_pool_frames = 4;
     /// Staging never drops below this many blocks.

@@ -75,7 +75,7 @@ class ExecutionContext {
         owned_arbiter_(new MemoryArbiter(opts, clock)),
         arbiter_(owned_arbiter_.get()),
         tenant_(arbiter_->RegisterTenant("main")),
-        governor_(GovernorConfig(opts, arbiter_->config().pool_share), clock),
+        governor_(GovernorConfig(opts), clock),
         pool_(dev, BaselineFrames(opts, arbiter_->config()), arbiter_,
               tenant_.get()) {
     Wire();
@@ -95,7 +95,7 @@ class ExecutionContext {
         engine_(engine),
         arbiter_(arbiter),
         tenant_(std::move(tenant)),
-        governor_(GovernorConfig(opts, arbiter_->config().pool_share), clock),
+        governor_(GovernorConfig(opts), clock),
         pool_(dev, BaselineFrames(opts, arbiter_->config()), arbiter_,
               tenant_.get()) {
     Wire();
@@ -132,25 +132,29 @@ class ExecutionContext {
   size_t memory_budget() const { return opts_.memory_budget; }
 
  private:
+  /// Initial pool fraction of the tenant's slice: the historical fixed
+  /// split, as the starting point the arbiter's policy then moves.
+  static constexpr double kInitialPoolShare = 0.5;
+
   static size_t BaselineFrames(const Options& opts,
                                const MemoryArbiter::Config& cfg) {
     size_t bs = cfg.block_size != 0 ? cfg.block_size : 4096;
     return std::max<size_t>(
-        static_cast<size_t>(double(opts.memory_budget) * cfg.pool_share) / bs,
+        static_cast<size_t>(double(opts.memory_budget) * kInitialPoolShare) /
+            bs,
         cfg.min_pool_frames);
   }
 
-  static PrefetchGovernor::Config GovernorConfig(const Options& opts,
-                                                 double pool_share) {
+  static PrefetchGovernor::Config GovernorConfig(const Options& opts) {
     PrefetchGovernor::Config cfg = PrefetchGovernor::ConfigFromOptions(opts);
-    // Staging starts with the non-pool share of the tenant's slice
-    // instead of the fixed M/2 (identical at the default 0.5 share);
-    // from then on the budget tracks the arbiter's lease.
+    // Staging starts with the non-pool share of the tenant's slice; from
+    // then on the budget tracks the arbiter's lease.
     size_t bs = opts.block_size != 0 ? opts.block_size : 4096;
-    double share = 1.0 - pool_share;
-    if (share < 0.0) share = 0.0;
     cfg.budget_blocks = std::max<size_t>(
-        static_cast<size_t>(double(opts.memory_budget) * share) / bs, 4);
+        static_cast<size_t>(double(opts.memory_budget) *
+                            (1.0 - kInitialPoolShare)) /
+            bs,
+        4);
     return cfg;
   }
 

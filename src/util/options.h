@@ -111,14 +111,10 @@ struct Options {
   /// become revocable leases on M that grow on miss/stall evidence and
   /// are reclaimed from whichever side shows waste. Without a context
   /// the historical fixed split stands: pool frames as constructed,
-  /// staging at M/2. Never affects IoStats either way — arbitration
-  /// moves memory, not charges.
+  /// staging at M/2; a context starts its policy from that same split.
+  /// Never affects IoStats either way — arbitration moves memory, not
+  /// charges.
   ///
-  /// Initial pool fraction of M handed to the BufferPool by the arbiter
-  /// (the rest seeds the staging side). 0.5 reproduces the fixed split
-  /// as the starting point the policy then moves.
-  double arbiter_pool_share = 0.5;
-
   /// Pool accesses per arbiter report window (decision cadence). 0 uses
   /// the arbiter's default.
   size_t arbiter_window_accesses = 0;

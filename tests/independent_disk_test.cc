@@ -27,7 +27,8 @@
 //
 // The redundancy plane (parity/mirror degraded mode, kill-a-disk-
 // mid-sort stats identity, rebuild onto spares) is pinned in
-// tests/redundancy_test.cc.
+// tests/redundancy_test.cc; its engine-on vs engine-off identity on
+// this file's workload is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,6 +191,7 @@ struct WorkloadCost {
   IoStats parent;
   std::vector<IoStats> children;
   std::vector<uint64_t> output;
+  uint64_t parity_writes = 0;  // RedundancyStats: parity or mirror copies
 };
 
 /// Streamed write + scan + forecast-merged external sort on 4 file
@@ -197,7 +199,8 @@ struct WorkloadCost {
 /// every config sees the identical block layout.
 WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
                          bool governed,
-                         IoBackend backend = IoBackend::kWorkerPool) {
+                         IoBackend backend = IoBackend::kWorkerPool,
+                         Redundancy redundancy = Redundancy::kNone) {
   std::vector<std::unique_ptr<BlockDevice>> disks;
   for (int d = 0; d < 4; ++d) {
     auto child = std::make_unique<FileBlockDevice>(
@@ -209,6 +212,8 @@ WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
   EXPECT_TRUE(dev.valid());
   EXPECT_TRUE(dev.SupportsUncounted());
   EXPECT_TRUE(dev.SupportsAsync());
+  dev.SetRedundancy(redundancy);
+  EXPECT_EQ(dev.redundancy(), redundancy);
   IoEngine engine(3, /*disk_inflight_cap=*/1, backend);
   PrefetchGovernor::Config gov_cfg;
   gov_cfg.budget_blocks = 128;
@@ -245,6 +250,7 @@ WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
   for (size_t d = 0; d < dev.num_disks(); ++d) {
     cost.children.push_back(dev.disk_stats(d));
   }
+  cost.parity_writes = dev.redundancy_stats().parity_writes;
   out.Destroy();
   input.Destroy();
   dev.set_io_engine(nullptr);
@@ -306,6 +312,30 @@ TEST(IndependentDiskIdentity, IoUringBackendBitIdenticalToWorkerPool) {
   ASSERT_EQ(wp.children.size(), ur.children.size());
   for (size_t d = 0; d < wp.children.size(); ++d) {
     EXPECT_EQ(wp.children[d], ur.children[d]) << "child " << d;
+  }
+}
+
+// The redundancy plane's engine branch: with parity or mirroring armed,
+// the engine-on run (disk-tagged per-disk jobs on both planes) must
+// reproduce the engine-off run bit for bit — output, parent and child
+// IoStats, and the physical parity-write count.
+TEST(IndependentDiskIdentity, RedundantEngineOnMatchesEngineOff) {
+  for (Redundancy mode : {Redundancy::kParity, Redundancy::kMirror}) {
+    const std::string name = mode == Redundancy::kParity ? "par" : "mir";
+    SCOPED_TRACE(name);
+    WorkloadCost off = RunWorkload(name + "_off", 8, false, false,
+                                   IoBackend::kWorkerPool, mode);
+    WorkloadCost on = RunWorkload(name + "_on", 8, true, false,
+                                  IoBackend::kWorkerPool, mode);
+    EXPECT_TRUE(std::is_sorted(off.output.begin(), off.output.end()));
+    EXPECT_EQ(off.output, on.output);
+    EXPECT_EQ(off.parent, on.parent);
+    ASSERT_EQ(off.children.size(), on.children.size());
+    for (size_t d = 0; d < off.children.size(); ++d) {
+      EXPECT_EQ(off.children[d], on.children[d]) << "child " << d;
+    }
+    EXPECT_GT(off.parity_writes, 0u);
+    EXPECT_EQ(off.parity_writes, on.parity_writes);
   }
 }
 

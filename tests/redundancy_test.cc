@@ -9,15 +9,17 @@
 // then restores non-degraded reads.
 //
 // Engine-off on the stats-identity workloads so every run is exactly
-// deterministic; engine integration (fail-stop latching quarantine,
-// HealthSnapshot flags) is covered separately below.
+// deterministic; engine integration (fail-stop latching quarantine, a
+// watchdog timeout on one head) is covered separately below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ext_vector.h"
@@ -119,6 +121,48 @@ TEST(FailStop, EscalatesToLatchedQuarantine) {
   engine.ForgetDisk(tag);
   EXPECT_FALSE(engine.DiskQuarantined(tag));
   EXPECT_EQ(engine.HealthSnapshot().count(tag), 0u);
+}
+
+// A hung head is not a dead one: when the engine watchdog abandons one
+// head's share of a redundant batch read, the batch must fail with
+// Timeout — not report success over a buffer nothing filled — and the
+// abandoned job, finishing after the call returned, must touch only
+// what it owns. Disk 0's share is the batch's inline job, slowed well
+// past a thread wake-up so the lone worker has picked up disk 1's share
+// before the wait could steal it; disk 1's share stalls.
+TEST(RedundancyWatchdog, TimedOutHeadFailsTheBatch) {
+  for (Redundancy mode :
+       {Redundancy::kNone, Redundancy::kParity, Redundancy::kMirror}) {
+    SCOPED_TRACE(int(mode));
+    Options opts;
+    opts.io_threads = 1;
+    opts.io_deadline_ms = 50;
+    IoEngine engine(opts);
+    RedundantRig rig(mode, /*group_width=*/0, /*num_disks=*/2);
+    uint64_t ids[2];
+    char block[kBlock];
+    for (uint64_t& id : ids) {
+      id = rig.dev->Allocate();
+      PatternBlock(block, id, 0);
+      ASSERT_TRUE(rig.dev->Write(id, block).ok());
+    }
+    ASSERT_NE(rig.dev->disk_of(ids[0]), rig.dev->disk_of(ids[1]));
+    if (rig.dev->disk_of(ids[0]) != 0) std::swap(ids[0], ids[1]);
+    rig.dev->set_io_engine(&engine);
+    rig.wrappers[0]->SetLatency(200000);
+    FaultyBlockDevice* hung = rig.wrappers[1];
+    hung->SetStallRead(hung->reads_seen() + 1);
+    std::vector<char> out(2 * kBlock);
+    void* bufs[2] = {out.data(), out.data() + kBlock};
+    Status s = rig.dev->ReadBatch(ids, bufs, 2);
+    EXPECT_TRUE(s.IsTimeout()) << s.ToString();
+    EXPECT_FALSE(rig.dev->DiskDead(1)) << "a timeout is not a dead head";
+    hung->ReleaseStalls();
+    while (engine.busy_workers() != 0 || engine.queued_jobs() != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    rig.dev->set_io_engine(nullptr);
+  }
 }
 
 // --------------------------------------------------- parity placement
