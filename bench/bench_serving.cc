@@ -200,7 +200,9 @@ ColumnRun RunColumn(bool arbitrated, IoEngine* engine, const char* tag) {
         return;
       }
       if (arbitrated) {
-        auto tenant = machine->RegisterTenant("t" + std::to_string(t), 1.0,
+        std::string name = "t";
+        name += std::to_string(t);
+        auto tenant = machine->RegisterTenant(name, 1.0,
                                               /*min_floor_blocks=*/16);
         ExecutionContext ctx(&dev, slice, machine.get(), std::move(tenant),
                              engine);
@@ -288,12 +290,14 @@ AdmissionRun RunAdmission(bool use_controller) {
   workers.reserve(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
+      std::string name = "w";
+      name += std::to_string(w);
       for (int i = 0; i < kAttempts; ++i) {
         AdmissionTicket ticket;
         std::unique_ptr<TenantLease> raw;
         TenantLease* tenant = nullptr;
         if (use_controller) {
-          Status s = ctrl.Admit("w" + std::to_string(w), 1.0, 16,
+          Status s = ctrl.Admit(name, 1.0, 16,
                                 /*deadline_ns=*/2'000'000, &ticket);
           if (s.IsBusy()) {
             shed.fetch_add(1);
@@ -302,7 +306,7 @@ AdmissionRun RunAdmission(bool use_controller) {
           if (!s.ok()) continue;
           tenant = ticket.tenant();
         } else {
-          raw = arb.RegisterTenant("w" + std::to_string(w), 1.0, 16);
+          raw = arb.RegisterTenant(name, 1.0, 16);
           if (raw == nullptr) {
             shed.fetch_add(1);
             continue;

@@ -1,6 +1,5 @@
-// Shared helpers for the reproduction benches: markdown table printing
-// and the theoretical PDM bound formulas the measurements are compared
-// against.
+// Shared helpers for the wall-clock benches and perfbench: markdown table
+// printing, JSON reports, and the Sort(N) bound formula.
 #pragma once
 
 #include <cmath>
@@ -108,7 +107,8 @@ class Table {
     PrintRow(headers_, width);
     std::string sep;
     for (size_t c = 0; c < headers_.size(); ++c) {
-      sep += "|" + std::string(width[c] + 2, '-');
+      sep += '|';
+      sep.append(width[c] + 2, '-');
     }
     std::printf("%s|\n", sep.c_str());
     for (const auto& r : rows_) PrintRow(r, width);
@@ -120,8 +120,10 @@ class Table {
                        const std::vector<size_t>& width) {
     std::string line;
     for (size_t c = 0; c < width.size(); ++c) {
-      std::string cell = c < row.size() ? row[c] : "";
-      line += "| " + cell + std::string(width[c] - cell.size() + 1, ' ');
+      const std::string cell = c < row.size() ? row[c] : "";
+      line += "| ";
+      line += cell;
+      line.append(width[c] - cell.size() + 1, ' ');
     }
     std::printf("%s|\n", line.c_str());
   }
@@ -144,17 +146,14 @@ inline double Passes(double x, double base) {
 }
 
 /// Theoretical Sort(N) in block I/Os on one disk: 2*(N/B)*(1 + passes)
-/// (run formation + merge passes, reads+writes).
+/// (run formation + merge passes, reads+writes). perfbench states its
+/// sort I/Os against this; tests/io_bounds_test.cc asserts it.
 inline double SortBound(double n_items, double items_per_block,
                         double mem_items) {
   double blocks = std::max(1.0, n_items / items_per_block);
   double runs = std::max(1.0, n_items / mem_items);
   double fan_in = std::max(2.0, mem_items / items_per_block - 1);
   return 2.0 * blocks * (1.0 + Passes(runs, fan_in));
-}
-
-inline double ScanBound(double n_items, double items_per_block) {
-  return std::max(1.0, n_items / items_per_block);
 }
 
 }  // namespace vem::bench

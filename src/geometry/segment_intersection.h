@@ -63,13 +63,12 @@ class OrthogonalSegmentIntersection {
   size_t max_depth() const { return max_depth_; }
 
   /// K-block read-ahead on the event streams (the sorted H/V co-scan,
-  /// active-list scans, input copies) plus write-behind on the output and
-  /// active-list compaction writers, and the same depth on the top-level
-  /// sorts' run streams (0 = synchronous, the default). The per-strip
-  /// child/active writers stay synchronous on purpose: Θ(m) of them are
-  /// open at once and each armed writer stages 2K extra blocks, which
-  /// would blow the memory budget the fan-out was sized against. Never
-  /// changes IoStats.
+  /// active-list scans, input copies) plus write-behind on the output
+  /// writer, and the same depth on the top-level sorts' run streams (0 =
+  /// synchronous, the default). The per-strip child writers stay
+  /// synchronous on purpose: Θ(m) of them are open at once and each armed
+  /// writer stages 2K extra blocks, which would blow the memory budget the
+  /// fan-out was sized against. Never changes IoStats.
   void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
 
   Status Run(const ExtVector<HSegment>& hs, const ExtVector<VSegment>& vs,
@@ -82,7 +81,7 @@ class OrthogonalSegmentIntersection {
     VEM_RETURN_IF_ERROR(Copy(hs, &h));
     VEM_RETURN_IF_ERROR(Copy(vs, &v));
     VEM_RETURN_IF_ERROR(Solve(std::move(h), std::move(v), &w, 1,
-                              /*presorted=*/false));
+                              /*presorted=*/false, -kInf, kInf));
     return w.Finish();
   }
 
@@ -119,9 +118,12 @@ class OrthogonalSegmentIntersection {
   /// `presorted`: h is already in decreasing-y order and v in
   /// decreasing-top order. Children inherit sweep order, so only the
   /// top-level call pays the two sorts — one Sort(N) total, then scans.
+  /// [x_lo, x_hi] is this slab. The outer strips end at its edges, so a
+  /// piece clipped to an edge spans them like any other strip and goes
+  /// no deeper.
   Status Solve(ExtVector<HSegment> h, ExtVector<VSegment> v,
                typename ExtVector<IntersectionPair>::Writer* out,
-               size_t depth, bool presorted) {
+               size_t depth, bool presorted, double x_lo, double x_hi) {
     max_depth_ = std::max(max_depth_, depth);
     if (v.size() == 0 || h.size() == 0) return Status::OK();
     if (h.size() + v.size() <= memory_items()) {
@@ -167,23 +169,25 @@ class OrthogonalSegmentIntersection {
     if (splitters.empty()) splitters.push_back((min_x + max_x) / 2);
     const size_t strips = splitters.size() + 1;
 
-    // Strip s covers [bound(s-1), bound(s)) with bound(-1)=-inf.
+    // Strip s covers [bound(s-1), bound(s)), bounded by the slab.
     auto strip_of = [&](double x) {
       return static_cast<size_t>(
           std::upper_bound(splitters.begin(), splitters.end(), x) -
           splitters.begin());
     };
     auto strip_lo = [&](size_t s) {
-      return s == 0 ? -kInf : splitters[s - 1];
+      return s == 0 ? x_lo : splitters[s - 1];
     };
     auto strip_hi = [&](size_t s) {
-      return s == strips - 1 ? kInf : splitters[s];
+      return s == strips - 1 ? x_hi : splitters[s];
     };
 
-    // Child working sets + per-strip active lists.
+    // Child working sets + per-strip active lists (whole blocks on disk,
+    // the partial last block in RAM).
     std::vector<ExtVector<HSegment>> child_h;
     std::vector<ExtVector<VSegment>> child_v;
     std::vector<ExtVector<VSegment>> active;  // verticals, top-sorted
+    std::vector<std::vector<VSegment>> tail(strips);
     for (size_t s = 0; s < strips; ++s) {
       child_h.emplace_back(dev_);
       child_v.emplace_back(dev_);
@@ -191,43 +195,21 @@ class OrthogonalSegmentIntersection {
     }
 
     // Event stream: merge H and V sorted by decreasing y (V keyed by top).
-    auto h_by_y = [](const HSegment& a, const HSegment& b) {
-      return a.y > b.y;
-    };
-    auto v_by_top = [](const VSegment& a, const VSegment& b) {
-      return a.y2 > b.y2;
-    };
-    ExtVector<HSegment> hs_sorted(dev_);
-    ExtVector<VSegment> vs_sorted(dev_);
-    if (presorted) {
-      hs_sorted = std::move(h);
-      vs_sorted = std::move(v);
-    } else {
-      VEM_RETURN_IF_ERROR(ExternalSort<HSegment, decltype(h_by_y)>(
-          h, &hs_sorted, memory_budget_, h_by_y, prefetch_depth_));
-      VEM_RETURN_IF_ERROR(ExternalSort<VSegment, decltype(v_by_top)>(
-          v, &vs_sorted, memory_budget_, v_by_top, prefetch_depth_));
-      h.Destroy();
-      v.Destroy();
-    }
+    if (!presorted) VEM_RETURN_IF_ERROR(SortForSweep(&h, &v));
 
     {
-      // Persistent writers: one block buffer per strip per stream, well
-      // within M for k = m/4. Active-list writers are finished (and
-      // reopened) only when a spanning horizontal needs to scan the list.
+      // Persistent writers: one block buffer per strip per stream, plus
+      // one active-list tail per strip — well within M for k = m/4.
       std::vector<std::unique_ptr<typename ExtVector<HSegment>::Writer>> hw;
       std::vector<std::unique_ptr<typename ExtVector<VSegment>::Writer>> vw;
-      std::vector<std::unique_ptr<typename ExtVector<VSegment>::Writer>> aw;
       for (size_t s = 0; s < strips; ++s) {
         hw.push_back(std::make_unique<typename ExtVector<HSegment>::Writer>(
             &child_h[s]));
         vw.push_back(std::make_unique<typename ExtVector<VSegment>::Writer>(
             &child_v[s]));
-        aw.push_back(std::make_unique<typename ExtVector<VSegment>::Writer>(
-            &active[s]));
       }
-      typename ExtVector<HSegment>::Reader hr(&hs_sorted, 0, stream_depth());
-      typename ExtVector<VSegment>::Reader vr(&vs_sorted, 0, stream_depth());
+      typename ExtVector<HSegment>::Reader hr(&h, 0, stream_depth());
+      typename ExtVector<VSegment>::Reader vr(&v, 0, stream_depth());
       HSegment he;
       VSegment ve;
       bool have_h = hr.Next(&he), have_v = vr.Next(&ve);
@@ -236,7 +218,7 @@ class OrthogonalSegmentIntersection {
         bool take_v = have_v && (!have_h || ve.y2 >= he.y);
         if (take_v) {
           size_t s = strip_of(ve.x);
-          if (!aw[s]->Append(ve)) return aw[s]->status();
+          VEM_RETURN_IF_ERROR(PushActive(&active[s], &tail[s], ve));
           if (!vw[s]->Append(ve)) return vw[s]->status();
           have_v = vr.Next(&ve);
           continue;
@@ -247,11 +229,7 @@ class OrthogonalSegmentIntersection {
         for (size_t s = s_lo; s <= s_hi; ++s) {
           bool spans = he.x1 <= strip_lo(s) && strip_hi(s) <= he.x2;
           if (spans) {
-            VEM_RETURN_IF_ERROR(aw[s]->Finish());
-            aw[s].reset();
-            VEM_RETURN_IF_ERROR(ScanActive(&active[s], he, out));
-            aw[s] = std::make_unique<typename ExtVector<VSegment>::Writer>(
-                &active[s]);
+            VEM_RETURN_IF_ERROR(ScanActive(&active[s], &tail[s], he, out));
           } else {
             // End piece: clip and recurse.
             HSegment piece = he;
@@ -267,41 +245,79 @@ class OrthogonalSegmentIntersection {
       for (size_t s = 0; s < strips; ++s) {
         VEM_RETURN_IF_ERROR(hw[s]->Finish());
         VEM_RETURN_IF_ERROR(vw[s]->Finish());
-        VEM_RETURN_IF_ERROR(aw[s]->Finish());
       }
     }
-    hs_sorted.Destroy();
-    vs_sorted.Destroy();
+    h.Destroy();
+    v.Destroy();
     for (auto& a : active) a.Destroy();
 
     for (size_t s = 0; s < strips; ++s) {
       VEM_RETURN_IF_ERROR(Solve(std::move(child_h[s]), std::move(child_v[s]),
-                                out, depth + 1, /*presorted=*/true));
+                                out, depth + 1, /*presorted=*/true,
+                                strip_lo(s), strip_hi(s)));
     }
     return Status::OK();
   }
 
-  /// Scan one strip's active list at horizontal `he`: report the live
-  /// verticals, compact away the expired ones (bottom above he.y).
-  Status ScanActive(ExtVector<VSegment>* active, const HSegment& he,
-                    typename ExtVector<IntersectionPair>::Writer* out) {
-    if (active->size() == 0) return Status::OK();
-    ExtVector<VSegment> survivors(dev_);
-    {
-      typename ExtVector<VSegment>::Reader r(active, 0, stream_depth());
-      typename ExtVector<VSegment>::Writer w(&survivors, stream_depth());
-      VSegment ve;
-      while (r.Next(&ve)) {
-        if (ve.y1 > he.y) continue;  // expired: sweep passed its bottom
-        if (!out->Append(IntersectionPair{he.id, ve.id})) {
-          return out->status();
-        }
-        if (!w.Append(ve)) return w.status();
-      }
-      VEM_RETURN_IF_ERROR(r.status());
-      VEM_RETURN_IF_ERROR(w.Finish());
+  /// Append to an active list whose partial last block stays in RAM
+  /// (`tail`): the on-disk part holds whole blocks only.
+  Status PushActive(ExtVector<VSegment>* active, std::vector<VSegment>* tail,
+                    const VSegment& ve) {
+    tail->push_back(ve);
+    if (tail->size() * sizeof(VSegment) < dev_->block_size()) {
+      return Status::OK();
     }
+    VEM_RETURN_IF_ERROR(active->AppendAll(tail->data(), tail->size()));
+    tail->clear();
+    return Status::OK();
+  }
+
+  /// Scan one strip's active list at horizontal `he`: report the live
+  /// verticals, compact away the expired ones (bottom above he.y). Every
+  /// block read holds B verticals that are each reported or expired, so
+  /// the scans cost O(Z/B) over the sweep; a list shorter than a block
+  /// lives in RAM and costs nothing.
+  Status ScanActive(ExtVector<VSegment>* active, std::vector<VSegment>* tail,
+                    const HSegment& he,
+                    typename ExtVector<IntersectionPair>::Writer* out) {
+    ExtVector<VSegment> survivors(dev_);
+    std::vector<VSegment> live;
+    auto visit = [&](const VSegment& ve) {
+      if (ve.y1 > he.y) return Status::OK();  // expired: sweep passed it
+      if (!out->Append(IntersectionPair{he.id, ve.id})) return out->status();
+      return PushActive(&survivors, &live, ve);
+    };
+    if (active->size() > 0) {
+      typename ExtVector<VSegment>::Reader r(active, 0, stream_depth());
+      VSegment ve;
+      while (r.Next(&ve)) VEM_RETURN_IF_ERROR(visit(ve));
+      VEM_RETURN_IF_ERROR(r.status());
+    }
+    for (const VSegment& ve : *tail) VEM_RETURN_IF_ERROR(visit(ve));
     *active = std::move(survivors);
+    *tail = std::move(live);
+    return Status::OK();
+  }
+
+  /// Replace h by its copy in decreasing-y order and v by its copy in
+  /// decreasing-top order: the sweep's event order.
+  Status SortForSweep(ExtVector<HSegment>* h, ExtVector<VSegment>* v) {
+    auto h_by_y = [](const HSegment& a, const HSegment& b) {
+      return a.y > b.y;
+    };
+    auto v_by_top = [](const VSegment& a, const VSegment& b) {
+      return a.y2 > b.y2;
+    };
+    ExtVector<HSegment> hs(dev_);
+    ExtVector<VSegment> vs(dev_);
+    VEM_RETURN_IF_ERROR(ExternalSort<HSegment, decltype(h_by_y)>(
+        *h, &hs, memory_budget_, h_by_y, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(ExternalSort<VSegment, decltype(v_by_top)>(
+        *v, &vs, memory_budget_, v_by_top, prefetch_depth_));
+    h->Destroy();
+    v->Destroy();
+    *h = std::move(hs);
+    *v = std::move(vs);
     return Status::OK();
   }
 
@@ -310,42 +326,23 @@ class OrthogonalSegmentIntersection {
                        double x,
                        typename ExtVector<IntersectionPair>::Writer* out,
                        bool presorted) {
-    auto h_by_y = [](const HSegment& a, const HSegment& b) {
-      return a.y > b.y;
-    };
-    auto v_by_top = [](const VSegment& a, const VSegment& b) {
-      return a.y2 > b.y2;
-    };
-    ExtVector<HSegment> hs_sorted(dev_);
-    ExtVector<VSegment> vs_sorted(dev_);
-    if (presorted) {
-      hs_sorted = std::move(h);
-      vs_sorted = std::move(v);
-    } else {
-      VEM_RETURN_IF_ERROR(ExternalSort<HSegment, decltype(h_by_y)>(
-          h, &hs_sorted, memory_budget_, h_by_y, prefetch_depth_));
-      VEM_RETURN_IF_ERROR(ExternalSort<VSegment, decltype(v_by_top)>(
-          v, &vs_sorted, memory_budget_, v_by_top, prefetch_depth_));
-    }
+    if (!presorted) VEM_RETURN_IF_ERROR(SortForSweep(&h, &v));
     ExtVector<VSegment> active(dev_);
-    auto aw = std::make_unique<typename ExtVector<VSegment>::Writer>(&active);
-    typename ExtVector<HSegment>::Reader hr(&hs_sorted, 0, stream_depth());
-    typename ExtVector<VSegment>::Reader vr(&vs_sorted, 0, stream_depth());
+    std::vector<VSegment> tail;
+    typename ExtVector<HSegment>::Reader hr(&h, 0, stream_depth());
+    typename ExtVector<VSegment>::Reader vr(&v, 0, stream_depth());
     HSegment he;
     VSegment ve;
     bool have_h = hr.Next(&he), have_v = vr.Next(&ve);
     while (have_h || have_v) {
       bool take_v = have_v && (!have_h || ve.y2 >= he.y);
       if (take_v) {
-        if (!aw->Append(ve)) return aw->status();
+        VEM_RETURN_IF_ERROR(PushActive(&active, &tail, ve));
         have_v = vr.Next(&ve);
         continue;
       }
       if (he.x1 <= x && x <= he.x2) {
-        VEM_RETURN_IF_ERROR(aw->Finish());
-        aw.reset();
-        VEM_RETURN_IF_ERROR(ScanActive(&active, he, out));
-        aw = std::make_unique<typename ExtVector<VSegment>::Writer>(&active);
+        VEM_RETURN_IF_ERROR(ScanActive(&active, &tail, he, out));
       }
       have_h = hr.Next(&he);
     }

@@ -15,7 +15,7 @@
 // per round, so the number of live representatives at least halves:
 // O(log V) rounds, each a constant number of sorts of a shrinking list.
 // Pure label-propagation (no contraction) needs Θ(diameter) rounds on
-// grids — bench_connected_components shows the difference this makes.
+// grids; io_bounds_test bounds each round here by Sort(V + E).
 #pragma once
 
 #include "core/ext_vector.h"

@@ -6,7 +6,7 @@
 // insert splits an overflowing bucket (doubling the directory when the
 // bucket's depth equals the global depth). Amortized O(1) I/Os per
 // update, vs the B-tree's Θ(log_B N) — the constant-vs-log trade the
-// survey tabulates for online search structures (bench_hash_vs_btree).
+// survey tabulates for online search structures (io_bounds_test).
 //
 // Simplification (documented in DESIGN.md): deletions mark slots free
 // but never merge buckets or shrink the directory, as in most production

@@ -4,12 +4,14 @@
 // which the survey cites for EM priority queues): inserts go to an
 // internal min-heap; when it overflows, its contents spill to disk as a
 // sorted run. DeleteMin takes the smaller of the internal heap's top and
-// the minimum head across on-disk runs. When the number of runs would
-// exceed the buffer budget (one block buffer per run), all runs collapse
-// into one via a k-way merge.
+// the minimum head across on-disk runs. Runs carry a level: a spill is
+// level 0, and merging runs up to level l yields one level-(l+1) run.
+// When the number of runs would exceed the buffer budget (one block
+// buffer per run), the lowest levels holding at least two runs merge.
 //
-// N inserts + N delete-mins cost O((N/B) log_{M/B}(N/M)) I/Os amortized —
-// so sorting by PQ push/pop matches Sort(N) (bench_priority_queue).
+// An item is rewritten once per level it climbs, so N inserts + N
+// delete-mins cost O((N/B) log_{M/B}(N/M)) I/Os amortized — sorting by PQ
+// push/pop tracks Sort(N) (the external PQ row of io_bounds_test).
 #pragma once
 
 #include <algorithm>
@@ -145,12 +147,7 @@ class ExternalPriorityQueue {
     T head{};
     bool valid = false;
     size_t armed_depth = 0;  ///< K granted to this run's streams (0 = sync)
-
-    /// Items not yet consumed (head included).
-    size_t remaining() const {
-      if (!valid) return 0;
-      return data.size() - reader->position() + 1;
-    }
+    size_t level = 0;  ///< 0 for a spill; l + 1 for a merge up to level l
   };
 
   /// Heap comparator inversion: std heap functions build a max-heap, we
@@ -205,22 +202,30 @@ class ExternalPriorityQueue {
     return Status::OK();
   }
 
-  /// Merge the smallest half of the runs (from their current positions)
-  /// into one. Merging small-into-large geometrically bounds how often an
-  /// item is rewritten: O(log(N/M)) times, giving the sequence-heap
-  /// amortized bound without the quadratic blowup of a full collapse.
+  /// Merge the lowest-level runs into one run a level up: the two lowest
+  /// plus every other run on the second one's level. A merged run waits
+  /// for peers on its level before it is merged again, so each item is
+  /// rewritten O(log(N/M)) times. Drained runs are dropped first; they
+  /// hold no items.
   Status CollapseRuns() {
+    std::erase_if(runs_, [](const std::unique_ptr<RunState>& r) {
+      return !r->valid;
+    });
+    if (runs_.size() <= max_runs_) return Status::OK();
     collapses_++;
-    // Pick the ceil(max_runs/2)+1 runs with the fewest remaining items.
-    std::sort(runs_.begin(), runs_.end(),
-              [](const std::unique_ptr<RunState>& a,
-                 const std::unique_ptr<RunState>& b) {
-                return a->remaining() < b->remaining();
-              });
-    size_t merge_count = std::min(runs_.size(), max_runs_ / 2 + 1);
-    if (merge_count < 2) merge_count = std::min<size_t>(2, runs_.size());
+    std::stable_sort(runs_.begin(), runs_.end(),
+                     [](const std::unique_ptr<RunState>& a,
+                        const std::unique_ptr<RunState>& b) {
+                       return a->level < b->level;
+                     });
+    size_t merge_count = 2;
+    while (merge_count < runs_.size() &&
+           runs_[merge_count]->level == runs_[1]->level) {
+      merge_count++;
+    }
 
     auto merged = std::make_unique<RunState>(dev_);
+    merged->level = runs_[1]->level + 1;
     // The merge writer coexists with EVERY live run's reader (the runs
     // being merged only release their staging when erased below), so it
     // arms against the full current staging — ArmRunDepth counts all
@@ -229,7 +234,7 @@ class ExternalPriorityQueue {
     {
       LoserTree<T, Cmp> tree(merge_count, cmp_);
       for (size_t i = 0; i < merge_count; ++i) {
-        if (runs_[i]->valid) tree.SetSource(i, runs_[i]->head);
+        tree.SetSource(i, runs_[i]->head);
       }
       tree.Build();
       typename ExtVector<T>::Writer writer(&merged->data, writer_depth);

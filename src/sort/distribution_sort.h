@@ -3,7 +3,7 @@
 // The survey's dual of merge sort: pick k-1 splitters from a random
 // sample, scatter the input into k buckets in one scan, recurse on each
 // bucket, emit buckets in order. Same Θ((N/B) log_{M/B}(N/B)) bound;
-// bench_merge_vs_distribution compares the constant factors.
+// io_bounds_test holds it within a constant of merge sort's exact count.
 #pragma once
 
 #include <algorithm>

@@ -54,8 +54,7 @@ class ExternalSorter {
   /// output buffer must fit in M.
   size_t fan_in() const {
     size_t k = memory_budget_ / dev_->block_size();
-    k = k >= 3 ? k - 1 : 2;
-    return std::min(k, fan_in_cap_);
+    return k >= 3 ? k - 1 : 2;
   }
 
   /// Items per initial run (M in items, >= 2 blocks so merging makes
@@ -63,16 +62,7 @@ class ExternalSorter {
   size_t run_length() const {
     size_t m = memory_budget_ / sizeof(T);
     size_t two_blocks = 2 * (dev_->block_size() / sizeof(T));
-    return std::min(std::max(m, two_blocks), run_length_cap_);
-  }
-
-  /// Experiment knobs (bench_ablation_sort): artificially cap the merge
-  /// fan-in / initial run length below what M allows, to isolate each
-  /// parameter's contribution to the pass count. Caps never raise the
-  /// memory-derived values.
-  void set_fan_in_cap(size_t cap) { fan_in_cap_ = std::max<size_t>(cap, 2); }
-  void set_run_length_cap(size_t cap) {
-    run_length_cap_ = std::max<size_t>(cap, 1);
+    return std::max(m, two_blocks);
   }
 
   /// Replacement selection ("snow plow") run formation: a tournament over
@@ -296,8 +286,6 @@ class ExternalSorter {
   size_t memory_budget_;
   Cmp cmp_;
   Metrics metrics_;
-  size_t fan_in_cap_ = ~size_t{0};
-  size_t run_length_cap_ = ~size_t{0};
   bool replacement_selection_ = false;
   bool forecast_merge_ = false;
   size_t prefetch_depth_ = 0;

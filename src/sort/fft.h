@@ -14,7 +14,7 @@
 //
 // The paged-butterfly baseline (FftPagedBaseline) performs the textbook
 // in-place iterative FFT through a buffer pool: Θ(N log N) random
-// accesses once N >> M — the comparison bench_fft draws.
+// accesses once N >> M.
 #pragma once
 
 #include <cmath>
@@ -254,7 +254,7 @@ class ExternalFft {
   size_t memory_budget_;
 };
 
-/// Baseline for bench_fft: textbook in-place iterative FFT over a pooled
+/// Baseline: textbook in-place iterative FFT over a pooled
 /// vector — the butterflies' strided random access pages badly once
 /// N >> M.
 inline Status FftPagedBaseline(ExtVector<Complex>* data, bool inverse) {

@@ -111,8 +111,7 @@ Status PermuteDirect(const ExtVector<T>& input,
   return vr.status();
 }
 
-/// Estimated I/O cost of each strategy; used by PermuteAuto and printed by
-/// bench_permute_crossover.
+/// Estimated I/O cost of each strategy; PermuteAuto picks the cheaper.
 struct PermuteCostModel {
   double direct_ios;
   double sorting_ios;

@@ -534,9 +534,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Cfg{16, true, false}, Cfg{4, false, true},
                       Cfg{16, true, true}),
     [](const ::testing::TestParamInfo<Cfg>& info) {
-      return "K" + std::to_string(info.param.depth) +
-             (info.param.engine ? "_engine" : "_sync") +
-             (info.param.governor ? "_gov" : "");
+      std::string name = "K";
+      name += std::to_string(info.param.depth);
+      name += info.param.engine ? "_engine" : "_sync";
+      if (info.param.governor) name += "_gov";
+      return name;
     });
 
 // --------------------------------------------------- error propagation

@@ -288,26 +288,6 @@ TEST(ExternalPQ, TopDoesNotConsume) {
   EXPECT_EQ(v, 5);
 }
 
-TEST(ExternalPQ, SortViaPqMatchesSortBoundShape) {
-  // Sorting N items via PQ must cost O((N/B) * passes), way below N.
-  MemoryBlockDevice dev(256);
-  const size_t kB = 256 / sizeof(uint64_t);
-  const size_t kN = 100000;
-  ExternalPriorityQueue<uint64_t> pq(&dev, 16384);
-  Rng rng(22);
-  IoProbe probe(dev);
-  for (size_t i = 0; i < kN; ++i) ASSERT_TRUE(pq.Push(rng.Next()).ok());
-  uint64_t prev = 0, v;
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(pq.Pop(&v).ok());
-    ASSERT_GE(v, prev);
-    prev = v;
-  }
-  uint64_t ios = probe.delta().block_ios();
-  EXPECT_LT(ios, kN / 2);                  // far below 1 I/O per op
-  EXPECT_GE(ios, 2 * kN / kB);             // but it did spill everything
-}
-
 TEST(ExternalPQ, CustomComparatorMaxHeap) {
   MemoryBlockDevice dev(128);
   ExternalPriorityQueue<int, std::greater<int>> pq(&dev, 512,
