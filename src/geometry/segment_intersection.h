@@ -264,9 +264,7 @@ class OrthogonalSegmentIntersection {
   Status PushActive(ExtVector<VSegment>* active, std::vector<VSegment>* tail,
                     const VSegment& ve) {
     tail->push_back(ve);
-    if (tail->size() * sizeof(VSegment) < dev_->block_size()) {
-      return Status::OK();
-    }
+    if (tail->size() < active->items_per_block()) return Status::OK();
     VEM_RETURN_IF_ERROR(active->AppendAll(tail->data(), tail->size()));
     tail->clear();
     return Status::OK();

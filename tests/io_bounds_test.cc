@@ -20,6 +20,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -90,6 +91,11 @@ std::unique_ptr<BlockDevice> MakeDevice(const Pdm& p) {
 /// Scan(N) = N/DB, rounded up to whole blocks.
 double ScanBound(double n, double b) { return std::ceil(n / b); }
 
+/// ceil(log_k runs) merge passes; one run needs none.
+double MergePasses(double runs, double k) {
+  return runs > 1 ? std::ceil(std::log(runs) / std::log(k)) : 0;
+}
+
 template <typename T>
 void AppendRandom(ExtVector<T>* v, size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -100,19 +106,30 @@ void AppendRandom(ExtVector<T>* v, size_t n, uint64_t seed) {
 
 // ------------------------------------------------------------- measures
 
+/// Writes N items, then reads them back: each pass moves every block
+/// once, and the write pass reads nothing and the read pass writes
+/// nothing.
 Cost MeasureScan(BlockDevice* dev, const Pdm& p, size_t n) {
   ExtVector<uint64_t> v(dev);
-  IoProbe probe(*dev);
+  const uint64_t blocks = static_cast<uint64_t>(ScanBound(n, p.b(8)));
+  IoProbe write_probe(*dev);
   AppendRandom(&v, n, n);
+  const IoStats w = write_probe.delta();
+  EXPECT_EQ(w.parallel_writes, blocks);
+  EXPECT_EQ(w.block_reads, 0u);
+  IoProbe read_probe(*dev);
   ExtVector<uint64_t>::Reader r(&v);
   uint64_t x;
   size_t count = 0;
   while (r.Next(&x)) count++;
   EXPECT_EQ(count, n);
-  const IoStats io = probe.delta();
+  const IoStats rd = read_probe.delta();
+  EXPECT_EQ(rd.parallel_reads, blocks);
+  EXPECT_EQ(rd.block_writes, 0u);
   // Striping moves one block on each of the D disks per parallel step.
-  EXPECT_EQ(io.block_ios(), p.d * io.parallel_ios());
-  return {io.parallel_ios()};
+  EXPECT_EQ(w.block_ios() + rd.block_ios(),
+            p.d * (w.parallel_ios() + rd.parallel_ios()));
+  return {w.parallel_ios() + rd.parallel_ios()};
 }
 
 template <typename Sorter>
@@ -123,6 +140,15 @@ Cost MeasureSort(BlockDevice* dev, const Pdm& p, size_t n) {
   IoProbe probe(*dev);
   Ok(sorter.Sort(in, &out));
   const Cost c{probe.delta().parallel_ios()};
+  if constexpr (std::is_same_v<Sorter, ExternalSorter<uint64_t>>) {
+    // Fan-in k = M/DB - 1 and runs of M items take ceil(log_k runs)
+    // merge passes.
+    const auto& m = sorter.metrics();
+    EXPECT_EQ(m.fan_in, p.mem_blocks - 1);
+    EXPECT_EQ(m.initial_runs, (n * 8 + p.mem() - 1) / p.mem());
+    EXPECT_EQ(m.merge_passes, MergePasses(m.initial_runs, m.fan_in))
+        << "N=" << n << " runs=" << m.initial_runs;
+  }
   std::vector<uint64_t> sorted;
   Ok(out.ReadAll(&sorted));
   EXPECT_EQ(sorted.size(), n);
@@ -450,17 +476,23 @@ double Search(double n, const Pdm& p) {
 
 const Row kRows[] = {
     // Scan(N) = N/DB: one write pass and one read pass, exactly.
-    {"Scan", {256}, {8, 32}, {1u << 10, 1u << 13, 1u << 16}, MeasureScan,
+    {"Scan", {256, 1024, 4096}, {8, 32}, {1u << 10, 1u << 13, 1u << 16},
+     MeasureScan,
      [](double n, const Cost&, const Pdm& p) {
        return 2 * ScanBound(n, p.b(8));
      },
      1, 1, 1},
     // Sort(N) = 2(N/DB)(1 + ceil(log_{M/DB-1}(N/M))): run formation plus
-    // merge passes at fan-in k = M/DB - 1 and run length M, exactly.
-    {"MergeSort", {256}, {8, 32}, {1u << 13, 1u << 15, 1u << 17},
+    // merge passes at fan-in k = M/DB - 1 and run length M, exactly. With
+    // N <= M (the large blocks) that is one run and no merge pass.
+    {"MergeSort", {256, 1024, 4096}, {8, 32}, {1u << 13, 1u << 15, 1u << 17},
      MeasureSort<ExternalSorter<uint64_t>>,
-     [](double n, const Cost&, const Pdm& p) { return Sort(n, 8, p); }, 1, 1,
-     1},
+     [](double n, const Cost&, const Pdm& p) {
+       const double runs = std::ceil(n * 8 / p.mem());
+       return 2 * ScanBound(n, p.b(8)) *
+              (1 + MergePasses(runs, p.mem_blocks - 1));
+     },
+     1, 1, 1},
     // Distribution sort: the same Sort(N), up to a constant.
     {"DistributionSort", {256}, {8, 32}, {1u << 13, 1u << 15, 1u << 17},
      MeasureSort<DistributionSorter<uint64_t>>,

@@ -131,6 +131,35 @@ INSTANTIATE_TEST_SUITE_P(
                       SortCase{10000, 4096, 65536}  // single pass
                       ));
 
+TEST(MergeSort, IoMatchesSortBound) {
+  // Measured I/Os must be within a small constant of
+  // 2*(N/B)*(passes + 1) (run formation + each merge pass reads+writes).
+  const size_t kBlock = 256, kMem = 2048, kN = 100000;
+  const size_t kB = kBlock / sizeof(uint64_t);
+  MemoryBlockDevice dev(kBlock);
+  ExtVector<uint64_t> input(&dev);
+  Rng rng(17);
+  {
+    ExtVector<uint64_t>::Writer w(&input);
+    for (size_t i = 0; i < kN; ++i) ASSERT_TRUE(w.Append(rng.Next()));
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  ExternalSorter<uint64_t> sorter(&dev, kMem);
+  ExtVector<uint64_t> output(&dev);
+  IoProbe probe(dev);
+  ASSERT_TRUE(sorter.Sort(input, &output).ok());
+  const auto& m = sorter.metrics();
+  double blocks = static_cast<double>(kN) / kB;
+  double bound = 2.0 * blocks * (m.merge_passes + 1);
+  EXPECT_LE(probe.delta().block_ios(), bound * 1.2 + 16)
+      << "passes=" << m.merge_passes;
+  // And the pass count matches ceil(log_k(runs)).
+  double expect_passes =
+      std::ceil(std::log(static_cast<double>(m.initial_runs)) /
+                std::log(static_cast<double>(m.fan_in)));
+  EXPECT_EQ(m.merge_passes, static_cast<size_t>(expect_passes));
+}
+
 TEST(MergeSort, AlreadySortedAndReverse) {
   MemoryBlockDevice dev(256);
   for (bool reverse : {false, true}) {
