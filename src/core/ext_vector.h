@@ -61,11 +61,8 @@ class ExtVector {
     dev_ = o.dev_;
     pool_ = o.pool_;
     items_per_block_ = o.items_per_block_;
-    blocks_ = std::move(o.blocks_);
-    size_ = o.size_;
     prefetch_depth_ = o.prefetch_depth_;
-    o.blocks_.clear();
-    o.size_ = 0;
+    Adopt(std::move(o));
     return *this;
   }
   ExtVector(const ExtVector&) = delete;
@@ -82,6 +79,17 @@ class ExtVector {
     }
     blocks_.clear();
     size_ = 0;
+  }
+
+  /// Take over `o`'s blocks and items, freeing this vector's own. Unlike
+  /// move assignment, this vector keeps its pool and prefetch depth: the
+  /// hand-off for a result built in a temporary on the same device.
+  void Adopt(ExtVector&& o) {
+    Destroy();
+    blocks_ = std::move(o.blocks_);
+    size_ = o.size_;
+    o.blocks_.clear();
+    o.size_ = 0;
   }
 
   /// Detach the buffer pool, e.g. when the vector outlives a temporary

@@ -18,6 +18,10 @@
 // memory budget ride the context's Options instead of every call
 // signature (serve/execution_context.h). The parameterized overloads
 // stay as thin forwards for existing callers.
+//
+// The key functions (`key_l`, `key_r`, `key_of`) run inside the sort's
+// comparator, which ExternalSorter calls from several threads at once;
+// they must not mutate shared state.
 #pragma once
 
 #include <functional>

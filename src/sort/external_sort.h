@@ -1,7 +1,15 @@
 // External multiway merge sort — Sort(N) = Θ((N/B) log_{M/B}(N/B)) I/Os.
 //
 // Phase 1 (run formation): load M items at a time, sort in RAM, write each
-// as a sorted run: one scan, ceil(N/M) runs.
+// as a sorted run: one scan, ceil(N/M) runs. The in-RAM sort is the CPU
+// bottleneck, so each memory load is cut into kRunSlices contiguous
+// slices sorted on up to that many threads (the caller plus helpers, with
+// at most kRunSlices - 1 helpers in the whole process), and the sorted
+// slices are merged with a LoserTree straight into the run's writer —
+// STXXL's parallel run formation (Dementiev & Sanders, SPAA 2003). The
+// slice count is a constant, so the output, tie order included, is the
+// same on every machine and under any load; memory stays M and the I/Os
+// are those of the one-thread sort.
 // Phase 2 (merging): repeatedly merge k = M/B - 1 runs at a time with a
 // LoserTree until one run remains. Each pass scans all data once, and
 // there are ceil(log_k(N/M)) passes — the survey's optimal sorting bound
@@ -9,8 +17,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <exception>
 #include <memory>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "core/ext_vector.h"
@@ -22,10 +34,31 @@
 
 namespace vem {
 
+namespace detail {
+/// Run-formation helper threads alive right now, over every
+/// ExternalSorter instantiation in the process.
+inline std::atomic<size_t> run_sort_helpers{0};
+}  // namespace detail
+
 /// External merge sort over ExtVector<T>.
+///
+/// `Cmp` is called from several threads at once during run formation, so
+/// it must not mutate shared state (a stateless lambda or functor is
+/// fine).
 template <typename T, typename Cmp = std::less<T>>
 class ExternalSorter {
  public:
+  /// Sorted slices per run-formation memory load: the caller sorts slice
+  /// 0, helper threads the rest. Fixed rather than taken from the core
+  /// count so tie order never varies by machine. At most kRunSlices - 1
+  /// helpers run at once in the whole process, so concurrent sorts (e.g.
+  /// serving tenants) do not oversubscribe the cores; a slice that finds
+  /// no free helper is sorted by its caller, with the same output.
+  static constexpr size_t kRunSlices = 4;
+  /// Runs shorter than this many items are sorted as one slice; below it
+  /// thread start-up outweighs the sort.
+  static constexpr size_t kMinSlicedRun = 16 * 1024;
+
   /// Observability: what the sort actually did (asserted on in tests,
   /// reported by benches).
   struct Metrics {
@@ -58,7 +91,9 @@ class ExternalSorter {
   }
 
   /// Items per initial run (M in items, >= 2 blocks so merging makes
-  /// progress even under absurdly small budgets).
+  /// progress even under absurdly small budgets). Slicing a run for the
+  /// parallel sort does not change its length: the slices are merged back
+  /// into one run before it is written.
   size_t run_length() const {
     size_t m = memory_budget_ / sizeof(T);
     size_t two_blocks = 2 * (dev_->block_size() / sizeof(T));
@@ -130,7 +165,7 @@ class ExternalSorter {
     metrics_.merge_passes++;
     if (runs.size() == 1) {
       metrics_.merge_passes--;  // single run: no merge needed
-      *output = std::move(runs.front());
+      output->Adopt(std::move(runs.front()));
       runs.pop_front();
       return Status::OK();
     }
@@ -156,12 +191,84 @@ class ExternalSorter {
         more = reader.Next(&item);
       }
       VEM_RETURN_IF_ERROR(reader.status());
-      std::sort(buf.begin(), buf.end(), cmp_);
       ExtVector<T> run(dev_);
-      VEM_RETURN_IF_ERROR(run.AppendAll(buf.data(), buf.size(), stream_depth()));
+      VEM_RETURN_IF_ERROR(WriteSortedRun(&buf, &run));
       runs->push_back(std::move(run));
     }
     return reader.status();
+  }
+
+  /// Sort one memory load into `run`: cut `buf` into contiguous slices,
+  /// sort slice 0 (and any slice no helper slot is free for) on the
+  /// caller and the others on helper threads, then merge the sorted
+  /// slices into the run's writer. A short load is one slice and takes
+  /// the same loop (a one-leaf LoserTree).
+  Status WriteSortedRun(std::vector<T>* buf, ExtVector<T>* run) {
+    const size_t n = buf->size();
+    const size_t slices = n < kMinSlicedRun ? 1 : kRunSlices;
+    std::vector<size_t> bound(slices + 1);
+    for (size_t s = 0; s <= slices; ++s) bound[s] = n * s / slices;
+    // A comparator exception on a helper is carried back and rethrown on
+    // the caller, as the one-thread sort would have thrown it.
+    std::vector<std::exception_ptr> thrown(slices);
+    auto sort_slice = [&](size_t s) {
+      try {
+        std::sort(buf->begin() + bound[s], buf->begin() + bound[s + 1], cmp_);
+      } catch (...) {
+        thrown[s] = std::current_exception();
+      }
+    };
+    {
+      std::vector<std::jthread> helpers;
+      helpers.reserve(slices - 1);
+      std::vector<size_t> mine{0};
+      for (size_t s = 1; s < slices; ++s) {
+        if (TakeHelperSlot()) {
+          try {
+            helpers.emplace_back([&sort_slice, s] {
+              sort_slice(s);
+              detail::run_sort_helpers.fetch_sub(1);
+            });
+            continue;
+          } catch (const std::system_error&) {  // no thread: sort it here
+            detail::run_sort_helpers.fetch_sub(1);
+          }
+        }
+        mine.push_back(s);
+      }
+      for (size_t s : mine) sort_slice(s);
+    }  // jthreads join here
+    for (const std::exception_ptr& e : thrown) {
+      if (e) std::rethrow_exception(e);
+    }
+
+    std::vector<size_t> next(bound.begin(), bound.end() - 1);
+    LoserTree<T, Cmp> tree(slices, cmp_);
+    for (size_t s = 0; s < slices; ++s) {
+      if (next[s] < bound[s + 1]) tree.SetSource(s, (*buf)[next[s]++]);
+    }
+    tree.Build();
+    typename ExtVector<T>::Writer writer(run, stream_depth());
+    while (tree.HasWinner()) {
+      if (!writer.Append(tree.top())) return writer.status();
+      const size_t s = tree.winner();
+      if (next[s] < bound[s + 1]) {
+        tree.ReplaceWinner((*buf)[next[s]++]);
+      } else {
+        tree.ExhaustWinner();
+      }
+    }
+    return writer.Finish();
+  }
+
+  /// Claim one of the kRunSlices - 1 process-wide helper slots.
+  static bool TakeHelperSlot() {
+    auto& alive = detail::run_sort_helpers;
+    size_t n = alive.load();
+    while (n < kRunSlices - 1) {
+      if (alive.compare_exchange_weak(n, n + 1)) return true;
+    }
+    return false;
   }
 
   /// Replacement-selection run formation: a heap of (epoch, item) where

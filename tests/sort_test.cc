@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "io/memory_block_device.h"
@@ -208,6 +211,191 @@ TEST(MergeSort, TemporariesFreed) {
     EXPECT_EQ(dev.num_allocated(), before + output.num_blocks());
   }
   EXPECT_EQ(dev.num_allocated(), before);
+}
+
+TEST(MergeSort, SingleRunOutputKeepsPoolAndDepth) {
+  // The output's pool and prefetch depth must survive the sort whether
+  // the input fits in one run (M = 1 MiB) or needs a merge (M = 12 KiB).
+  MemoryBlockDevice dev(256);
+  BufferPool pool(&dev, 8);
+  const size_t kN = 5000;
+  ExtVector<uint64_t> input(&dev);
+  {
+    ExtVector<uint64_t>::Writer w(&input);
+    for (size_t i = 0; i < kN; ++i) ASSERT_TRUE(w.Append(kN - 1 - i));
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  for (size_t budget : {size_t{1} << 20, size_t{12} << 10}) {
+    ExtVector<uint64_t> out(&dev, &pool);
+    out.set_prefetch_depth(4);
+    ASSERT_TRUE(ExternalSort(input, &out, budget).ok()) << budget;
+    EXPECT_EQ(out.pool(), &pool) << budget;
+    EXPECT_EQ(out.prefetch_depth(), 4u) << budget;
+    uint64_t v = 0;
+    ASSERT_TRUE(out.Get(5, &v).ok()) << budget;
+    EXPECT_EQ(v, 5u) << budget;
+  }
+}
+
+// ---------------------------------------------------- Sliced run formation
+
+// Records whose comparators look only at the key: heavy key duplication
+// leaves distinct payloads among equal keys, so the output bytes expose
+// the tie order.
+struct KeyedRec {
+  uint64_t key;
+  uint64_t payload;
+};
+struct KeyLess {
+  bool operator()(const KeyedRec& a, const KeyedRec& b) const {
+    return a.key < b.key;
+  }
+};
+struct KeyGreater {
+  bool operator()(const KeyedRec& a, const KeyedRec& b) const {
+    return a.key > b.key;
+  }
+};
+
+// Order-independent checksum term of one record (key and payload).
+uint64_t RecHash(const KeyedRec& r) {
+  uint64_t x = r.key * 0x9E3779B97F4A7C15ull ^ r.payload;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+// A run well above the slice threshold, a multiple of neither the slice
+// count nor the 16 records of a 256-byte block.
+constexpr size_t kSlicedRun = ExternalSorter<KeyedRec>::kMinSlicedRun + 4003;
+static_assert(ExternalSorter<KeyedRec>::kRunSlices >= 2 &&
+              kSlicedRun % ExternalSorter<KeyedRec>::kRunSlices != 0);
+
+// n records with 64 distinct keys (seeded by n); adds their checksum
+// terms to *sum.
+void WriteKeyed(size_t n, ExtVector<KeyedRec>* v, uint64_t* sum) {
+  Rng rng(n);
+  ExtVector<KeyedRec>::Writer w(v);
+  for (size_t i = 0; i < n; ++i) {
+    KeyedRec r{rng.Uniform(64), i};
+    *sum += RecHash(r);
+    ASSERT_TRUE(w.Append(r));
+  }
+  ASSERT_TRUE(w.Finish().ok());
+}
+
+template <typename Cmp>
+void CheckSlicedSort(size_t n) {
+  using Sorter = ExternalSorter<KeyedRec, Cmp>;
+  const size_t kRun = kSlicedRun;
+  const size_t kBlock = 256, kPerBlock = kBlock / sizeof(KeyedRec);
+  MemoryBlockDevice dev(kBlock);
+  ExtVector<KeyedRec> input(&dev);
+  uint64_t in_sum = 0;
+  WriteKeyed(n, &input, &in_sum);
+
+  Sorter sorter(&dev, kRun * sizeof(KeyedRec));
+  ASSERT_EQ(sorter.run_length(), kRun);
+  ExtVector<KeyedRec> out(&dev);
+  IoProbe probe(dev);
+  ASSERT_TRUE(sorter.Sort(input, &out).ok());
+  const IoStats io = probe.delta();
+
+  // Exact cost: run formation reads the input and writes each run; with
+  // more than one run, the single merge pass reads the runs back and
+  // writes the output.
+  auto blocks = [&](size_t items) {
+    return (items + kPerBlock - 1) / kPerBlock;
+  };
+  const size_t runs = (n + kRun - 1) / kRun;
+  uint64_t run_blocks = 0;
+  for (size_t r = 0; r < runs; ++r) {
+    run_blocks += blocks(std::min(kRun, n - r * kRun));
+  }
+  const uint64_t merge = runs > 1 ? 1 : 0;
+  EXPECT_EQ(io.block_reads, blocks(n) + merge * run_blocks);
+  EXPECT_EQ(io.block_writes, run_blocks + merge * blocks(n));
+  EXPECT_EQ(io.parallel_ios(), io.block_ios());
+  EXPECT_EQ(sorter.metrics().initial_runs, runs);
+  EXPECT_EQ(sorter.metrics().merge_passes, merge);
+
+  // Ordered under Cmp, same multiset (count and key+payload checksum).
+  std::vector<KeyedRec> got;
+  ASSERT_TRUE(out.ReadAll(&got).ok());
+  ASSERT_EQ(got.size(), n);
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), Cmp()));
+  uint64_t out_sum = 0;
+  for (const KeyedRec& r : got) out_sum += RecHash(r);
+  EXPECT_EQ(out_sum, in_sum);
+
+  // A second sort writes byte-identical blocks: tie order is fixed.
+  ExtVector<KeyedRec> again(&dev);
+  ASSERT_TRUE(Sorter(&dev, kRun * sizeof(KeyedRec)).Sort(input, &again).ok());
+  ASSERT_EQ(again.num_blocks(), out.num_blocks());
+  std::vector<char> a(kBlock), b(kBlock);
+  for (size_t i = 0; i < out.num_blocks(); ++i) {
+    ASSERT_TRUE(dev.Read(out.block_id(i), a.data()).ok());
+    ASSERT_TRUE(dev.Read(again.block_id(i), b.data()).ok());
+    ASSERT_EQ(a, b) << "block " << i;
+  }
+}
+
+TEST(SlicedRunFormation, EdgeSizesBothOrders) {
+  const size_t run = kSlicedRun;
+  for (size_t n : {run - 1, run, run + 1, 3 * run + 5}) {
+    SCOPED_TRACE(n);
+    CheckSlicedSort<KeyLess>(n);
+    CheckSlicedSort<KeyGreater>(n);
+  }
+}
+
+TEST(SlicedRunFormation, ConcurrentSortersMatchSerialOutput) {
+  // Four sorters at once contend for the kRunSlices - 1 process-wide
+  // helper slots. A slice that gets none is sorted by its caller, which
+  // must not change a byte of the output.
+  const size_t n = 3 * kSlicedRun + 5, kMem = kSlicedRun * sizeof(KeyedRec);
+  auto sort_keyed = [&](std::vector<KeyedRec>* got) {
+    MemoryBlockDevice dev(256);
+    ExtVector<KeyedRec> input(&dev), out(&dev);
+    uint64_t sum = 0;
+    WriteKeyed(n, &input, &sum);
+    ExternalSorter<KeyedRec, KeyLess> sorter(&dev, kMem);
+    ASSERT_TRUE(sorter.Sort(input, &out).ok());
+    ASSERT_TRUE(out.ReadAll(got).ok());
+  };
+  std::vector<KeyedRec> serial;
+  sort_keyed(&serial);
+  ASSERT_EQ(serial.size(), n);
+  std::vector<std::vector<KeyedRec>> got(4);
+  {
+    std::vector<std::jthread> sorters;
+    for (auto& g : got) sorters.emplace_back(sort_keyed, &g);
+  }
+  for (const auto& g : got) {
+    ASSERT_EQ(g.size(), n);
+    EXPECT_EQ(std::memcmp(g.data(), serial.data(), n * sizeof(KeyedRec)), 0);
+  }
+  EXPECT_EQ(detail::run_sort_helpers.load(), 0u);
+}
+
+TEST(SlicedRunFormation, HelperComparatorExceptionReachesCaller) {
+  // The poisoned key sits in the last slice, which a helper thread sorts.
+  const uint64_t kPoison = kSlicedRun - 1;
+  auto cmp = [kPoison](const KeyedRec& a, const KeyedRec& b) {
+    if (a.key == kPoison || b.key == kPoison) throw std::runtime_error("cmp");
+    return a.key < b.key;
+  };
+  MemoryBlockDevice dev(256);
+  ExtVector<KeyedRec> input(&dev);
+  {
+    ExtVector<KeyedRec>::Writer w(&input);
+    for (uint64_t i = 0; i < kSlicedRun; ++i) ASSERT_TRUE(w.Append({i, i}));
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  ExternalSorter<KeyedRec, decltype(cmp)> sorter(
+      &dev, kSlicedRun * sizeof(KeyedRec), cmp);
+  ExtVector<KeyedRec> out(&dev);
+  EXPECT_THROW((void)sorter.Sort(input, &out), std::runtime_error);
 }
 
 // --------------------------------------------------------- DistributionSort
