@@ -50,14 +50,13 @@ Run RunStream(bool write_phase, size_t depth, IoEngine* engine) {
   FileBlockDevice dev("/tmp/vem_bench_async_stream.bin", kBlockBytes);
   dev.set_io_engine(engine);
   ExtVector<uint64_t> vec(&dev);
-  vec.set_prefetch_depth(depth);
   Rng rng(7);
   Run run;
   // Write phase (measured only when write_phase).
   IoProbe write_probe(dev);
   auto t0 = std::chrono::steady_clock::now();
   {
-    ExtVector<uint64_t>::Writer w(&vec);
+    ExtVector<uint64_t>::Writer w(&vec, depth);
     for (size_t i = 0; i < kItems; ++i) w.Append(rng.Next());
     if (!w.Finish().ok()) {
       std::printf("write failed: %s\n", w.status().ToString().c_str());
@@ -69,7 +68,7 @@ Run RunStream(bool write_phase, size_t depth, IoEngine* engine) {
   IoProbe probe(dev);
   uint64_t sum = 0;
   {
-    ExtVector<uint64_t>::Reader r(&vec);
+    ExtVector<uint64_t>::Reader r(&vec, 0, depth);
     uint64_t v;
     while (r.Next(&v)) sum += v;
     if (!r.status().ok()) {
@@ -109,8 +108,8 @@ Run RunSort(size_t depth, IoEngine* engine) {
       std::exit(1);
     }
   }
-  ExternalSorter<WideRec> sorter(&dev, kMemBytes);
-  sorter.set_prefetch_depth(depth);
+  ExternalSorter<WideRec> sorter(
+      &dev, Options{.memory_budget = kMemBytes, .prefetch_depth = depth});
   ExtVector<WideRec> out(&dev);
   IoProbe probe(dev);
   auto t0 = std::chrono::steady_clock::now();

@@ -115,9 +115,10 @@ Cell SortOn(BlockDevice* dev, IoEngine* engine, bool armed, bool forecast,
     for (size_t i = 0; i < n; ++i) w.Append(rng.Next());
     w.Finish();
   }
-  ExternalSorter<uint64_t> sorter(dev, kMemBytes);
+  ExternalSorter<uint64_t> sorter(
+      dev, Options{.memory_budget = kMemBytes,
+                   .prefetch_depth = armed ? depth : 0});
   sorter.set_forecast_merge(forecast);
-  sorter.set_prefetch_depth(armed ? depth : 0);
   ExtVector<uint64_t> out(dev);
   IoProbe probe(*dev);
   std::vector<IoStats> child_before;
@@ -434,9 +435,9 @@ DegradedRun RedundantSortRun(bool kill) {
   IoProbe probe(dev);
   ExtVector<uint64_t> input(&dev);
   if (!input.AppendAll(data.data(), data.size(), kDepth).ok()) return run;
-  ExternalSorter<uint64_t> sorter(&dev, 8 * kRBlock);
+  ExternalSorter<uint64_t> sorter(
+      &dev, Options{.memory_budget = 8 * kRBlock, .prefetch_depth = kDepth});
   sorter.set_forecast_merge(true);
-  sorter.set_prefetch_depth(kDepth);
   ExtVector<uint64_t> out(&dev);
   Status s = sorter.Sort(input, &out);
   if (!s.ok()) {

@@ -112,9 +112,8 @@ void RunTenant(size_t tenant_id, BlockDevice* dev, BufferPool* pool,
     st = tree.Insert(load.Next(), i);
   }
   ExtVector<uint64_t> data(dev);
-  data.set_prefetch_depth(kDepth);
   if (st.ok()) {
-    ExtVector<uint64_t>::Writer w(&data, /*depth_override=*/0);
+    ExtVector<uint64_t>::Writer w(&data);
     Rng fill(600 + tenant_id);
     for (size_t i = 0; i < kScanItems; ++i) {
       if (!w.Append(fill.Next())) break;
@@ -141,7 +140,7 @@ void RunTenant(size_t tenant_id, BlockDevice* dev, BufferPool* pool,
         break;
       }
       case 1: {  // governed scan: the streams want depth
-        ExtVector<uint64_t>::Reader r(&data);
+        ExtVector<uint64_t>::Reader r(&data, 0, kDepth);
         uint64_t x, sum = 0;
         while (r.Next(&x)) sum += x;
         st = r.status();
@@ -150,8 +149,7 @@ void RunTenant(size_t tenant_id, BlockDevice* dev, BufferPool* pool,
       }
       case 2: {  // external sort: run formation + merge, both sides
         ExtVector<uint64_t> sorted(dev);
-        st = ExternalSort(data, &sorted, kSliceBytes, std::less<uint64_t>(),
-                          kDepth);
+        st = ExternalSorter<uint64_t>(dev, SliceOptions()).Sort(data, &sorted);
         sorted.Destroy();
         break;
       }
@@ -236,24 +234,6 @@ struct Paired {
   ColumnRun fixed, arbitrated;
 };
 
-/// Paired best-of-N on the p99 ratio: both columns measured
-/// back-to-back per repeat so machine phases cancel.
-Paired MeasurePaired(IoEngine* engine, int repeats) {
-  Paired best;
-  double best_ratio = -1;
-  for (int r = 0; r < repeats; ++r) {
-    ColumnRun f = RunColumn(false, engine, "fix");
-    ColumnRun a = RunColumn(true, engine, "arb");
-    double ratio = f.p99_ms / std::max(a.p99_ms, 1e-9);
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      best.fixed = std::move(f);
-      best.arbitrated = std::move(a);
-    }
-  }
-  return best;
-}
-
 bool StatsIdentical(const Paired& p) {
   for (size_t t = 0; t < kTenants; ++t) {
     if (!(p.fixed.tenants[t].stats == p.arbitrated.tenants[t].stats)) {
@@ -261,6 +241,24 @@ bool StatsIdentical(const Paired& p) {
     }
   }
   return true;
+}
+
+/// Paired best-of-N on the p99 ratio: both columns measured
+/// back-to-back per repeat so machine phases cancel. A repeat whose
+/// per-tenant stats differ is returned at once.
+Paired MeasurePaired(IoEngine* engine, int repeats) {
+  Paired best;
+  double best_ratio = -1;
+  for (int r = 0; r < repeats; ++r) {
+    Paired p{RunColumn(false, engine, "fix"), RunColumn(true, engine, "arb")};
+    if (!StatsIdentical(p)) return p;
+    double ratio = p.fixed.p99_ms / std::max(p.arbitrated.p99_ms, 1e-9);
+    if (ratio > best_ratio) {
+      best_ratio = ratio;
+      best = std::move(p);
+    }
+  }
+  return best;
 }
 
 struct AdmissionRun {
@@ -367,15 +365,19 @@ int main(int argc, char** argv) {
       paired.fixed.p99_ms / std::max(paired.arbitrated.p99_ms, 1e-9);
   // Smoke flake guard, tail latency only: a stats-identity mismatch is
   // the cost-model violation this harness exists to catch and is NEVER
-  // retried away.
+  // retried away; a mismatching retry replaces the pair and fails the
+  // gate.
   if (smoke && identical && p99_ratio < kMinP99Ratio) {
     Paired retry = MeasurePaired(&engine, repeats);
     double retry_ratio =
         retry.fixed.p99_ms / std::max(retry.arbitrated.p99_ms, 1e-9);
-    if (StatsIdentical(retry) && retry_ratio > p99_ratio) {
+    if (!StatsIdentical(retry)) {
       paired = std::move(retry);
       p99_ratio = retry_ratio;
-      identical = true;
+      identical = false;
+    } else if (retry_ratio > p99_ratio) {
+      paired = std::move(retry);
+      p99_ratio = retry_ratio;
     }
   }
   bool columns_ok = paired.fixed.ok && paired.arbitrated.ok;

@@ -7,11 +7,13 @@
 //
 // Block-id metadata (O(N/B) words) lives in RAM, as in STXXL/TPIE.
 //
-// Streaming overlap: set_prefetch_depth(K) arms K-block read-ahead in
-// Readers and K-block write-behind in Writers (on devices with an
-// uncounted transfer plane; see block_device.h). Readers keep two K-block
-// windows — one being consumed, one being fetched — and Writers keep two
-// K-block staging groups — one being filled, one being written — so with
+// Streaming overlap: a Reader or Writer opened with depth K > 0 arms
+// K-block read-ahead or write-behind (on devices with an uncounted
+// transfer plane; see block_device.h). The opener picks K: an algorithm
+// layer passes the Options::prefetch_depth it was built with, and 0 (the
+// default) is synchronous. Readers keep two K-block windows — one being
+// consumed, one being fetched — and Writers keep two K-block staging
+// groups — one being filled, one being written — so with
 // an IoEngine attached the stream computes while the device transfers,
 // and even without one, K blocks coalesce into a single vectored syscall.
 // IoStats are charged in the consuming thread exactly when the
@@ -61,7 +63,6 @@ class ExtVector {
     dev_ = o.dev_;
     pool_ = o.pool_;
     items_per_block_ = o.items_per_block_;
-    prefetch_depth_ = o.prefetch_depth_;
     Adopt(std::move(o));
     return *this;
   }
@@ -82,8 +83,8 @@ class ExtVector {
   }
 
   /// Take over `o`'s blocks and items, freeing this vector's own. Unlike
-  /// move assignment, this vector keeps its pool and prefetch depth: the
-  /// hand-off for a result built in a temporary on the same device.
+  /// move assignment, this vector keeps its pool: the hand-off for a
+  /// result built in a temporary on the same device.
   void Adopt(ExtVector&& o) {
     Destroy();
     blocks_ = std::move(o.blocks_);
@@ -97,14 +98,6 @@ class ExtVector {
   /// are lost; afterwards only streaming access works until a new owner
   /// re-wraps the vector.
   void DetachPool() { pool_ = nullptr; }
-
-  /// Default K-block read-ahead/write-behind depth for streams created on
-  /// this vector (0 = synchronous, the default). Takes effect on devices
-  /// whose uncounted plane exists; overlap additionally needs an IoEngine
-  /// attached to the device. Never changes IoStats — only wall-clock.
-  /// Each armed stream holds 2*K blocks of buffer memory.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
-  size_t prefetch_depth() const { return prefetch_depth_; }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -212,17 +205,17 @@ class ExtVector {
  public:
   /// Sequential writer. Synchronous mode owns one block of buffer memory
   /// and costs one device write per full block plus one for the final
-  /// partial block. With write-behind armed (vector depth or constructor
-  /// override), items stage into a K-block group that is handed to the
-  /// device as one vectored write — submitted to the IoEngine when the
-  /// device is async-capable, so filling the next group overlaps writing
-  /// the previous one. The PDM charge per block is unchanged.
+  /// partial block. With write-behind armed (depth K > 0), items stage
+  /// into a K-block group that is handed to the device as one vectored
+  /// write — submitted to the IoEngine when the device is async-capable,
+  /// so filling the next group overlaps writing the previous one. The PDM
+  /// charge per block is unchanged.
   class Writer {
    public:
-    /// @param depth_override -1 = use vec->prefetch_depth(); else K.
-    explicit Writer(ExtVector* vec, int depth_override = -1) : vec_(vec) {
-      size_t depth = depth_override >= 0 ? static_cast<size_t>(depth_override)
-                                         : vec->prefetch_depth_;
+    /// @param depth write-behind depth K (0 = synchronous). Takes effect
+    ///        on devices whose uncounted plane exists; overlap also needs
+    ///        an IoEngine on the device. Holds 2*K blocks of memory.
+    explicit Writer(ExtVector* vec, size_t depth = 0) : vec_(vec) {
       size_t rem = vec_->size_ % vec_->items_per_block_;
       // Resuming inside a partial tail block re-reads it; that path (and
       // devices without an uncounted plane) stays synchronous.
@@ -463,12 +456,9 @@ class ExtVector {
   /// charge is identical: one read each time the stream enters a block.
   class Reader {
    public:
-    /// @param depth_override -1 = use vec->prefetch_depth(); else K.
-    explicit Reader(const ExtVector* vec, size_t start = 0,
-                    int depth_override = -1)
+    /// @param depth read-ahead depth K (0 = synchronous); as for Writer.
+    explicit Reader(const ExtVector* vec, size_t start = 0, size_t depth = 0)
         : vec_(vec), pos_(start) {
-      size_t depth = depth_override >= 0 ? static_cast<size_t>(depth_override)
-                                         : vec->prefetch_depth_;
       // A vector no longer than one window has nothing to fetch *ahead*
       // of — arming would buy pure machinery cost (the tiny-frontier
       // shape graph workloads produce by the thousand). Stay sync.
@@ -729,11 +719,10 @@ class ExtVector {
   };
 
   /// Convenience: bulk-load from an in-memory span (test helper; still
-  /// performs the blocked writes, so I/O accounting is honest).
-  /// `depth_override` is forwarded to the Writer (-1 = the vector's own
-  /// prefetch depth).
-  Status AppendAll(const T* data, size_t n, int depth_override = -1) {
-    Writer w(this, depth_override);
+  /// performs the blocked writes, so I/O accounting is honest). `depth`
+  /// is the Writer's.
+  Status AppendAll(const T* data, size_t n, size_t depth = 0) {
+    Writer w(this, depth);
     for (size_t i = 0; i < n; ++i) {
       if (!w.Append(data[i])) return w.status();
     }
@@ -741,12 +730,11 @@ class ExtVector {
   }
 
   /// Convenience: read everything into an in-memory vector (test helper).
-  /// `depth_override` is forwarded to the Reader (-1 = the vector's own
-  /// prefetch depth).
-  Status ReadAll(std::vector<T>* out, int depth_override = -1) const {
+  /// `depth` is the Reader's.
+  Status ReadAll(std::vector<T>* out, size_t depth = 0) const {
     out->clear();
     out->reserve(size_);
-    Reader r(this, 0, depth_override);
+    Reader r(this, 0, depth);
     T item;
     while (r.Next(&item)) out->push_back(item);
     return r.status();
@@ -761,7 +749,6 @@ class ExtVector {
   size_t items_per_block_ = 0;
   std::vector<uint64_t> blocks_;
   size_t size_ = 0;
-  size_t prefetch_depth_ = 0;
 };
 
 }  // namespace vem

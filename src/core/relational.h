@@ -5,19 +5,15 @@
 // Both are Sort(N) + Sort(M) + co-scan: the exact plan a disk-based
 // query engine picks when hash tables don't fit.
 //
-// Both take an optional `prefetch_depth`: K > 0 arms K-block read-ahead
-// on the co-scan readers, write-behind on the output writer, and the same
-// depth on every internal sort's run streams (see ExternalSorter). With
-// an IoEngine attached to the device the join/aggregate computes while
-// the device transfers; without one, K blocks still coalesce into single
+// Both take their machine parameters as Options (or an ExecutionContext
+// carrying them): M is `memory_budget`, B comes from the output's device,
+// and `prefetch_depth` K > 0 arms K-block read-ahead on the co-scan
+// readers, write-behind on the output writer, and the same depth on
+// every internal sort's run streams (see ExternalSorter). With an
+// IoEngine attached to the device the join/aggregate computes while the
+// device transfers; without one, K blocks still coalesce into single
 // vectored syscalls. IoStats stay bit-identical either way (accounting is
 // deferred to consumption time; see block_device.h).
-//
-// DEPRECATED (trailing parameters): the `prefetch_depth` arguments are
-// superseded by the ExecutionContext overloads, where the depth and the
-// memory budget ride the context's Options instead of every call
-// signature (serve/execution_context.h). The parameterized overloads
-// stay as thin forwards for existing callers.
 //
 // The key functions (`key_l`, `key_r`, `key_of`) run inside the sort's
 // comparator, which ExternalSorter calls from several threads at once;
@@ -29,6 +25,7 @@
 #include "core/ext_vector.h"
 #include "serve/execution_context.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -42,22 +39,21 @@ namespace vem {
 /// Cost: Sort(|L|) + Sort(|R|) + (|L| + |R| + |out|)/B.
 template <typename L, typename R, typename Out, typename Key>
 Status SortMergeJoin(const ExtVector<L>& left, const ExtVector<R>& right,
-                     ExtVector<Out>* out, size_t memory_budget_bytes,
+                     ExtVector<Out>* out, const Options& opts,
                      const std::function<Key(const L&)>& key_l,
                      const std::function<Key(const R&)>& key_r,
-                     const std::function<Out(const L&, const R&)>& combine,
-                     size_t prefetch_depth = 0) {
+                     const std::function<Out(const L&, const R&)>& combine) {
   BlockDevice* dev = out->device();
-  const int depth = detail::StreamDepth(prefetch_depth);
+  const size_t depth = opts.prefetch_depth;
   // Sort both sides by key.
   auto cmp_l = [&](const L& a, const L& b) { return key_l(a) < key_l(b); };
   auto cmp_r = [&](const R& a, const R& b) { return key_r(a) < key_r(b); };
   ExtVector<L> ls(dev);
   ExtVector<R> rs(dev);
-  VEM_RETURN_IF_ERROR(ExternalSort<L, decltype(cmp_l)>(
-      left, &ls, memory_budget_bytes, cmp_l, prefetch_depth));
-  VEM_RETURN_IF_ERROR(ExternalSort<R, decltype(cmp_r)>(
-      right, &rs, memory_budget_bytes, cmp_r, prefetch_depth));
+  VEM_RETURN_IF_ERROR(
+      ExternalSorter<L, decltype(cmp_l)>(dev, opts, cmp_l).Sort(left, &ls));
+  VEM_RETURN_IF_ERROR(
+      ExternalSorter<R, decltype(cmp_r)>(dev, opts, cmp_r).Sort(right, &rs));
   // Co-scan.
   typename ExtVector<L>::Reader lr(&ls, 0, depth);
   typename ExtVector<R>::Reader rr(&rs, 0, depth);
@@ -99,20 +95,18 @@ Status SortMergeJoin(const ExtVector<L>& left, const ExtVector<R>& right,
 /// with (init, accumulate, finish). Cost: Sort(N) + Scan.
 template <typename Row, typename Key, typename Acc, typename Out>
 Status GroupByAggregate(const ExtVector<Row>& rows, ExtVector<Out>* out,
-                        size_t memory_budget_bytes,
+                        const Options& opts,
                         const std::function<Key(const Row&)>& key_of,
                         const std::function<Acc(const Key&)>& init,
                         const std::function<void(Acc*, const Row&)>& fold,
                         const std::function<Out(const Key&, const Acc&)>&
-                            finish,
-                        size_t prefetch_depth = 0) {
+                            finish) {
   BlockDevice* dev = out->device();
-  const int depth = detail::StreamDepth(prefetch_depth);
+  const size_t depth = opts.prefetch_depth;
   auto cmp = [&](const Row& a, const Row& b) { return key_of(a) < key_of(b); };
   ExtVector<Row> sorted(dev);
   VEM_RETURN_IF_ERROR(
-      ExternalSort<Row, decltype(cmp)>(rows, &sorted, memory_budget_bytes,
-                                       cmp, prefetch_depth));
+      ExternalSorter<Row, decltype(cmp)>(dev, opts, cmp).Sort(rows, &sorted));
   typename ExtVector<Row>::Reader r(&sorted, 0, depth);
   typename ExtVector<Out>::Writer w(out, depth);
   Row row;
@@ -130,22 +124,20 @@ Status GroupByAggregate(const ExtVector<Row>& rows, ExtVector<Out>* out,
   return w.Finish();
 }
 
-/// Context-carried join: memory budget (the tenant's M slice) and
-/// prefetch depth come from the ExecutionContext's Options. `out` must
-/// live on the context's device.
+/// Context-carried join: the ExecutionContext's Options (the tenant's M
+/// slice and prefetch depth). `out` must live on the context's device.
 template <typename L, typename R, typename Out, typename Key>
 Status SortMergeJoin(ExecutionContext* ctx, const ExtVector<L>& left,
                      const ExtVector<R>& right, ExtVector<Out>* out,
                      const std::function<Key(const L&)>& key_l,
                      const std::function<Key(const R&)>& key_r,
                      const std::function<Out(const L&, const R&)>& combine) {
-  return SortMergeJoin<L, R, Out, Key>(left, right, out,
-                                       ctx->memory_budget(), key_l, key_r,
-                                       combine, ctx->prefetch_depth());
+  return SortMergeJoin<L, R, Out, Key>(left, right, out, ctx->options(),
+                                       key_l, key_r, combine);
 }
 
-/// Context-carried aggregation: budget and depth from the
-/// ExecutionContext's Options. `out` must live on the context's device.
+/// Context-carried aggregation: the ExecutionContext's Options. `out`
+/// must live on the context's device.
 template <typename Row, typename Key, typename Acc, typename Out>
 Status GroupByAggregate(ExecutionContext* ctx, const ExtVector<Row>& rows,
                         ExtVector<Out>* out,
@@ -154,9 +146,8 @@ Status GroupByAggregate(ExecutionContext* ctx, const ExtVector<Row>& rows,
                         const std::function<void(Acc*, const Row&)>& fold,
                         const std::function<Out(const Key&, const Acc&)>&
                             finish) {
-  return GroupByAggregate<Row, Key, Acc, Out>(rows, out, ctx->memory_budget(),
-                                              key_of, init, fold, finish,
-                                              ctx->prefetch_depth());
+  return GroupByAggregate<Row, Key, Acc, Out>(rows, out, ctx->options(),
+                                              key_of, init, fold, finish);
 }
 
 }  // namespace vem

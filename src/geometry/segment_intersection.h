@@ -26,6 +26,7 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -55,26 +56,31 @@ struct IntersectionPair {
 /// Distribution-sweep intersection reporter.
 class OrthogonalSegmentIntersection {
  public:
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead on the event streams (the sorted H/V
+  /// co-scan, active-list scans, input copies) plus write-behind on the
+  /// output writer, and the same depth on the top-level sorts' run
+  /// streams (0 = synchronous). The per-strip child writers stay
+  /// synchronous on purpose: Θ(m) of them are open at once and each armed
+  /// writer stages 2K extra blocks, which would blow the memory budget the
+  /// fan-out was sized against. Never changes IoStats.
+  OrthogonalSegmentIntersection(BlockDevice* dev, const Options& opts,
+                                uint64_t seed = 0x6E0)
+      : dev_(dev), opts_(opts), rng_(seed) {}
+
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
   OrthogonalSegmentIntersection(BlockDevice* dev, size_t memory_budget_bytes,
                                 uint64_t seed = 0x6E0)
-      : dev_(dev), memory_budget_(memory_budget_bytes), rng_(seed) {}
+      : OrthogonalSegmentIntersection(
+            dev, Options{.memory_budget = memory_budget_bytes}, seed) {}
 
   /// Recursion depth of the last Run (tests).
   size_t max_depth() const { return max_depth_; }
 
-  /// K-block read-ahead on the event streams (the sorted H/V co-scan,
-  /// active-list scans, input copies) plus write-behind on the output
-  /// writer, and the same depth on the top-level sorts' run streams (0 =
-  /// synchronous, the default). The per-strip child writers stay
-  /// synchronous on purpose: Θ(m) of them are open at once and each armed
-  /// writer stages 2K extra blocks, which would blow the memory budget the
-  /// fan-out was sized against. Never changes IoStats.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
-
   Status Run(const ExtVector<HSegment>& hs, const ExtVector<VSegment>& vs,
              ExtVector<IntersectionPair>* out) {
     max_depth_ = 0;
-    typename ExtVector<IntersectionPair>::Writer w(out, stream_depth());
+    typename ExtVector<IntersectionPair>::Writer w(out, opts_.prefetch_depth);
     // Copy inputs into the recursion's working sets.
     ExtVector<HSegment> h(dev_);
     ExtVector<VSegment> v(dev_);
@@ -90,8 +96,8 @@ class OrthogonalSegmentIntersection {
 
   template <typename T>
   Status Copy(const ExtVector<T>& in, ExtVector<T>* out) {
-    typename ExtVector<T>::Reader r(&in, 0, stream_depth());
-    typename ExtVector<T>::Writer w(out, stream_depth());
+    typename ExtVector<T>::Reader r(&in, 0, opts_.prefetch_depth);
+    typename ExtVector<T>::Writer w(out, opts_.prefetch_depth);
     T item;
     while (r.Next(&item)) {
       if (!w.Append(item)) return w.status();
@@ -100,19 +106,13 @@ class OrthogonalSegmentIntersection {
     return w.Finish();
   }
 
-  /// The prefetch knob as the stream-constructor override argument (-1 =
-  /// defer to each vector's own depth).
-  int stream_depth() const {
-    return detail::StreamDepth(prefetch_depth_);
-  }
-
   size_t fan_out() const {
-    size_t m = memory_budget_ / dev_->block_size();
+    size_t m = opts_.memory_budget / dev_->block_size();
     return std::max<size_t>(2, m / 4);
   }
 
   size_t memory_items() const {
-    return memory_budget_ / (sizeof(HSegment) + sizeof(VSegment));
+    return opts_.memory_budget / (sizeof(HSegment) + sizeof(VSegment));
   }
 
   /// `presorted`: h is already in decreasing-y order and v in
@@ -135,7 +135,7 @@ class OrthogonalSegmentIntersection {
     std::vector<double> sample;
     {
       const size_t target = 4 * k;
-      typename ExtVector<VSegment>::Reader r(&v, 0, stream_depth());
+      typename ExtVector<VSegment>::Reader r(&v, 0, opts_.prefetch_depth);
       VSegment s;
       size_t seen = 0;
       while (r.Next(&s)) {
@@ -208,8 +208,8 @@ class OrthogonalSegmentIntersection {
         vw.push_back(std::make_unique<typename ExtVector<VSegment>::Writer>(
             &child_v[s]));
       }
-      typename ExtVector<HSegment>::Reader hr(&h, 0, stream_depth());
-      typename ExtVector<VSegment>::Reader vr(&v, 0, stream_depth());
+      typename ExtVector<HSegment>::Reader hr(&h, 0, opts_.prefetch_depth);
+      typename ExtVector<VSegment>::Reader vr(&v, 0, opts_.prefetch_depth);
       HSegment he;
       VSegment ve;
       bool have_h = hr.Next(&he), have_v = vr.Next(&ve);
@@ -286,7 +286,7 @@ class OrthogonalSegmentIntersection {
       return PushActive(&survivors, &live, ve);
     };
     if (active->size() > 0) {
-      typename ExtVector<VSegment>::Reader r(active, 0, stream_depth());
+      typename ExtVector<VSegment>::Reader r(active, 0, opts_.prefetch_depth);
       VSegment ve;
       while (r.Next(&ve)) VEM_RETURN_IF_ERROR(visit(ve));
       VEM_RETURN_IF_ERROR(r.status());
@@ -308,10 +308,12 @@ class OrthogonalSegmentIntersection {
     };
     ExtVector<HSegment> hs(dev_);
     ExtVector<VSegment> vs(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<HSegment, decltype(h_by_y)>(
-        *h, &hs, memory_budget_, h_by_y, prefetch_depth_));
-    VEM_RETURN_IF_ERROR(ExternalSort<VSegment, decltype(v_by_top)>(
-        *v, &vs, memory_budget_, v_by_top, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<HSegment, decltype(h_by_y)>(dev_, opts_, h_by_y)
+            .Sort(*h, &hs));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<VSegment, decltype(v_by_top)>(dev_, opts_, v_by_top)
+            .Sort(*v, &vs));
     h->Destroy();
     v->Destroy();
     *h = std::move(hs);
@@ -327,8 +329,8 @@ class OrthogonalSegmentIntersection {
     if (!presorted) VEM_RETURN_IF_ERROR(SortForSweep(&h, &v));
     ExtVector<VSegment> active(dev_);
     std::vector<VSegment> tail;
-    typename ExtVector<HSegment>::Reader hr(&h, 0, stream_depth());
-    typename ExtVector<VSegment>::Reader vr(&v, 0, stream_depth());
+    typename ExtVector<HSegment>::Reader hr(&h, 0, opts_.prefetch_depth);
+    typename ExtVector<VSegment>::Reader vr(&v, 0, opts_.prefetch_depth);
     HSegment he;
     VSegment ve;
     bool have_h = hr.Next(&he), have_v = vr.Next(&ve);
@@ -355,8 +357,8 @@ class OrthogonalSegmentIntersection {
                        typename ExtVector<IntersectionPair>::Writer* out) {
     std::vector<HSegment> hs;
     std::vector<VSegment> vs;
-    VEM_RETURN_IF_ERROR(h.ReadAll(&hs, stream_depth()));
-    VEM_RETURN_IF_ERROR(v.ReadAll(&vs, stream_depth()));
+    VEM_RETURN_IF_ERROR(h.ReadAll(&hs, opts_.prefetch_depth));
+    VEM_RETURN_IF_ERROR(v.ReadAll(&vs, opts_.prefetch_depth));
     // Events: 0 = V insert (at top), 1 = H query, 2 = V erase (below
     // bottom). Process by y descending; ties: insert, query, erase.
     struct Event {
@@ -396,10 +398,9 @@ class OrthogonalSegmentIntersection {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   Rng rng_;
   size_t max_depth_ = 0;
-  size_t prefetch_depth_ = 0;
 };
 
 }  // namespace vem

@@ -27,31 +27,26 @@ struct VertexDist {
 /// External BFS over a (symmetrized) ExtGraph.
 class ExternalBfs {
  public:
-  ExternalBfs(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every level stream
+  /// (frontier scans, neighbor gather, the sort+subtract merge, the output
+  /// writer) and the same depth on the per-level neighbor sort's run
+  /// streams (0 = synchronous). Never changes IoStats.
+  ExternalBfs(BlockDevice* dev, const Options& opts) : dev_(dev), opts_(opts) {}
 
-  /// Sized from the machine configuration: M and the prefetch knob come
-  /// from Options (an attached governor/arbiter still adapts the depth).
-  ExternalBfs(BlockDevice* dev, const Options& opts)
-      : dev_(dev),
-        memory_budget_(opts.memory_budget),
-        prefetch_depth_(opts.prefetch_depth) {}
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
+  ExternalBfs(BlockDevice* dev, size_t memory_budget_bytes)
+      : ExternalBfs(dev, Options{.memory_budget = memory_budget_bytes}) {}
 
   /// Number of BFS levels of the last Run().
   size_t levels() const { return levels_; }
-
-  /// K-block read-ahead/write-behind on every level stream (frontier
-  /// scans, neighbor gather, the sort+subtract merge, the output writer)
-  /// and the same depth on the per-level neighbor sort's run streams.
-  /// 0 = synchronous, the default. Never changes IoStats.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
 
   /// Run BFS from `source`; emits (v, dist) for every reachable vertex,
   /// grouped by level (i.e. sorted by dist, then by v).
   Status Run(const ExtGraph& graph, uint64_t source,
              ExtVector<VertexDist>* out) {
     levels_ = 0;
-    const int depth = stream_depth();
+    const size_t depth = opts_.prefetch_depth;
     typename ExtVector<VertexDist>::Writer ow(out, depth);
 
     ExtVector<uint64_t> prev(dev_);   // L_{t-1}, sorted
@@ -92,9 +87,8 @@ class ExternalBfs {
       }
       // Sort + dedupe + subtract L_t and L_{t-1} in one merge scan.
       ExtVector<uint64_t> nbrs_sorted(dev_);
-      VEM_RETURN_IF_ERROR(ExternalSort(nbrs, &nbrs_sorted, memory_budget_,
-                                       std::less<uint64_t>(),
-                                       prefetch_depth_));
+      VEM_RETURN_IF_ERROR(
+          ExternalSorter<uint64_t>(dev_, opts_).Sort(nbrs, &nbrs_sorted));
       nbrs.Destroy();
       ExtVector<uint64_t> next(dev_);
       {
@@ -126,14 +120,9 @@ class ExternalBfs {
   }
 
  private:
-  /// The prefetch knob as the stream-constructor override argument (-1 =
-  /// defer to each vector's own depth).
-  int stream_depth() const { return detail::StreamDepth(prefetch_depth_); }
-
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   size_t levels_ = 0;
-  size_t prefetch_depth_ = 0;
 };
 
 /// Baseline for benchmarks: textbook internal BFS with a paged visited

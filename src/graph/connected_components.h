@@ -21,6 +21,7 @@
 #include "core/ext_vector.h"
 #include "graph/graph.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -35,16 +36,20 @@ struct VertexLabel {
 /// External connected components over an undirected edge list.
 class ConnectedComponents {
  public:
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every hook/compress/
+  /// relabel/contract stream and on the internal sorts' run streams (0 =
+  /// synchronous). Never changes IoStats.
+  ConnectedComponents(BlockDevice* dev, const Options& opts)
+      : dev_(dev), opts_(opts) {}
+
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
   ConnectedComponents(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+      : ConnectedComponents(dev,
+                            Options{.memory_budget = memory_budget_bytes}) {}
 
   /// Hook-and-contract rounds of the last Run().
   size_t rounds() const { return rounds_; }
-
-  /// K-block read-ahead/write-behind on every hook/compress/relabel/
-  /// contract stream and on the internal sorts' run streams (0 =
-  /// synchronous, the default). Never changes IoStats.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
 
   /// Compute component labels for vertices 0..n-1. `edges` holds each
   /// undirected edge once (self-loops allowed, ignored). Output sorted
@@ -55,7 +60,7 @@ class ConnectedComponents {
     // Global labels: v -> v, sorted by v.
     ExtVector<VertexLabel> labels(dev_);
     {
-      typename ExtVector<VertexLabel>::Writer w(&labels, stream_depth());
+      typename ExtVector<VertexLabel>::Writer w(&labels, opts_.prefetch_depth);
       for (uint64_t v = 0; v < n; ++v) {
         if (!w.Append(VertexLabel{v, v})) return w.status();
       }
@@ -66,8 +71,8 @@ class ConnectedComponents {
     {
       ExtVector<Edge> raw(dev_);
       {
-        typename ExtVector<Edge>::Reader r(&edges, 0, stream_depth());
-        typename ExtVector<Edge>::Writer w(&raw, stream_depth());
+        typename ExtVector<Edge>::Reader r(&edges, 0, opts_.prefetch_depth);
+        typename ExtVector<Edge>::Writer w(&raw, opts_.prefetch_depth);
         Edge e;
         while (r.Next(&e)) {
           if (e.u == e.v) continue;
@@ -77,8 +82,7 @@ class ConnectedComponents {
         VEM_RETURN_IF_ERROR(r.status());
         VEM_RETURN_IF_ERROR(w.Finish());
       }
-      VEM_RETURN_IF_ERROR(ExternalSort(raw, &arcs, memory_budget_,
-                                       std::less<Edge>(), prefetch_depth_));
+      VEM_RETURN_IF_ERROR(ExternalSorter<Edge>(dev_, opts_).Sort(raw, &arcs));
     }
 
     while (arcs.size() > 0) {
@@ -89,8 +93,8 @@ class ConnectedComponents {
       // --- 1. hook: round labels for active sources, sorted by u. ---
       ExtVector<VertexLabel> rl(dev_);
       {
-        typename ExtVector<Edge>::Reader r(&arcs, 0, stream_depth());
-        typename ExtVector<VertexLabel>::Writer w(&rl, stream_depth());
+        typename ExtVector<Edge>::Reader r(&arcs, 0, opts_.prefetch_depth);
+        typename ExtVector<VertexLabel>::Writer w(&rl, opts_.prefetch_depth);
         Edge e;
         bool have = r.Next(&e);
         while (have) {
@@ -132,13 +136,15 @@ class ConnectedComponents {
       return a.v < b.v;
     };
     ExtVector<VertexLabel> by_l(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<VertexLabel, decltype(by_label)>(
-        *rl, &by_l, memory_budget_, by_label, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<VertexLabel, decltype(by_label)>(dev_, opts_, by_label)
+            .Sort(*rl, &by_l));
     ExtVector<VertexLabel> jumped(dev_);
     {
-      typename ExtVector<VertexLabel>::Reader pr(&by_l, 0, stream_depth());
-      typename ExtVector<VertexLabel>::Reader lr(rl, 0, stream_depth());
-      typename ExtVector<VertexLabel>::Writer w(&jumped, stream_depth());
+      typename ExtVector<VertexLabel>::Reader pr(
+          &by_l, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexLabel>::Reader lr(rl, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexLabel>::Writer w(&jumped, opts_.prefetch_depth);
       VertexLabel p, l{};
       bool have_l = lr.Next(&l);
       while (pr.Next(&p)) {
@@ -157,8 +163,9 @@ class ConnectedComponents {
       return a.v < b.v;
     };
     ExtVector<VertexLabel> restored(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<VertexLabel, decltype(by_v)>(
-        jumped, &restored, memory_budget_, by_v, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<VertexLabel, decltype(by_v)>(dev_, opts_, by_v)
+            .Sort(jumped, &restored));
     jumped.Destroy();
     *rl = std::move(restored);
     return Status::OK();
@@ -172,13 +179,15 @@ class ConnectedComponents {
       return a.v < b.v;
     };
     ExtVector<VertexLabel> by_l(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<VertexLabel, decltype(by_label)>(
-        *labels, &by_l, memory_budget_, by_label, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<VertexLabel, decltype(by_label)>(dev_, opts_, by_label)
+            .Sort(*labels, &by_l));
     ExtVector<VertexLabel> updated(dev_);
     {
-      typename ExtVector<VertexLabel>::Reader pr(&by_l, 0, stream_depth());
-      typename ExtVector<VertexLabel>::Reader rr(&rl, 0, stream_depth());
-      typename ExtVector<VertexLabel>::Writer w(&updated, stream_depth());
+      typename ExtVector<VertexLabel>::Reader pr(
+          &by_l, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexLabel>::Reader rr(&rl, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexLabel>::Writer w(&updated, opts_.prefetch_depth);
       VertexLabel p, r{};
       bool have_r = rr.Next(&r);
       while (pr.Next(&p)) {
@@ -196,8 +205,9 @@ class ConnectedComponents {
       return a.v < b.v;
     };
     ExtVector<VertexLabel> restored(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<VertexLabel, decltype(by_v)>(
-        updated, &restored, memory_budget_, by_v, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<VertexLabel, decltype(by_v)>(dev_, opts_, by_v)
+            .Sort(updated, &restored));
     updated.Destroy();
     *labels = std::move(restored);
     return Status::OK();
@@ -210,9 +220,9 @@ class ConnectedComponents {
     // Arcs are sorted by u and rl by v: first endpoint join is a merge.
     ExtVector<Edge> half(dev_);
     {
-      typename ExtVector<Edge>::Reader ar(&arcs, 0, stream_depth());
-      typename ExtVector<VertexLabel>::Reader rr(&rl, 0, stream_depth());
-      typename ExtVector<Edge>::Writer w(&half, stream_depth());
+      typename ExtVector<Edge>::Reader ar(&arcs, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexLabel>::Reader rr(&rl, 0, opts_.prefetch_depth);
+      typename ExtVector<Edge>::Writer w(&half, opts_.prefetch_depth);
       Edge e;
       VertexLabel r{};
       bool have_r = rr.Next(&r);
@@ -229,14 +239,15 @@ class ConnectedComponents {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<Edge> half_sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(half, &half_sorted, memory_budget_,
-                                     std::less<Edge>(), prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<Edge>(dev_, opts_).Sort(half, &half_sorted));
     half.Destroy();
     ExtVector<Edge> full(dev_);
     {
-      typename ExtVector<Edge>::Reader ar(&half_sorted, 0, stream_depth());
-      typename ExtVector<VertexLabel>::Reader rr(&rl, 0, stream_depth());
-      typename ExtVector<Edge>::Writer w(&full, stream_depth());
+      typename ExtVector<Edge>::Reader ar(
+          &half_sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexLabel>::Reader rr(&rl, 0, opts_.prefetch_depth);
+      typename ExtVector<Edge>::Writer w(&full, opts_.prefetch_depth);
       Edge e;  // e.u = original v, e.v = L(u)
       VertexLabel r{};
       bool have_r = rr.Next(&r);
@@ -255,13 +266,12 @@ class ConnectedComponents {
     }
     half_sorted.Destroy();
     ExtVector<Edge> sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(full, &sorted, memory_budget_,
-                                     std::less<Edge>(), prefetch_depth_));
+    VEM_RETURN_IF_ERROR(ExternalSorter<Edge>(dev_, opts_).Sort(full, &sorted));
     full.Destroy();
     // Dedupe in one scan.
     {
-      typename ExtVector<Edge>::Reader r(&sorted, 0, stream_depth());
-      typename ExtVector<Edge>::Writer w(out, stream_depth());
+      typename ExtVector<Edge>::Reader r(&sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<Edge>::Writer w(out, opts_.prefetch_depth);
       Edge e, prev{kNoVertex, kNoVertex};
       while (r.Next(&e)) {
         if (e.u == prev.u && e.v == prev.v) continue;
@@ -275,14 +285,9 @@ class ConnectedComponents {
     return Status::OK();
   }
 
-  /// The prefetch knob as the stream-constructor override argument (-1 =
-  /// defer to each vector's own depth).
-  int stream_depth() const { return detail::StreamDepth(prefetch_depth_); }
-
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   size_t rounds_ = 0;
-  size_t prefetch_depth_ = 0;
 };
 
 }  // namespace vem

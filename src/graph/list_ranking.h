@@ -27,6 +27,7 @@
 #include "core/ext_vector.h"
 #include "graph/graph.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -47,17 +48,20 @@ struct ListRank {
 /// External list ranking engine.
 class ListRanker {
  public:
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every contraction/unwind
+  /// stream and on the internal sorts' run streams (0 = synchronous).
+  /// Never changes IoStats.
+  ListRanker(BlockDevice* dev, const Options& opts, uint64_t seed = 0x1157)
+      : dev_(dev), opts_(opts), seed_(seed) {}
+
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
   ListRanker(BlockDevice* dev, size_t memory_budget_bytes,
              uint64_t seed = 0x1157)
-      : dev_(dev), memory_budget_(memory_budget_bytes), seed_(seed) {}
+      : ListRanker(dev, Options{.memory_budget = memory_budget_bytes}, seed) {}
 
   /// Number of contraction levels the last Rank() used (for tests).
   size_t levels() const { return levels_; }
-
-  /// K-block read-ahead/write-behind on every contraction/unwind stream
-  /// and on the internal sorts' run streams (0 = synchronous, the
-  /// default). Never changes IoStats.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
 
   /// Compute ranks for every node. `nodes` must contain each id exactly
   /// once, forming one or more disjoint lists (each tail: succ==kNoVertex).
@@ -69,7 +73,7 @@ class ListRanker {
     VEM_RETURN_IF_ERROR(SortNodesById(nodes, &level));
     std::vector<ExtVector<ListNode>> parked;  // bridged-out per level
     // ---- contraction ----
-    while (level.size() > memory_budget_ / sizeof(ListNode) / 2) {
+    while (level.size() > opts_.memory_budget / sizeof(ListNode) / 2) {
       levels_++;
       ExtVector<ListNode> contracted(dev_);
       ExtVector<ListNode> bridged(dev_);
@@ -114,16 +118,12 @@ class ListRanker {
     return static_cast<uint8_t>(x & 1);
   }
 
-  /// The prefetch knob as the stream-constructor override argument (-1 =
-  /// defer to each vector's own depth).
-  int stream_depth() const { return detail::StreamDepth(prefetch_depth_); }
-
   Status SortNodesById(const ExtVector<ListNode>& in,
                        ExtVector<ListNode>* out) {
     ExtVector<ListNode> copy(dev_);
     {
-      typename ExtVector<ListNode>::Reader r(&in, 0, stream_depth());
-      typename ExtVector<ListNode>::Writer w(&copy, stream_depth());
+      typename ExtVector<ListNode>::Reader r(&in, 0, opts_.prefetch_depth);
+      typename ExtVector<ListNode>::Writer w(&copy, opts_.prefetch_depth);
       ListNode n;
       while (r.Next(&n)) {
         if (!w.Append(n)) return w.status();
@@ -134,10 +134,8 @@ class ListRanker {
     auto by_id = [](const ListNode& a, const ListNode& b) {
       return a.id < b.id;
     };
-    VEM_RETURN_IF_ERROR(
-        ExternalSort<ListNode, decltype(by_id)>(copy, out, memory_budget_,
-                                                by_id, prefetch_depth_));
-    return Status::OK();
+    return ExternalSorter<ListNode, decltype(by_id)>(dev_, opts_, by_id)
+        .Sort(copy, out);
   }
 
   /// One contraction level: removes an independent set from `level`
@@ -149,8 +147,8 @@ class ListRanker {
     // Pass A: every node tells its successor its coin.
     ExtVector<PredMsg> msgs(dev_);
     {
-      typename ExtVector<ListNode>::Reader r(&level, 0, stream_depth());
-      typename ExtVector<PredMsg>::Writer w(&msgs, stream_depth());
+      typename ExtVector<ListNode>::Reader r(&level, 0, opts_.prefetch_depth);
+      typename ExtVector<PredMsg>::Writer w(&msgs, opts_.prefetch_depth);
       ListNode n;
       while (r.Next(&n)) {
         if (n.succ != kNoVertex) {
@@ -163,8 +161,8 @@ class ListRanker {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<PredMsg> msgs_sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(msgs, &msgs_sorted, memory_budget_,
-                                     std::less<PredMsg>(), prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<PredMsg>(dev_, opts_).Sort(msgs, &msgs_sorted));
     msgs.Destroy();
 
     // Pass B: merge-join level (by id) with msgs (by to). Decide removal;
@@ -172,11 +170,12 @@ class ListRanker {
     ExtVector<FixMsg> fixes(dev_);
     ExtVector<ListNode> survivors(dev_);
     {
-      typename ExtVector<ListNode>::Reader lr(&level, 0, stream_depth());
-      typename ExtVector<PredMsg>::Reader mr(&msgs_sorted, 0, stream_depth());
-      typename ExtVector<FixMsg>::Writer fw(&fixes, stream_depth());
-      typename ExtVector<ListNode>::Writer sw(&survivors, stream_depth());
-      typename ExtVector<ListNode>::Writer bw(bridged, stream_depth());
+      typename ExtVector<ListNode>::Reader lr(&level, 0, opts_.prefetch_depth);
+      typename ExtVector<PredMsg>::Reader mr(
+          &msgs_sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<FixMsg>::Writer fw(&fixes, opts_.prefetch_depth);
+      typename ExtVector<ListNode>::Writer sw(&survivors, opts_.prefetch_depth);
+      typename ExtVector<ListNode>::Writer bw(bridged, opts_.prefetch_depth);
       ListNode n;
       PredMsg m{};
       bool have_msg = mr.Next(&m);
@@ -212,13 +211,15 @@ class ListRanker {
 
     // Pass C: apply fixes to survivors (both sorted by id / to).
     ExtVector<FixMsg> fixes_sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(fixes, &fixes_sorted, memory_budget_,
-                                     std::less<FixMsg>(), prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<FixMsg>(dev_, opts_).Sort(fixes, &fixes_sorted));
     fixes.Destroy();
     {
-      typename ExtVector<ListNode>::Reader sr(&survivors, 0, stream_depth());
-      typename ExtVector<FixMsg>::Reader fr(&fixes_sorted, 0, stream_depth());
-      typename ExtVector<ListNode>::Writer cw(contracted, stream_depth());
+      typename ExtVector<ListNode>::Reader sr(
+          &survivors, 0, opts_.prefetch_depth);
+      typename ExtVector<FixMsg>::Reader fr(
+          &fixes_sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<ListNode>::Writer cw(contracted, opts_.prefetch_depth);
       ListNode n;
       FixMsg f{};
       bool have_fix = fr.Next(&f);
@@ -244,7 +245,7 @@ class ListRanker {
   Status RankInMemory(const ExtVector<ListNode>& level,
                       ExtVector<ListRank>* ranks) {
     std::vector<ListNode> nodes;
-    VEM_RETURN_IF_ERROR(level.ReadAll(&nodes, stream_depth()));
+    VEM_RETURN_IF_ERROR(level.ReadAll(&nodes, opts_.prefetch_depth));
     std::unordered_map<uint64_t, size_t> index;
     index.reserve(nodes.size() * 2);
     for (size_t i = 0; i < nodes.size(); ++i) index[nodes[i].id] = i;
@@ -275,7 +276,7 @@ class ListRanker {
       }
     }
     // Emit sorted by id (nodes are sorted by id already).
-    typename ExtVector<ListRank>::Writer w(ranks, stream_depth());
+    typename ExtVector<ListRank>::Writer w(ranks, opts_.prefetch_depth);
     for (size_t i = 0; i < nodes.size(); ++i) {
       if (!w.Append(ListRank{nodes[i].id, rank[i]})) return w.status();
     }
@@ -290,14 +291,15 @@ class ListRanker {
       return a.succ < b.succ;
     };
     ExtVector<ListNode> bs(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<ListNode, decltype(by_succ)>(
-        bridged, &bs, memory_budget_, by_succ, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<ListNode, decltype(by_succ)>(dev_, opts_, by_succ)
+            .Sort(bridged, &bs));
     // Join: both sorted by successor id / id.
     ExtVector<ListRank> new_ranks(dev_);
     {
-      typename ExtVector<ListNode>::Reader br(&bs, 0, stream_depth());
-      typename ExtVector<ListRank>::Reader rr(ranks, 0, stream_depth());
-      typename ExtVector<ListRank>::Writer w(&new_ranks, stream_depth());
+      typename ExtVector<ListNode>::Reader br(&bs, 0, opts_.prefetch_depth);
+      typename ExtVector<ListRank>::Reader rr(ranks, 0, opts_.prefetch_depth);
+      typename ExtVector<ListRank>::Writer w(&new_ranks, opts_.prefetch_depth);
       ListNode n;
       ListRank r{};
       bool have_rank = rr.Next(&r);
@@ -327,14 +329,16 @@ class ListRanker {
       return a.id < b.id;
     };
     ExtVector<ListRank> new_sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort<ListRank, decltype(rank_by_id)>(
-        new_ranks, &new_sorted, memory_budget_, rank_by_id, prefetch_depth_));
+    VEM_RETURN_IF_ERROR(
+        ExternalSorter<ListRank, decltype(rank_by_id)>(dev_, opts_, rank_by_id)
+            .Sort(new_ranks, &new_sorted));
     new_ranks.Destroy();
     ExtVector<ListRank> merged(dev_);
     {
-      typename ExtVector<ListRank>::Reader a(ranks, 0, stream_depth());
-      typename ExtVector<ListRank>::Reader b(&new_sorted, 0, stream_depth());
-      typename ExtVector<ListRank>::Writer w(&merged, stream_depth());
+      typename ExtVector<ListRank>::Reader a(ranks, 0, opts_.prefetch_depth);
+      typename ExtVector<ListRank>::Reader b(
+          &new_sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<ListRank>::Writer w(&merged, opts_.prefetch_depth);
       ListRank ra{}, rb{};
       bool ha = a.Next(&ra), hb = b.Next(&rb);
       while (ha || hb) {
@@ -357,10 +361,9 @@ class ListRanker {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   uint64_t seed_;
   size_t levels_ = 0;
-  size_t prefetch_depth_ = 0;
 };
 
 /// Baseline for benchmarks: chase the list pointer by pointer through a

@@ -71,16 +71,6 @@ inline IoBuffer AllocIoBuffer(size_t n, bool zeroed = false) {
   return IoBuffer(p);
 }
 
-namespace detail {
-/// Map the per-algorithm prefetch knob onto the stream-constructor
-/// depth-override argument: an unset knob (0) defers to each vector's
-/// own prefetch depth (-1) instead of force-disabling overlap on armed
-/// inputs. Shared by every layer that threads set_prefetch_depth.
-inline int StreamDepth(size_t prefetch_depth) {
-  return prefetch_depth == 0 ? -1 : static_cast<int>(prefetch_depth);
-}
-}  // namespace detail
-
 /// Abstract block-granular storage device with block allocation.
 class BlockDevice {
  public:

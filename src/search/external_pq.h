@@ -22,6 +22,7 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "sort/loser_tree.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -32,13 +33,24 @@ class ExternalPriorityQueue {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
-  /// @param dev scratch device for spilled runs (not owned)
-  /// @param memory_budget_bytes internal memory M: half for the insertion
-  ///        heap, half for per-run merge buffers.
-  ExternalPriorityQueue(BlockDevice* dev, size_t memory_budget_bytes,
+  /// @param dev scratch device for spilled runs (not owned); B comes
+  ///        from it.
+  /// @param opts `memory_budget` is the internal memory M: half for the
+  ///        insertion heap, half for per-run merge buffers.
+  ///        `prefetch_depth` K arms K-block write-behind on spilled-run
+  ///        writers and read-ahead on every run's merge/pop reader (0 =
+  ///        synchronous). Arming is budget-aware, not per-run
+  ///        unconditional: when the device carries a PrefetchGovernor, K
+  ///        is a request the governor arbitrates globally; without one
+  ///        the PQ arms new runs only while total staging (2K blocks per
+  ///        armed run) fits in the M/2-derived budget — the oldest
+  ///        (longest-lived, most-streamed) runs keep their depth, later
+  ///        runs run synchronous until a drained or collapsed run hands
+  ///        its staging back. Never changes IoStats.
+  ExternalPriorityQueue(BlockDevice* dev, const Options& opts,
                         Cmp cmp = Cmp())
-      : dev_(dev), cmp_(cmp) {
-    size_t half = memory_budget_bytes / 2;
+      : dev_(dev), cmp_(cmp), prefetch_depth_(opts.prefetch_depth) {
+    size_t half = opts.memory_budget / 2;
     heap_capacity_ = std::max<size_t>(half / sizeof(T), 16);
     max_runs_ = std::max<size_t>(half / dev->block_size(), 2);
     // Staging budget for prefetch arming: the same merge-buffer half of
@@ -48,6 +60,12 @@ class ExternalPriorityQueue {
     staging_budget_blocks_ = std::max<size_t>(half / dev->block_size(), 2);
   }
 
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
+  ExternalPriorityQueue(BlockDevice* dev, size_t memory_budget_bytes,
+                        Cmp cmp = Cmp())
+      : ExternalPriorityQueue(
+            dev, Options{.memory_budget = memory_budget_bytes}, cmp) {}
+
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -55,18 +73,6 @@ class ExternalPriorityQueue {
   size_t spills() const { return spills_; }
   size_t collapses() const { return collapses_; }
   size_t active_runs() const { return runs_.size(); }
-
-  /// K-block write-behind on spilled-run writers and read-ahead on every
-  /// run's merge/pop reader (0 = synchronous, the default). Arming is
-  /// budget-aware, not per-run-unconditional: when the device carries a
-  /// PrefetchGovernor the knob is a request the governor arbitrates
-  /// globally; without one the PQ arms new runs only while total staging
-  /// (2K blocks per armed run) fits in the M/2-derived budget — the
-  /// oldest (longest-lived, most-streamed) runs keep their depth, later
-  /// runs run synchronous until a drained or collapsed run hands its
-  /// staging back. Takes effect for runs created after the call. Never
-  /// changes IoStats.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
 
   /// Blocks of read-ahead staging currently held by armed runs. Counts
   /// every run whose reader still exists — a drained run's windows live
@@ -157,30 +163,25 @@ class ExternalPriorityQueue {
     bool operator()(const T& a, const T& b) const { return cmp(b, a); }
   };
 
-  /// The prefetch knob as the stream-constructor override argument (-1 =
-  /// defer to each vector's own depth).
-  int stream_depth() const { return detail::StreamDepth(prefetch_depth_); }
-
   /// Stream depth for a NEW run's writer+reader, bounded by the staging
   /// budget. With a governor on the device the global budget (and the
   /// adaptive policy) lives there — pass the request through. Without
   /// one, grant K only while every armed run's 2K staging plus this
   /// run's fits the budget; otherwise the run streams synchronously.
-  int ArmRunDepth() const {
-    if (prefetch_depth_ == 0) return detail::StreamDepth(0);
-    if (dev_->prefetch_governor() != nullptr) {
-      return static_cast<int>(prefetch_depth_);
+  size_t ArmRunDepth() const {
+    if (prefetch_depth_ == 0 || dev_->prefetch_governor() != nullptr) {
+      return prefetch_depth_;
     }
     if (armed_staging_blocks() + 2 * prefetch_depth_ > staging_budget_blocks_) {
       return 0;
     }
-    return static_cast<int>(prefetch_depth_);
+    return prefetch_depth_;
   }
 
   Status SpillHeap() {
     std::sort(heap_.begin(), heap_.end(), cmp_);
     auto run = std::make_unique<RunState>(dev_);
-    int depth = ArmRunDepth();
+    const size_t depth = ArmRunDepth();
     VEM_RETURN_IF_ERROR(
         run->data.AppendAll(heap_.data(), heap_.size(), depth));
     heap_.clear();
@@ -188,10 +189,7 @@ class ExternalPriorityQueue {
         &run->data, 0, depth);
     // Mirror the Reader's tiny-vector gate: a run that fits in one
     // window stayed synchronous and holds no staging to charge.
-    run->armed_depth =
-        depth > 0 && run->data.num_blocks() > static_cast<size_t>(depth)
-            ? static_cast<size_t>(depth)
-            : 0;
+    run->armed_depth = run->data.num_blocks() > depth ? depth : 0;
     run->valid = run->reader->Next(&run->head);
     VEM_RETURN_IF_ERROR(run->reader->status());
     if (run->valid) runs_.push_back(std::move(run));
@@ -230,7 +228,7 @@ class ExternalPriorityQueue {
     // being merged only release their staging when erased below), so it
     // arms against the full current staging — ArmRunDepth counts all
     // valid runs. The budget holds even at the collapse peak.
-    int writer_depth = ArmRunDepth();
+    const size_t writer_depth = ArmRunDepth();
     {
       LoserTree<T, Cmp> tree(merge_count, cmp_);
       for (size_t i = 0; i < merge_count; ++i) {
@@ -254,14 +252,11 @@ class ExternalPriorityQueue {
     // Drop the drained runs, keep the rest. Their staging is released
     // now, so the merged run's reader re-arms against the survivors.
     runs_.erase(runs_.begin(), runs_.begin() + merge_count);
-    int reader_depth = ArmRunDepth();
+    const size_t reader_depth = ArmRunDepth();
     merged->reader = std::make_unique<typename ExtVector<T>::Reader>(
         &merged->data, 0, reader_depth);
-    merged->armed_depth = reader_depth > 0 &&
-                                  merged->data.num_blocks() >
-                                      static_cast<size_t>(reader_depth)
-                              ? static_cast<size_t>(reader_depth)
-                              : 0;
+    merged->armed_depth =
+        merged->data.num_blocks() > reader_depth ? reader_depth : 0;
     merged->valid = merged->reader->Next(&merged->head);
     VEM_RETURN_IF_ERROR(merged->reader->status());
     if (merged->valid) runs_.push_back(std::move(merged));
@@ -272,6 +267,7 @@ class ExternalPriorityQueue {
 
   BlockDevice* dev_;
   Cmp cmp_;
+  size_t prefetch_depth_;
   size_t heap_capacity_;
   size_t max_runs_;
   std::vector<T> heap_;
@@ -279,7 +275,6 @@ class ExternalPriorityQueue {
   size_t size_ = 0;
   size_t spills_ = 0;
   size_t collapses_ = 0;
-  size_t prefetch_depth_ = 0;
   size_t staging_budget_blocks_ = 2;
 };
 

@@ -3,8 +3,8 @@
 // The algorithm layers used to be wired by hand — construct a
 // BufferPool against the device, a PrefetchGovernor against the staging
 // budget, attach the governor to the device, attach the engine to the
-// device / arbiter / governor, and finally thread a prefetch_depth knob
-// through every call signature. Seven wiring calls per query, and every
+// device / arbiter / governor, and finally pass the memory budget and
+// prefetch depth to every layer. Seven wiring calls per query, and every
 // new cross-cutting resource (the multi-tenant arbiter, admission
 // floors) would have meant an eighth.
 //
@@ -13,10 +13,10 @@
 //     PrefetchGovernor, BufferPool }
 // and every algorithm layer accepts it directly (BPlusTree, ExtHashTable,
 // ExternalSorter, SortMergeJoin, GroupByAggregate, Graph, Matrix, ...).
-// The Options inside the context carry the per-query knobs that used to
-// ride call signatures — prefetch_depth most of all — so the trailing
-// depth parameters on the relational/sort wrappers are deprecated in
-// favor of the context (thin forwarding overloads remain).
+// The Options inside the context carry the per-query knobs: a layer
+// built from the context reads memory_budget and prefetch_depth from
+// options() once, at construction, exactly as a layer built from
+// (device, Options) does.
 //
 // Two construction modes:
 //  - STANDALONE: the context owns a private MemoryArbiter over
@@ -124,10 +124,6 @@ class ExecutionContext {
   BufferPool* pool() { return &pool_; }
   PrefetchGovernor* governor() { return &governor_; }
 
-  /// The streaming read-ahead depth queries under this context use —
-  /// the Options-carried knob that replaces the deprecated trailing
-  /// prefetch_depth parameters.
-  size_t prefetch_depth() const { return opts_.prefetch_depth; }
   /// The tenant's memory slice in bytes (PDM M for this context).
   size_t memory_budget() const { return opts_.memory_budget; }
 

@@ -11,6 +11,7 @@
 
 #include "core/ext_vector.h"
 #include "io/block_device.h"
+#include "util/options.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -26,9 +27,30 @@ class DistributionSorter {
     size_t base_case_sorts = 0;   ///< buckets sorted in RAM
   };
 
-  explicit DistributionSorter(BlockDevice* dev, size_t memory_budget_bytes,
-                              Cmp cmp = Cmp(), uint64_t seed = 0xD157)
-      : dev_(dev), memory_budget_(memory_budget_bytes), cmp_(cmp), rng_(seed) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead on every sequential scan (input, splitter
+  /// sample, equal-bucket emit, base-case loads) and write-behind on the
+  /// output stream (0 = synchronous). The per-bucket scatter writers stay
+  /// synchronous on purpose: ~2k+1 of them are open at once and each
+  /// armed writer stages 2K extra blocks, which would multiply the memory
+  /// budget the fan-out was sized against. On an IndependentDiskDevice
+  /// every armed stream leases with a per-disk route (the Reader tags its
+  /// governor lease with the placement of its first block), so a slow or
+  /// wasteful disk disarms only its own streams. Never changes IoStats —
+  /// accounting is deferred to consumption time (see block_device.h).
+  DistributionSorter(BlockDevice* dev, const Options& opts, Cmp cmp = Cmp(),
+                     uint64_t seed = 0xD157)
+      : dev_(dev),
+        memory_budget_(opts.memory_budget),
+        prefetch_depth_(opts.prefetch_depth),
+        cmp_(cmp),
+        rng_(seed) {}
+
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
+  DistributionSorter(BlockDevice* dev, size_t memory_budget_bytes,
+                     Cmp cmp = Cmp(), uint64_t seed = 0xD157)
+      : DistributionSorter(dev, Options{.memory_budget = memory_budget_bytes},
+                           cmp, seed) {}
 
   /// Splitter count per pass. Each of the k "less-than" buckets and k-1
   /// "equal-to-splitter" buckets holds a writer, so ~2k+1 block buffers
@@ -39,20 +61,6 @@ class DistributionSorter {
     return std::max<size_t>(k, 2);
   }
 
-  /// K-block read-ahead on every sequential scan (input, splitter sample,
-  /// equal-bucket emit, base-case loads) and write-behind on the output
-  /// stream (0 = synchronous, the default). The per-bucket scatter writers
-  /// stay synchronous on purpose: ~2k+1 of them are open at once and each
-  /// armed writer stages 2K extra blocks, which would multiply the memory
-  /// budget the fan-out was sized against. On an IndependentDiskDevice
-  /// every one of these streams arms with a per-disk-routed lease (the
-  /// Reader tags its governor lease with the placement route of its first
-  /// block), so the PrefetchGovernor accumulates per-disk stall/waste
-  /// evidence: a slow or wasteful disk disarms only its own streams.
-  /// Never changes IoStats — accounting is deferred to consumption time
-  /// (see block_device.h).
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
-
   /// Sort `input` into empty `output` on the same device.
   Status Sort(const ExtVector<T>& input, ExtVector<T>* output) {
     if (output->device() != dev_ || !output->empty()) {
@@ -60,7 +68,7 @@ class DistributionSorter {
     }
     metrics_ = Metrics{};
     metrics_.items = input.size();
-    typename ExtVector<T>::Writer writer(output, stream_depth());
+    typename ExtVector<T>::Writer writer(output, prefetch_depth_);
     VEM_RETURN_IF_ERROR(SortInto(input, &writer, 1));
     return writer.Finish();
   }
@@ -70,19 +78,13 @@ class DistributionSorter {
  private:
   size_t memory_items() const { return memory_budget_ / sizeof(T); }
 
-  /// The prefetch knob as the stream-constructor override argument (-1 =
-  /// defer to each vector's own depth, as in ExternalSorter).
-  int stream_depth() const {
-    return detail::StreamDepth(prefetch_depth_);
-  }
-
   /// Recursive sort of `input` appended to `writer` in sorted order.
   Status SortInto(const ExtVector<T>& input,
                   typename ExtVector<T>::Writer* writer, size_t depth) {
     if (input.size() <= memory_items()) {
       // Base case: fits in internal memory.
       std::vector<T> buf;
-      VEM_RETURN_IF_ERROR(input.ReadAll(&buf, stream_depth()));
+      VEM_RETURN_IF_ERROR(input.ReadAll(&buf, prefetch_depth_));
       std::sort(buf.begin(), buf.end(), cmp_);
       metrics_.base_case_sorts++;
       for (const T& v : buf) {
@@ -118,7 +120,7 @@ class DistributionSorter {
       ew.reserve(equal.size());
       for (auto& b : less) lw.emplace_back(&b);
       for (auto& b : equal) ew.emplace_back(&b);
-      typename ExtVector<T>::Reader reader(&input, 0, stream_depth());
+      typename ExtVector<T>::Reader reader(&input, 0, prefetch_depth_);
       T item;
       while (reader.Next(&item)) {
         size_t lo = std::lower_bound(splitters.begin(), splitters.end(), item,
@@ -141,7 +143,7 @@ class DistributionSorter {
       VEM_RETURN_IF_ERROR(SortInto(less[i], writer, depth + 1));
       less[i].Destroy();
       if (i < s) {
-        typename ExtVector<T>::Reader reader(&equal[i], 0, stream_depth());
+        typename ExtVector<T>::Reader reader(&equal[i], 0, prefetch_depth_);
         T item;
         while (reader.Next(&item)) {
           if (!writer->Append(item)) return writer->status();
@@ -161,7 +163,7 @@ class DistributionSorter {
     const size_t sample_target = 4 * k;
     std::vector<T> sample;
     sample.reserve(sample_target);
-    typename ExtVector<T>::Reader reader(&input, 0, stream_depth());
+    typename ExtVector<T>::Reader reader(&input, 0, prefetch_depth_);
     T item;
     size_t seen = 0;
     while (reader.Next(&item)) {
@@ -188,10 +190,10 @@ class DistributionSorter {
 
   BlockDevice* dev_;
   size_t memory_budget_;
+  size_t prefetch_depth_;
   Cmp cmp_;
   Rng rng_;
   Metrics metrics_;
-  size_t prefetch_depth_ = 0;
 };
 
 }  // namespace vem

@@ -30,6 +30,7 @@
 #include "serve/execution_context.h"
 #include "sort/forecast_merge.h"
 #include "sort/loser_tree.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -69,19 +70,31 @@ class ExternalSorter {
   };
 
   /// @param dev device holding input, temporaries and output (not owned)
-  /// @param memory_budget_bytes internal memory M for buffers
-  explicit ExternalSorter(BlockDevice* dev, size_t memory_budget_bytes,
-                          Cmp cmp = Cmp())
-      : dev_(dev), memory_budget_(memory_budget_bytes), cmp_(cmp) {}
+  /// @param opts M is `memory_budget`; `prefetch_depth` K arms K-block
+  ///        read-ahead on every run reader and write-behind on every run
+  ///        writer (0 = synchronous). B comes from `dev`. In the merge
+  ///        loop each of the k run readers keeps its refill in flight
+  ///        while the loser tree drains the others. Never changes
+  ///        IoStats (accounting is deferred to consumption; see
+  ///        block_device.h); costs ~(k + 1) * 2K blocks of RAM on top of
+  ///        M, unless a PrefetchGovernor on the device turns K into a
+  ///        request leased from its staging budget.
+  ExternalSorter(BlockDevice* dev, const Options& opts, Cmp cmp = Cmp())
+      : dev_(dev),
+        memory_budget_(opts.memory_budget),
+        prefetch_depth_(opts.prefetch_depth),
+        cmp_(cmp) {}
+
+  /// Synchronous form: internal memory M = `memory_budget_bytes`.
+  ExternalSorter(BlockDevice* dev, size_t memory_budget_bytes,
+                 Cmp cmp = Cmp())
+      : ExternalSorter(dev, Options{.memory_budget = memory_budget_bytes},
+                       cmp) {}
 
   /// Serving-plane wiring: device, memory budget (the tenant's slice of
-  /// M) and prefetch depth all come from the ExecutionContext — the
-  /// Options-carried knobs replace per-call parameters
-  /// (serve/execution_context.h).
+  /// M) and prefetch depth all come from the ExecutionContext.
   explicit ExternalSorter(ExecutionContext* ctx, Cmp cmp = Cmp())
-      : ExternalSorter(ctx->device(), ctx->memory_budget(), cmp) {
-    set_prefetch_depth(ctx->prefetch_depth());
-  }
+      : ExternalSorter(ctx->device(), ctx->options(), cmp) {}
 
   /// k: how many runs one merge pass combines. k input buffers plus one
   /// output buffer must fit in M.
@@ -106,18 +119,6 @@ class ExternalSorter {
   /// merge pass right at the N/M boundary (the classic tape-era trick the
   /// survey recounts).
   void set_replacement_selection(bool on) { replacement_selection_ = on; }
-
-  /// K-block read-ahead on every run reader and write-behind on every run
-  /// writer (0 = synchronous, the default). In the merge loop each of the
-  /// k run readers keeps its refill in flight while the loser tree drains
-  /// the others — the batched-refill overlap that makes the merge run at
-  /// device speed. Never changes IoStats (accounting is deferred to
-  /// consumption; see block_device.h); costs ~(k + 1) * 2K blocks of RAM
-  /// on top of M, so keep K small relative to M/B — or attach a
-  /// PrefetchGovernor to the device, which turns K into a request: every
-  /// run reader/writer leases its depth from the global staging budget
-  /// and the merge refills grow or shed depth adaptively.
-  void set_prefetch_depth(size_t k) { prefetch_depth_ = k; }
 
   /// Forecast-scheduled merge refills (sort/forecast_merge.h): run
   /// readers are replaced by whole-block refill waves — the empty run's
@@ -179,7 +180,7 @@ class ExternalSorter {
   Status FormRuns(const ExtVector<T>& input, std::deque<ExtVector<T>>* runs) {
     if (replacement_selection_) return FormRunsReplacement(input, runs);
     const size_t run_items = run_length();
-    typename ExtVector<T>::Reader reader(&input, 0, stream_depth());
+    typename ExtVector<T>::Reader reader(&input, 0, prefetch_depth_);
     std::vector<T> buf;
     buf.reserve(std::min(run_items, input.size()));
     T item;
@@ -248,7 +249,7 @@ class ExternalSorter {
       if (next[s] < bound[s + 1]) tree.SetSource(s, (*buf)[next[s]++]);
     }
     tree.Build();
-    typename ExtVector<T>::Writer writer(run, stream_depth());
+    typename ExtVector<T>::Writer writer(run, prefetch_depth_);
     while (tree.HasWinner()) {
       if (!writer.Append(tree.top())) return writer.status();
       const size_t s = tree.winner();
@@ -285,7 +286,7 @@ class ExternalSorter {
       return cmp_(b.item, a.item);
     };
     const size_t heap_items = run_length();
-    typename ExtVector<T>::Reader reader(&input, 0, stream_depth());
+    typename ExtVector<T>::Reader reader(&input, 0, prefetch_depth_);
     std::vector<Entry> heap;
     heap.reserve(std::min(heap_items, input.size()));
     T item;
@@ -310,8 +311,8 @@ class ExternalSorter {
         }
         cur_epoch = e.epoch;
         run = std::make_unique<ExtVector<T>>(dev_);
-        writer =
-            std::make_unique<typename ExtVector<T>::Writer>(run.get(), stream_depth());
+        writer = std::make_unique<typename ExtVector<T>::Writer>(
+            run.get(), prefetch_depth_);
       }
       if (!writer->Append(e.item)) return writer->status();
       if (!input_done) {
@@ -348,7 +349,7 @@ class ExternalSorter {
       std::vector<const ExtVector<T>*> srcs;
       srcs.reserve(take);
       for (const auto& run : group) srcs.push_back(&run);
-      typename ExtVector<T>::Writer writer(out, stream_depth());
+      typename ExtVector<T>::Writer writer(out, prefetch_depth_);
       ForecastMerger<T, Cmp> merger(dev_, cmp_);
       VEM_RETURN_IF_ERROR(merger.Merge(srcs, &writer));
       VEM_RETURN_IF_ERROR(writer.Finish());
@@ -357,7 +358,7 @@ class ExternalSorter {
     }
     std::vector<typename ExtVector<T>::Reader> readers;
     readers.reserve(take);
-    for (auto& run : group) readers.emplace_back(&run, 0, stream_depth());
+    for (auto& run : group) readers.emplace_back(&run, 0, prefetch_depth_);
 
     LoserTree<T, Cmp> tree(take, cmp_);
     for (size_t i = 0; i < take; ++i) {
@@ -367,7 +368,7 @@ class ExternalSorter {
     }
     tree.Build();
 
-    typename ExtVector<T>::Writer writer(out, stream_depth());
+    typename ExtVector<T>::Writer writer(out, prefetch_depth_);
     while (tree.HasWinner()) {
       if (!writer.Append(tree.top())) return writer.status();
       size_t src = tree.winner();
@@ -384,33 +385,21 @@ class ExternalSorter {
     return Status::OK();
   }
 
-  /// The prefetch knob as the stream-constructor override argument. An
-  /// unset knob defers to each vector's own prefetch depth (-1) instead
-  /// of force-disabling overlap on armed inputs.
-  int stream_depth() const { return detail::StreamDepth(prefetch_depth_); }
-
   BlockDevice* dev_;
   size_t memory_budget_;
+  size_t prefetch_depth_;
   Cmp cmp_;
   Metrics metrics_;
   bool replacement_selection_ = false;
   bool forecast_merge_ = false;
-  size_t prefetch_depth_ = 0;
 };
 
-/// Convenience wrapper: sort with default comparator.
-///
-/// DEPRECATED (trailing parameter): the `prefetch_depth` argument is
-/// superseded by the ExecutionContext overload below, where depth rides
-/// Options instead of every call signature. This overload stays as a
-/// thin forward for existing callers; new code should pass a context.
+/// Convenience wrapper: a synchronous sort on the output's device.
 template <typename T, typename Cmp = std::less<T>>
 Status ExternalSort(const ExtVector<T>& input, ExtVector<T>* output,
-                    size_t memory_budget_bytes, Cmp cmp = Cmp(),
-                    size_t prefetch_depth = 0) {
-  ExternalSorter<T, Cmp> sorter(output->device(), memory_budget_bytes, cmp);
-  sorter.set_prefetch_depth(prefetch_depth);
-  return sorter.Sort(input, output);
+                    size_t memory_budget_bytes, Cmp cmp = Cmp()) {
+  return ExternalSorter<T, Cmp>(output->device(), memory_budget_bytes, cmp)
+      .Sort(input, output);
 }
 
 /// Context-carried wrapper: budget (the tenant's M slice) and prefetch
@@ -419,8 +408,8 @@ Status ExternalSort(const ExtVector<T>& input, ExtVector<T>* output,
 template <typename T, typename Cmp = std::less<T>>
 Status ExternalSort(ExecutionContext* ctx, const ExtVector<T>& input,
                     ExtVector<T>* output, Cmp cmp = Cmp()) {
-  return ExternalSort<T, Cmp>(input, output, ctx->memory_budget(), cmp,
-                              ctx->prefetch_depth());
+  return ExternalSorter<T, Cmp>(output->device(), ctx->options(), cmp)
+      .Sort(input, output);
 }
 
 }  // namespace vem

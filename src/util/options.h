@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace vem {
 
@@ -55,9 +56,10 @@ struct Options {
   /// Number of independent disks. PDM parameter D. Used by StripedDevice.
   size_t num_disks = 1;
 
-  /// K-block read-ahead / write-behind depth for streaming access
-  /// (ExtVector::set_prefetch_depth, ExternalSorter::set_prefetch_depth).
-  /// 0 (the default, matching the containers) keeps every stream
+  /// K-block read-ahead / write-behind depth for streaming access. An
+  /// algorithm layer reads it once, when it is built from these Options
+  /// (or from an ExecutionContext carrying them), and opens every stream
+  /// it arms at this depth. 0 (the default) keeps every stream
   /// synchronous. Purely a wall-clock knob: the PDM counters are charged
   /// at consumption time and stay bit-identical to the synchronous path.
   /// Each armed stream stages 2 * prefetch_depth blocks of RAM.

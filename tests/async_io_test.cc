@@ -349,12 +349,11 @@ TEST(WriterWriteBehind, ContentsAndCostsMatchSync) {
     ASSERT_TRUE(sync_vec.AppendAll(data.data(), data.size()).ok());
 
     ExtVector<uint32_t> async_vec(&async_dev);
-    async_vec.set_prefetch_depth(depth);
-    ASSERT_TRUE(async_vec.AppendAll(data.data(), data.size()).ok());
+    ASSERT_TRUE(async_vec.AppendAll(data.data(), data.size(), depth).ok());
 
     EXPECT_TRUE(sync_dev.stats() == async_dev.stats()) << "depth=" << depth;
     std::vector<uint32_t> back;
-    ASSERT_TRUE(async_vec.ReadAll(&back).ok());
+    ASSERT_TRUE(async_vec.ReadAll(&back, depth).ok());
     EXPECT_EQ(back, data);
     async_dev.set_io_engine(nullptr);
   }
@@ -363,16 +362,15 @@ TEST(WriterWriteBehind, ContentsAndCostsMatchSync) {
 TEST(WriterWriteBehind, ResumingPartialTailStaysCorrect) {
   MemoryBlockDevice dev(64);  // 8 u64 per block... 64/8 = 8
   ExtVector<uint64_t> vec(&dev);
-  vec.set_prefetch_depth(4);
   std::vector<uint64_t> first(13), second(29);
   std::iota(first.begin(), first.end(), 0);
   std::iota(second.begin(), second.end(), 100);
-  ASSERT_TRUE(vec.AppendAll(first.data(), first.size()).ok());
+  ASSERT_TRUE(vec.AppendAll(first.data(), first.size(), 4).ok());
   // Tail is mid-block: the second writer takes the synchronous resume
   // path and must still produce the concatenation.
-  ASSERT_TRUE(vec.AppendAll(second.data(), second.size()).ok());
+  ASSERT_TRUE(vec.AppendAll(second.data(), second.size(), 4).ok());
   std::vector<uint64_t> all;
-  ASSERT_TRUE(vec.ReadAll(&all).ok());
+  ASSERT_TRUE(vec.ReadAll(&all, 4).ok());
   std::vector<uint64_t> want = first;
   want.insert(want.end(), second.begin(), second.end());
   EXPECT_EQ(all, want);
@@ -444,8 +442,8 @@ TEST(SortPrefetchStress, StatsBitIdenticalAndOutputSorted) {
                       size_t* merge_passes) {
     ExtVector<uint64_t> input(dev);
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    ExternalSorter<uint64_t> sorter(dev, kMem);
-    sorter.set_prefetch_depth(depth);
+    ExternalSorter<uint64_t> sorter(
+        dev, Options{.memory_budget = kMem, .prefetch_depth = depth});
     ExtVector<uint64_t> out(dev);
     IoProbe probe(*dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
@@ -539,11 +537,10 @@ TEST(BackendIdentity, WorkerPoolAndIoUringBitIdentical) {
     std::vector<uint64_t> data(20000);
     for (auto& v : data) v = rng.Next();
     ExtVector<uint64_t> input(&dev);
-    input.set_prefetch_depth(8);
     IoProbe probe(dev);
-    EXPECT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    ExternalSorter<uint64_t> sorter(&dev, /*memory=*/8 * 1024);
-    sorter.set_prefetch_depth(8);
+    EXPECT_TRUE(input.AppendAll(data.data(), data.size(), 8).ok());
+    ExternalSorter<uint64_t> sorter(
+        &dev, Options{.memory_budget = 8 * 1024, .prefetch_depth = 8});
     ExtVector<uint64_t> sorted(&dev);
     EXPECT_TRUE(sorter.Sort(input, &sorted).ok());
     EXPECT_TRUE(sorted.ReadAll(out).ok());

@@ -208,8 +208,8 @@ TEST(DirectIo, SortOnDirectDeviceMatchesBuffered) {
     if (engine != nullptr) dev.set_io_engine(engine);
     ExtVector<uint64_t> input(&dev);
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    ExternalSorter<uint64_t> sorter(&dev, kMem);
-    sorter.set_prefetch_depth(depth);
+    ExternalSorter<uint64_t> sorter(
+        &dev, Options{.memory_budget = kMem, .prefetch_depth = depth});
     ExtVector<uint64_t> out(&dev);
     IoProbe probe(dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());

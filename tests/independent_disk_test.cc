@@ -49,6 +49,7 @@
 #include "io/prefetch_governor.h"
 #include "io/retry_policy.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/random.h"
 
 namespace vem {
@@ -228,19 +229,18 @@ WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
   IoProbe probe(dev);
   Rng rng(11);
   ExtVector<uint64_t> input(&dev);
-  input.set_prefetch_depth(depth);
   {
-    ExtVector<uint64_t>::Writer w(&input);
+    ExtVector<uint64_t>::Writer w(&input, depth);
     for (int i = 0; i < 6000; ++i) w.Append(rng.Next());
     EXPECT_TRUE(w.Finish().ok());
   }
   {
     std::vector<uint64_t> scanned;
-    EXPECT_TRUE(input.ReadAll(&scanned).ok());
+    EXPECT_TRUE(input.ReadAll(&scanned, depth).ok());
     EXPECT_EQ(scanned.size(), 6000u);
   }
-  ExternalSorter<uint64_t> sorter(&dev, /*memory=*/8 * kBlock);
-  sorter.set_prefetch_depth(depth);
+  ExternalSorter<uint64_t> sorter(
+      &dev, Options{.memory_budget = 8 * kBlock, .prefetch_depth = depth});
   sorter.set_forecast_merge(true);
   ExtVector<uint64_t> out(&dev);
   EXPECT_TRUE(sorter.Sort(input, &out).ok());
@@ -512,9 +512,9 @@ FaultWorkloadResult RunTransientFaultWorkload(bool inject,
   IoProbe probe(dev);
   ExtVector<uint64_t> input(&dev);
   EXPECT_TRUE(input.AppendAll(data.data(), data.size(), /*depth=*/8).ok());
-  ExternalSorter<uint64_t> sorter(&dev, /*memory=*/8 * kBlock);
+  ExternalSorter<uint64_t> sorter(
+      &dev, Options{.memory_budget = 8 * kBlock, .prefetch_depth = 8});
   sorter.set_forecast_merge(true);
-  sorter.set_prefetch_depth(8);
   ExtVector<uint64_t> out(&dev);
   Status s = sorter.Sort(input, &out);
   EXPECT_TRUE(s.ok()) << s.ToString();

@@ -413,7 +413,6 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
   MemoryBlockDevice arb_dev(4096);
   ExecutionContext ctx(&arb_dev, ArbiterOptions());
   ExtVector<uint64_t> arb_vec(&arb_dev);
-  arb_vec.set_prefetch_depth(8);
   ASSERT_TRUE(fill(&arb_vec, 8).ok());
   std::vector<uint64_t> arb_out;
   ASSERT_TRUE(arb_vec.ReadAll(&arb_out, 8).ok());
@@ -486,7 +485,6 @@ TEST(MemoryArbiterIdentity, MultiTenantStatsMatchSingleTenantRuns) {
     EXPECT_TRUE(ctx->pool()->FlushAll().ok());
     // A governed scan through the same context's staging side.
     ExtVector<uint64_t> vec(ctx->device());
-    vec.set_prefetch_depth(4);
     typename ExtVector<uint64_t>::Writer w(&vec, 4);
     Rng fill(seed + 2);
     for (size_t i = 0; i < kScanItems; ++i) {
@@ -666,9 +664,7 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         EXPECT_TRUE(in.AppendAll(v.data(), v.size()).ok());
         Status s = ctx != nullptr
                        ? ExternalSort(ctx, in, &out)
-                       : ExternalSort(in, &out, opts.memory_budget,
-                                      std::less<uint64_t>(),
-                                      opts.prefetch_depth);
+                       : ExternalSorter<uint64_t>(dev, opts).Sort(in, &out);
         EXPECT_TRUE(s.ok()) << s.ToString();
         std::vector<uint64_t> got;
         EXPECT_TRUE(out.ReadAll(&got).ok());
@@ -696,8 +692,7 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
                 ? SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
                       ctx, lv, rv, &out, key, key, combine)
                 : SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
-                      lv, rv, &out, opts.memory_budget, key, key, combine,
-                      opts.prefetch_depth);
+                      lv, rv, &out, opts, key, key, combine);
         EXPECT_TRUE(s.ok()) << s.ToString();
         std::vector<KeyVal> got;
         EXPECT_TRUE(out.ReadAll(&got).ok());
@@ -724,8 +719,7 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
                 ? GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
                       ctx, in, &out, key, init, fold, finish)
                 : GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
-                      in, &out, opts.memory_budget, key, init, fold, finish,
-                      opts.prefetch_depth);
+                      in, &out, opts, key, init, fold, finish);
         EXPECT_TRUE(s.ok()) << s.ToString();
         std::vector<KeyVal> got;
         EXPECT_TRUE(out.ReadAll(&got).ok());

@@ -359,8 +359,9 @@ TEST(PrefetchGovernor, ConfigFromOptionsDerivesBudgetAgainstM) {
 
 TEST(PrefetchGovernor, ExternalPqBoundsStagingWithoutGovernor) {
   MemoryBlockDevice dev(256);
-  ExternalPriorityQueue<uint64_t> pq(&dev, 4096);
-  pq.set_prefetch_depth(4);  // requests 2*4 = 8 staged blocks per run
+  // Depth 4 requests 2*4 = 8 staged blocks per run.
+  ExternalPriorityQueue<uint64_t> pq(
+      &dev, Options{.memory_budget = 4096, .prefetch_depth = 4});
   Rng rng(99);
   for (size_t i = 0; i < 30000; ++i) {
     ASSERT_TRUE(pq.Push(rng.Next()).ok());

@@ -1,15 +1,18 @@
 // Stats-identity tests for prefetch armed across the scan-bound
-// algorithm layers: join, group-by, distribution sort, distribution
-// sweep, BFS, connected components, list ranking, and the external
-// priority queue. Each case runs the same workload twice on fresh file
-// devices — synchronous (depth 0, no engine) vs armed (depth K, with or
-// without an IoEngine, with or without an adaptive PrefetchGovernor) —
-// and demands identical outputs and bit-identical IoStats: overlap is a
-// wall-clock property, never a cost-model one, and the governor only
-// ever moves depth. A striped-device case covers the forwarded
-// uncounted plane on D-disk configurations, and FaultyDevice cases
-// check that armed layers (including a striped device with a faulty
-// child) still propagate device errors as Status.
+// algorithm layers: join, group-by, merge sort, distribution sort,
+// distribution sweep, BFS, connected components, list ranking, and the
+// external priority queue. Each case runs the same workload twice on
+// fresh file devices — the synchronous (device, M) form of the layer vs
+// the layer built from Options with depth K (with or without an
+// IoEngine, with or without an adaptive PrefetchGovernor) — and demands
+// identical outputs and bit-identical IoStats: overlap is a wall-clock
+// property, never a cost-model one, and the governor only ever moves
+// depth. In the rows whose Options carry a block size unlike the
+// device's, the same equality pins that B comes from the device. A
+// striped-device case covers the forwarded uncounted plane on D-disk
+// configurations, and FaultyDevice cases check that armed layers
+// (including a striped device with a faulty child) still propagate
+// device errors as Status.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +34,8 @@
 #include "io/striped_device.h"
 #include "search/external_pq.h"
 #include "sort/distribution_sort.h"
+#include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/random.h"
 
 namespace vem {
@@ -44,15 +49,36 @@ std::string ScratchPath(const char* name) {
 }
 
 /// One armed configuration: stream depth K, engine on/off, adaptive
-/// governor on/off.
+/// governor on/off, and the block size in the layer's Options (0 = the
+/// device's).
 struct Cfg {
   size_t depth;
   bool engine;
   bool governor;
+  size_t opts_block = 0;
 };
+std::string CfgName(const Cfg& c) {
+  std::string name = "K";
+  name += std::to_string(c.depth);
+  name += c.engine ? "_engine" : "_sync";
+  if (c.governor) name += "_gov";
+  if (c.opts_block != 0) {
+    name += "_optsB";
+    name += std::to_string(c.opts_block);
+  }
+  return name;
+}
 std::ostream& operator<<(std::ostream& os, const Cfg& c) {
-  return os << "K" << c.depth << (c.engine ? "_engine" : "_sync")
-            << (c.governor ? "_gov" : "");
+  return os << CfgName(c);
+}
+
+/// The layer under test in the form the run calls for: the synchronous
+/// (device, M) form for the baseline, the (device, Options) form for the
+/// armed run.
+template <typename Layer, typename... Args>
+Layer Build(BlockDevice* dev, const Options& opts, bool armed, Args... args) {
+  if (!armed) return Layer(dev, opts.memory_budget, args...);
+  return Layer(dev, opts, args...);
 }
 
 PrefetchGovernor::Config SmallGovConfig() {
@@ -66,9 +92,21 @@ PrefetchGovernor::Config SmallGovConfig() {
 
 class PrefetchLayers : public ::testing::TestWithParam<Cfg> {
  protected:
-  /// Invoke `run(dev, depth)` twice — sync baseline vs the parameterized
-  /// armed config — on fresh file devices and return both stats deltas.
-  /// `run` must produce its comparable output via out-params it captures.
+  /// Options for `armed` runs: M = kMem and the config's depth and block
+  /// size. The baseline gets M = kMem and depth 0.
+  static Options LayerOptions(bool armed) {
+    const Cfg& cfg = GetParam();
+    Options opts;
+    opts.block_size = cfg.opts_block != 0 && armed ? cfg.opts_block : kBlock;
+    opts.memory_budget = kMem;
+    opts.prefetch_depth = armed ? cfg.depth : 0;
+    return opts;
+  }
+
+  /// Invoke `run(dev, opts, armed)` twice — sync baseline vs the
+  /// parameterized armed config — on fresh file devices and return both
+  /// stats deltas. `run` must produce its comparable output via
+  /// out-params it captures.
   template <typename Run>
   void RunBothConfigs(const char* tag, Run run, IoStats* sync_cost,
                       IoStats* armed_cost) {
@@ -78,7 +116,7 @@ class PrefetchLayers : public ::testing::TestWithParam<Cfg> {
                           kBlock);
       ASSERT_TRUE(dev.valid());
       IoProbe probe(dev);
-      run(&dev, size_t{0}, /*armed=*/false);
+      run(&dev, LayerOptions(false), /*armed=*/false);
       *sync_cost = probe.delta();
     }
     {
@@ -90,7 +128,7 @@ class PrefetchLayers : public ::testing::TestWithParam<Cfg> {
       if (cfg.engine) dev.set_io_engine(&engine);
       if (cfg.governor) dev.set_prefetch_governor(&governor);
       IoProbe probe(dev);
-      run(&dev, cfg.depth, /*armed=*/true);
+      run(&dev, LayerOptions(true), /*armed=*/true);
       *armed_cost = probe.delta();
       dev.set_io_engine(nullptr);
       dev.set_prefetch_governor(nullptr);
@@ -128,19 +166,18 @@ TEST_P(PrefetchLayers, SortMergeJoinIdentity) {
   }
   std::vector<JoinedRow> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<OrderRow> ov(dev);
     ExtVector<CustRow> cv(dev);
     ASSERT_TRUE(ov.AppendAll(orders.data(), orders.size()).ok());
     ASSERT_TRUE(cv.AppendAll(custs.data(), custs.size()).ok());
     ExtVector<JoinedRow> out(dev);
     Status s = SortMergeJoin<OrderRow, CustRow, JoinedRow, uint64_t>(
-        ov, cv, &out, kMem, [](const OrderRow& o) { return o.cust; },
+        ov, cv, &out, opts, [](const OrderRow& o) { return o.cust; },
         [](const CustRow& c) { return c.cust; },
         [](const OrderRow& o, const CustRow& c) {
           return JoinedRow{o.order_id, o.cust, c.region};
-        },
-        depth);
+        });
     ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
   };
@@ -178,12 +215,12 @@ TEST_P(PrefetchLayers, GroupByAggregateIdentity) {
   };
   std::vector<RegionStat> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<SaleRow> rv(dev);
     ASSERT_TRUE(rv.AppendAll(rows.data(), rows.size()).ok());
     ExtVector<RegionStat> out(dev);
     Status s = GroupByAggregate<SaleRow, uint32_t, Acc, RegionStat>(
-        rv, &out, kMem, [](const SaleRow& r) { return r.region; },
+        rv, &out, opts, [](const SaleRow& r) { return r.region; },
         [](const uint32_t&) { return Acc{}; },
         [](Acc* a, const SaleRow& r) {
           a->sum += r.amount;
@@ -191,14 +228,40 @@ TEST_P(PrefetchLayers, GroupByAggregateIdentity) {
         },
         [](const uint32_t& k, const Acc& a) {
           return RegionStat{k, a.sum, a.n};
-        },
-        depth);
+        });
     ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
   };
   RunBothConfigs("groupby", run, &sync_cost, &armed_cost);
   EXPECT_EQ(out_sync, out_armed);
   EXPECT_EQ(out_sync.size(), 40u);
+  EXPECT_TRUE(sync_cost == armed_cost)
+      << "sync " << sync_cost.ToString() << " vs armed "
+      << armed_cost.ToString();
+}
+
+// ------------------------------------------------------------- merge sort
+
+TEST_P(PrefetchLayers, ExternalSortIdentity) {
+  Rng rng(70);
+  std::vector<uint64_t> data(30000);
+  for (auto& v : data) v = rng.Uniform(5000);
+  std::vector<uint64_t> want = data;
+  std::sort(want.begin(), want.end());
+
+  std::vector<uint64_t> out_sync, out_armed;
+  IoStats sync_cost, armed_cost;
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
+    ExtVector<uint64_t> input(dev);
+    ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
+    auto sorter = Build<ExternalSorter<uint64_t>>(dev, opts, armed);
+    ExtVector<uint64_t> out(dev);
+    ASSERT_TRUE(sorter.Sort(input, &out).ok());
+    ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
+  };
+  RunBothConfigs("mergesort", run, &sync_cost, &armed_cost);
+  EXPECT_EQ(out_sync, want);
+  EXPECT_EQ(out_armed, want);
   EXPECT_TRUE(sync_cost == armed_cost)
       << "sync " << sync_cost.ToString() << " vs armed "
       << armed_cost.ToString();
@@ -215,11 +278,10 @@ TEST_P(PrefetchLayers, DistributionSortIdentity) {
 
   std::vector<uint64_t> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<uint64_t> input(dev);
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    DistributionSorter<uint64_t> sorter(dev, kMem);
-    sorter.set_prefetch_depth(depth);
+    auto sorter = Build<DistributionSorter<uint64_t>>(dev, opts, armed);
     ExtVector<uint64_t> out(dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
@@ -247,13 +309,12 @@ TEST_P(PrefetchLayers, SegmentSweepIdentity) {
   }
   std::vector<IntersectionPair> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<HSegment> hv(dev);
     ExtVector<VSegment> vv(dev);
     ASSERT_TRUE(hv.AppendAll(hs.data(), hs.size()).ok());
     ASSERT_TRUE(vv.AppendAll(vs.data(), vs.size()).ok());
-    OrthogonalSegmentIntersection osi(dev, kMem);
-    osi.set_prefetch_depth(depth);
+    auto osi = Build<OrthogonalSegmentIntersection>(dev, opts, armed);
     ExtVector<IntersectionPair> out(dev);
     ASSERT_TRUE(osi.Run(hv, vv, &out).ok());
     std::vector<IntersectionPair>* sink = armed ? &out_armed : &out_sync;
@@ -280,14 +341,13 @@ TEST_P(PrefetchLayers, ExternalBfsIdentity) {
   }
   std::vector<VertexDist> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     BufferPool pool(dev, 8);
     ExtVector<Edge> edges(dev);
     ASSERT_TRUE(edges.AppendAll(edge_list.data(), edge_list.size()).ok());
     ExtGraph g(dev, &pool);
     ASSERT_TRUE(g.Build(edges, v, kMem, /*symmetrize=*/true).ok());
-    ExternalBfs bfs(dev, kMem);
-    bfs.set_prefetch_depth(depth);
+    auto bfs = Build<ExternalBfs>(dev, opts, armed);
     ExtVector<VertexDist> out(dev);
     ASSERT_TRUE(bfs.Run(g, 0, &out).ok());
     std::vector<VertexDist>* sink = armed ? &out_armed : &out_sync;
@@ -318,11 +378,10 @@ TEST_P(PrefetchLayers, ConnectedComponentsIdentity) {
   }
   std::vector<VertexLabel> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<Edge> edges(dev);
     ASSERT_TRUE(edges.AppendAll(edge_list.data(), edge_list.size()).ok());
-    ConnectedComponents cc(dev, kMem);
-    cc.set_prefetch_depth(depth);
+    auto cc = Build<ConnectedComponents>(dev, opts, armed);
     ExtVector<VertexLabel> out(dev);
     ASSERT_TRUE(cc.Run(edges, n, &out).ok());
     std::vector<VertexLabel>* sink = armed ? &out_armed : &out_sync;
@@ -358,13 +417,12 @@ TEST_P(PrefetchLayers, ListRankingIdentity) {
   }
   std::vector<ListRank> out_sync, out_armed;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
+  auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<ListNode> nv(dev);
     std::vector<ListNode> by_id(n);
     for (uint64_t i = 0; i < n; ++i) by_id[nodes[i].id] = nodes[i];
     ASSERT_TRUE(nv.AppendAll(by_id.data(), by_id.size()).ok());
-    ListRanker ranker(dev, kMem);
-    ranker.set_prefetch_depth(depth);
+    auto ranker = Build<ListRanker>(dev, opts, armed);
     ExtVector<ListRank> out(dev);
     ASSERT_TRUE(ranker.Rank(nv, &out).ok());
     std::vector<ListRank>* sink = armed ? &out_armed : &out_sync;
@@ -397,9 +455,9 @@ TEST_P(PrefetchLayers, ExternalPqIdentity) {
   std::vector<uint64_t> out_sync, out_armed;
   size_t spills_sync = 0, spills_armed = 0;
   IoStats sync_cost, armed_cost;
-  auto run = [&](BlockDevice* dev, size_t depth, bool armed) {
-    ExternalPriorityQueue<uint64_t> pq(dev, kMem / 2);
-    pq.set_prefetch_depth(depth);
+  auto run = [&](BlockDevice* dev, Options opts, bool armed) {
+    opts.memory_budget = kMem / 2;
+    auto pq = Build<ExternalPriorityQueue<uint64_t>>(dev, opts, armed);
     for (uint64_t v : data) ASSERT_TRUE(pq.Push(v).ok());
     std::vector<uint64_t>* sink = armed ? &out_armed : &out_sync;
     sink->reserve(data.size());
@@ -429,9 +487,9 @@ TEST_P(PrefetchLayers, EmptyInputsStayWellBehaved) {
   IoEngine engine(2);
   if (cfg.engine) dev.set_io_engine(&engine);
 
+  const Options opts = LayerOptions(/*armed=*/true);
   ExtVector<uint64_t> input(&dev);
-  DistributionSorter<uint64_t> sorter(&dev, kMem);
-  sorter.set_prefetch_depth(cfg.depth);
+  DistributionSorter<uint64_t> sorter(&dev, opts);
   ExtVector<uint64_t> out(&dev);
   ASSERT_TRUE(sorter.Sort(input, &out).ok());
   EXPECT_EQ(out.size(), 0u);
@@ -440,12 +498,11 @@ TEST_P(PrefetchLayers, EmptyInputsStayWellBehaved) {
   ExtVector<CustRow> cv(&dev);
   ExtVector<JoinedRow> jout(&dev);
   Status s = SortMergeJoin<OrderRow, CustRow, JoinedRow, uint64_t>(
-      ov, cv, &jout, kMem, [](const OrderRow& o) { return o.cust; },
+      ov, cv, &jout, opts, [](const OrderRow& o) { return o.cust; },
       [](const CustRow& c) { return c.cust; },
       [](const OrderRow& o, const CustRow& c) {
         return JoinedRow{o.order_id, o.cust, c.region};
-      },
-      cfg.depth);
+      });
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(jout.size(), 0u);
   dev.set_io_engine(nullptr);
@@ -479,12 +536,13 @@ TEST_P(PrefetchLayers, StripedDeviceIdentity) {
 
   std::vector<uint64_t> out_sync, out_armed;
   IoStats sync_cost, armed_cost, sync_disk0, armed_disk0;
-  auto run = [&](StripedDevice* dev, size_t depth, bool armed) {
+  auto run = [&](StripedDevice* dev, bool armed) {
     ASSERT_TRUE(dev->SupportsUncounted());
     ExtVector<uint64_t> input(dev);
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    DistributionSorter<uint64_t> sorter(dev, 4 * kMem);
-    sorter.set_prefetch_depth(depth);
+    Options opts = LayerOptions(armed);
+    opts.memory_budget = 4 * kMem;
+    auto sorter = Build<DistributionSorter<uint64_t>>(dev, opts, armed);
     ExtVector<uint64_t> out(dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
@@ -494,7 +552,7 @@ TEST_P(PrefetchLayers, StripedDeviceIdentity) {
     ASSERT_NE(dev, nullptr);
     ASSERT_TRUE(dev->valid());
     IoProbe probe(*dev);
-    run(dev.get(), 0, /*armed=*/false);
+    run(dev.get(), /*armed=*/false);
     sync_cost = probe.delta();
     sync_disk0 = dev->disk_stats(0);
   }
@@ -507,7 +565,7 @@ TEST_P(PrefetchLayers, StripedDeviceIdentity) {
     if (cfg.engine) dev->set_io_engine(&engine);
     if (cfg.governor) dev->set_prefetch_governor(&governor);
     IoProbe probe(*dev);
-    run(dev.get(), cfg.depth, /*armed=*/true);
+    run(dev.get(), /*armed=*/true);
     armed_cost = probe.delta();
     armed_disk0 = dev->disk_stats(0);
     dev->set_io_engine(nullptr);
@@ -532,13 +590,10 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, PrefetchLayers,
     ::testing::Values(Cfg{2, false, false}, Cfg{4, true, false},
                       Cfg{16, true, false}, Cfg{4, false, true},
-                      Cfg{16, true, true}),
+                      Cfg{16, true, true},
+                      Cfg{4, true, false, /*opts_block=*/kBlock / 4}),
     [](const ::testing::TestParamInfo<Cfg>& info) {
-      std::string name = "K";
-      name += std::to_string(info.param.depth);
-      name += info.param.engine ? "_engine" : "_sync";
-      if (info.param.governor) name += "_gov";
-      return name;
+      return CfgName(info.param);
     });
 
 // --------------------------------------------------- error propagation
@@ -553,8 +608,8 @@ TEST(PrefetchLayersFaults, DistributionSortPropagatesReadError) {
   std::vector<uint64_t> data(20000);
   for (auto& v : data) v = rng.Next();
   FaultyBlockDevice dev(&inner, /*fail_read_at=*/50);
-  DistributionSorter<uint64_t> sorter(&dev, kMem);
-  sorter.set_prefetch_depth(8);
+  DistributionSorter<uint64_t> sorter(
+      &dev, Options{.memory_budget = kMem, .prefetch_depth = 8});
   ExtVector<uint64_t> input(&dev);
   ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
   ExtVector<uint64_t> out(&dev);
@@ -581,20 +636,20 @@ TEST(PrefetchLayersFaults, JoinPropagatesWriteError) {
   ASSERT_TRUE(ov.AppendAll(orders.data(), orders.size()).ok());
   ASSERT_TRUE(cv.AppendAll(custs.data(), custs.size()).ok());
   Status s = SortMergeJoin<OrderRow, CustRow, JoinedRow, uint64_t>(
-      ov, cv, &out, kMem, [](const OrderRow& o) { return o.cust; },
+      ov, cv, &out, Options{.memory_budget = kMem, .prefetch_depth = 8},
+      [](const OrderRow& o) { return o.cust; },
       [](const CustRow& c) { return c.cust; },
       [](const OrderRow& o, const CustRow& c) {
         return JoinedRow{o.order_id, o.cust, c.region};
-      },
-      /*prefetch_depth=*/8);
+      });
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
 }
 
 TEST(PrefetchLayersFaults, ExternalPqPropagatesReadError) {
   MemoryBlockDevice inner(kBlock);
   FaultyBlockDevice dev(&inner, /*fail_read_at=*/20);
-  ExternalPriorityQueue<uint64_t> pq(&dev, 1024);
-  pq.set_prefetch_depth(4);
+  ExternalPriorityQueue<uint64_t> pq(
+      &dev, Options{.memory_budget = 1024, .prefetch_depth = 4});
   Rng rng(82);
   Status s = Status::OK();
   for (size_t i = 0; i < 20000 && s.ok(); ++i) s = pq.Push(rng.Next());

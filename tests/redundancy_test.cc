@@ -318,9 +318,9 @@ RedundantWorkloadResult RunRedundantSortWorkload(Redundancy mode,
   IoProbe probe(*rig.dev);
   ExtVector<uint64_t> input(rig.dev.get());
   EXPECT_TRUE(input.AppendAll(data.data(), data.size(), /*depth=*/8).ok());
-  ExternalSorter<uint64_t> sorter(rig.dev.get(), /*memory=*/8 * kBlock);
+  ExternalSorter<uint64_t> sorter(
+      rig.dev.get(), Options{.memory_budget = 8 * kBlock, .prefetch_depth = 8});
   sorter.set_forecast_merge(true);
-  sorter.set_prefetch_depth(8);
   ExtVector<uint64_t> out(rig.dev.get());
   Status s = sorter.Sort(input, &out);
   EXPECT_TRUE(s.ok()) << s.ToString();

@@ -7,13 +7,14 @@
 
 #include "core/relational.h"
 #include "io/memory_block_device.h"
+#include "util/options.h"
 #include "util/random.h"
 
 namespace vem {
 namespace {
 
 constexpr size_t kBlock = 256;
-constexpr size_t kMem = 4096;
+const Options kOpts{.memory_budget = 4096};  // M; B comes from the device
 
 struct OrderRow {
   uint64_t order_id;
@@ -61,7 +62,7 @@ TEST(SortMergeJoin, ManyToOne) {
   ASSERT_TRUE(cv.AppendAll(custs.data(), custs.size()).ok());
   ExtVector<JoinedRow> out(&dev);
   Status s = SortMergeJoin<OrderRow, CustRow, JoinedRow, uint64_t>(
-      ov, cv, &out, kMem,
+      ov, cv, &out, kOpts,
       [](const OrderRow& o) { return o.cust; },
       [](const CustRow& c) { return c.cust; },
       [](const OrderRow& o, const CustRow& c) {
@@ -85,7 +86,7 @@ TEST(SortMergeJoin, ManyToManyCrossProductPerKey) {
   ASSERT_TRUE(rv.AppendAll(right.data(), right.size()).ok());
   ExtVector<JoinedRow> out(&dev);
   Status s = SortMergeJoin<OrderRow, CustRow, JoinedRow, uint64_t>(
-      lv, rv, &out, kMem,
+      lv, rv, &out, kOpts,
       [](const OrderRow& o) { return o.cust; },
       [](const CustRow& c) { return c.cust; },
       [](const OrderRow& o, const CustRow& c) {
@@ -103,7 +104,7 @@ TEST(SortMergeJoin, EmptySides) {
   ASSERT_TRUE(rv.AppendAll(right.data(), right.size()).ok());
   ExtVector<JoinedRow> out(&dev);
   Status s = SortMergeJoin<OrderRow, CustRow, JoinedRow, uint64_t>(
-      lv, rv, &out, kMem,
+      lv, rv, &out, kOpts,
       [](const OrderRow& o) { return o.cust; },
       [](const CustRow& c) { return c.cust; },
       [](const OrderRow& o, const CustRow& c) {
@@ -143,7 +144,7 @@ TEST(GroupByAggregate, SumAndCountPerKey) {
     double total;
   };
   Status s = GroupByAggregate<SaleRow, uint32_t, Acc, RegionStat>(
-      sv, &out, kMem,
+      sv, &out, kOpts,
       [](const SaleRow& r) { return r.region; },
       [](const uint32_t&) { return Acc{0, 0.0}; },
       [](Acc* a, const SaleRow& r) {
@@ -178,7 +179,7 @@ TEST(GroupByAggregate, SingleKeyAndEmpty) {
   };
   auto run = [&](const ExtVector<SaleRow>& in, ExtVector<RegionStat>* o) {
     return GroupByAggregate<SaleRow, uint32_t, Acc, RegionStat>(
-        in, o, kMem, [](const SaleRow& r) { return r.region; },
+        in, o, kOpts, [](const SaleRow& r) { return r.region; },
         [](const uint32_t&) { return Acc{0}; },
         [](Acc* a, const SaleRow&) { a->c++; },
         [](const uint32_t& k, const Acc& a) {

@@ -213,9 +213,9 @@ TEST(MergeSort, TemporariesFreed) {
   EXPECT_EQ(dev.num_allocated(), before);
 }
 
-TEST(MergeSort, SingleRunOutputKeepsPoolAndDepth) {
-  // The output's pool and prefetch depth must survive the sort whether
-  // the input fits in one run (M = 1 MiB) or needs a merge (M = 12 KiB).
+TEST(MergeSort, SingleRunOutputKeepsPool) {
+  // The output's pool must survive the sort whether the input fits in
+  // one run (M = 1 MiB) or needs a merge (M = 12 KiB).
   MemoryBlockDevice dev(256);
   BufferPool pool(&dev, 8);
   const size_t kN = 5000;
@@ -227,10 +227,8 @@ TEST(MergeSort, SingleRunOutputKeepsPoolAndDepth) {
   }
   for (size_t budget : {size_t{1} << 20, size_t{12} << 10}) {
     ExtVector<uint64_t> out(&dev, &pool);
-    out.set_prefetch_depth(4);
     ASSERT_TRUE(ExternalSort(input, &out, budget).ok()) << budget;
     EXPECT_EQ(out.pool(), &pool) << budget;
-    EXPECT_EQ(out.prefetch_depth(), 4u) << budget;
     uint64_t v = 0;
     ASSERT_TRUE(out.Get(5, &v).ok()) << budget;
     EXPECT_EQ(v, 5u) << budget;
