@@ -71,6 +71,12 @@ inline IoBuffer AllocIoBuffer(size_t n, bool zeroed = false) {
   return IoBuffer(p);
 }
 
+/// AllocIoBuffer that returns null instead of throwing when memory runs
+/// out, for callers that report the failure as a Status.
+inline IoBuffer AllocIoBuffer(size_t n, std::nothrow_t) {
+  return IoBuffer(new (std::align_val_t{kIoMemAlign}, std::nothrow) char[n]);
+}
+
 /// Abstract block-granular storage device with block allocation.
 class BlockDevice {
  public:

@@ -8,13 +8,12 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <deque>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "io/io_engine.h"
-#include "io/io_ring.h"
 
 namespace vem {
 
@@ -31,16 +30,12 @@ constexpr size_t kMaxIov = 512;
 // zero-copy; anything else bounces through an aligned staging buffer.
 constexpr size_t kDirectFsAlign = 512;
 
-bool DirectUsable(const void* p) {
-  return reinterpret_cast<uintptr_t>(p) % kIoMemAlign == 0;
-}
-
 /// True when bufs[0..n) is one contiguous region starting aligned — the
 /// shape ExtVector windows and BufferPool frames produce — so the whole
 /// run can transfer in place with a single direct pread/pwrite.
 bool ContiguousAligned(void* const* bufs, size_t n, size_t block_size) {
-  if (!DirectUsable(bufs[0])) return false;
   const char* base = static_cast<const char*>(bufs[0]);
+  if (reinterpret_cast<uintptr_t>(base) % kIoMemAlign != 0) return false;
   for (size_t i = 1; i < n; ++i) {
     if (static_cast<const char*>(bufs[i]) != base + i * block_size) {
       return false;
@@ -48,16 +43,6 @@ bool ContiguousAligned(void* const* bufs, size_t n, size_t block_size) {
   }
   return true;
 }
-
-/// Page-aligned scratch allocation (RAII). Allocated per transfer call so
-/// concurrent engine workers never share staging state.
-struct AlignedBuffer {
-  void* p = nullptr;
-  ~AlignedBuffer() { std::free(p); }
-  bool Alloc(size_t bytes) {
-    return ::posix_memalign(&p, kIoMemAlign, bytes) == 0;
-  }
-};
 
 // Persistent O_DIRECT bounce staging registered with the engine's ring:
 // big enough for a deep prefetch wave (256 blocks at the default B), so
@@ -238,278 +223,6 @@ Status FileBlockDevice::Sync() {
   return Status::OK();
 }
 
-Status FileBlockDevice::ReadUncounted(uint64_t id, void* buf) {
-  if (retry_ == nullptr) return ReadUncountedImpl(id, buf);
-  return RunWithDiskRetry(retry_, engine_, EngineDiskTag(id), id,
-                          [&] { return ReadUncountedImpl(id, buf); });
-}
-
-Status FileBlockDevice::WriteUncounted(uint64_t id, const void* buf) {
-  if (retry_ == nullptr) return WriteUncountedImpl(id, buf);
-  return RunWithDiskRetry(retry_, engine_, EngineDiskTag(id), id,
-                          [&] { return WriteUncountedImpl(id, buf); });
-}
-
-Status FileBlockDevice::ReadUncountedImpl(uint64_t id, void* buf) {
-  if (fd_ < 0) return Status::IOError("device not open: " + path_);
-  if (id >= next_id_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument("read of unallocated block " +
-                                   std::to_string(id));
-  }
-  if (direct_io_active_) {
-    size_t completed = 0;
-    return TransferRunDirect(id, &buf, 1, /*write=*/false, &completed);
-  }
-  size_t got = 0;
-  while (got < block_size_) {
-    ssize_t n = ::pread(fd_, static_cast<char*>(buf) + got, block_size_ - got,
-                        static_cast<off_t>(id * block_size_ + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return StatusFromErrno(
-          "pread", static_cast<int64_t>(id * block_size_ + got), errno);
-    }
-    if (n == 0) break;  // EOF: allocated but never written
-    got += static_cast<size_t>(n);
-  }
-  // Allocated-but-never-written blocks live past EOF (or in a hole) and
-  // read short; define them as zero so Allocate -> Read behaves like
-  // MemoryBlockDevice's zeroed PinNew path.
-  if (got < block_size_) {
-    std::memset(static_cast<char*>(buf) + got, 0, block_size_ - got);
-  }
-  return Status::OK();
-}
-
-Status FileBlockDevice::WriteUncountedImpl(uint64_t id, const void* buf) {
-  if (fd_ < 0) return Status::IOError("device not open: " + path_);
-  if (id >= next_id_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument("write of unallocated block " +
-                                   std::to_string(id));
-  }
-  if (direct_io_active_) {
-    void* b = const_cast<void*>(buf);
-    size_t completed = 0;
-    return TransferRunDirect(id, &b, 1, /*write=*/true, &completed);
-  }
-  size_t put = 0;
-  while (put < block_size_) {
-    ssize_t n = ::pwrite(fd_, static_cast<const char*>(buf) + put,
-                         block_size_ - put,
-                         static_cast<off_t>(id * block_size_ + put));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return StatusFromErrno(
-          "pwrite", static_cast<int64_t>(id * block_size_ + put), errno);
-    }
-    put += static_cast<size_t>(n);
-  }
-  NoteWrittenExtent(id, 1);
-  return Status::OK();
-}
-
-Status FileBlockDevice::Read(uint64_t id, void* buf) {
-  VEM_RETURN_IF_ERROR(ReadUncounted(id, buf));
-  stats_.block_reads++;
-  stats_.parallel_reads++;
-  stats_.bytes_read += block_size_;
-  return Status::OK();
-}
-
-Status FileBlockDevice::Write(uint64_t id, const void* buf) {
-  VEM_RETURN_IF_ERROR(WriteUncounted(id, buf));
-  stats_.block_writes++;
-  stats_.parallel_writes++;
-  stats_.bytes_written += block_size_;
-  return Status::OK();
-}
-
-Status FileBlockDevice::TransferRun(uint64_t first_id, void* const* bufs,
-                                    size_t nblocks, bool write,
-                                    size_t* blocks_completed) {
-  if (direct_io_active_) {
-    return TransferRunDirect(first_id, bufs, nblocks, write,
-                             blocks_completed);
-  }
-  struct iovec iov[kMaxIov];
-  for (size_t i = 0; i < nblocks; ++i) {
-    iov[i].iov_base = bufs[i];
-    iov[i].iov_len = block_size_;
-  }
-  size_t total = nblocks * block_size_;
-  size_t done = 0;
-  *blocks_completed = 0;
-  while (done < total) {
-    size_t skip_iov = done / block_size_;
-    size_t skip_bytes = done % block_size_;
-    struct iovec head = iov[skip_iov];
-    head.iov_base = static_cast<char*>(head.iov_base) + skip_bytes;
-    head.iov_len -= skip_bytes;
-    struct iovec saved = iov[skip_iov];
-    iov[skip_iov] = head;
-    off_t off = static_cast<off_t>(first_id * block_size_ + done);
-    ssize_t n = write ? ::pwritev(fd_, iov + skip_iov,
-                                  static_cast<int>(nblocks - skip_iov), off)
-                      : ::preadv(fd_, iov + skip_iov,
-                                 static_cast<int>(nblocks - skip_iov), off);
-    iov[skip_iov] = saved;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // Blocks fully transferred before the error were real I/O and get
-      // charged, exactly as the per-block loop would have counted them.
-      *blocks_completed = done / block_size_;
-      if (write) NoteWrittenExtent(first_id, *blocks_completed);
-      return StatusFromErrno(write ? "pwritev" : "preadv",
-                             static_cast<int64_t>(off), errno);
-    }
-    if (n == 0) {
-      if (write) {
-        *blocks_completed = done / block_size_;
-        return Status::IOError("pwritev wrote nothing");
-      }
-      break;  // EOF on read: remainder is allocated-but-unwritten space
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (!write && done < total) {
-    // Zero-fill the unread tail, same contract as ReadUncounted.
-    for (size_t i = done / block_size_; i < nblocks; ++i) {
-      size_t start = (i == done / block_size_) ? done % block_size_ : 0;
-      std::memset(static_cast<char*>(bufs[i]) + start, 0,
-                  block_size_ - start);
-    }
-  }
-  *blocks_completed = nblocks;
-  if (write) NoteWrittenExtent(first_id, nblocks);
-  return Status::OK();
-}
-
-Status FileBlockDevice::TransferRunDirect(uint64_t first_id,
-                                          void* const* bufs, size_t nblocks,
-                                          bool write,
-                                          size_t* blocks_completed) {
-  *blocks_completed = 0;
-  const size_t total = nblocks * block_size_;
-  const off_t base_off = static_cast<off_t>(first_id * block_size_);
-  AlignedBuffer bounce;
-  const bool in_place = ContiguousAligned(bufs, nblocks, block_size_);
-  char* target;
-  if (in_place) {
-    target = static_cast<char*>(bufs[0]);
-  } else {
-    if (!bounce.Alloc(total)) {
-      return Status::IOError("posix_memalign failed for direct I/O bounce");
-    }
-    target = static_cast<char*>(bounce.p);
-    if (write) {
-      for (size_t i = 0; i < nblocks; ++i) {
-        std::memcpy(target + i * block_size_, bufs[i], block_size_);
-      }
-    }
-  }
-  // Direct transfers advance in multiples of kDirectFsAlign (file sizes
-  // are block-aligned because every write is a whole block), so resuming
-  // at `done` keeps offset, length, and memory address aligned.
-  size_t done = 0;
-  while (done < total) {
-    ssize_t n = write ? ::pwrite(fd_, target + done, total - done,
-                                 base_off + static_cast<off_t>(done))
-                      : ::pread(fd_, target + done, total - done,
-                                base_off + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *blocks_completed = done / block_size_;
-      if (write) NoteWrittenExtent(first_id, *blocks_completed);
-      if (!write && !in_place) {
-        // Deliver the blocks that fully transferred, like preadv would.
-        for (size_t i = 0; i < *blocks_completed; ++i) {
-          std::memcpy(bufs[i], target + i * block_size_, block_size_);
-        }
-      }
-      return StatusFromErrno(write ? "pwrite (O_DIRECT)" : "pread (O_DIRECT)",
-                             base_off + static_cast<int64_t>(done), errno);
-    }
-    if (n == 0) {
-      if (write) {
-        *blocks_completed = done / block_size_;
-        return Status::IOError("pwrite (O_DIRECT) wrote nothing");
-      }
-      break;  // EOF on read: remainder is allocated-but-unwritten space
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (!write) {
-    if (done < total) {
-      // Zero-fill the unread tail, same contract as the buffered path.
-      std::memset(target + done, 0, total - done);
-    }
-    if (!in_place) {
-      for (size_t i = 0; i < nblocks; ++i) {
-        std::memcpy(bufs[i], target + i * block_size_, block_size_);
-      }
-    }
-  }
-  *blocks_completed = nblocks;
-  if (write) NoteWrittenExtent(first_id, nblocks);
-  return Status::OK();
-}
-
-Status FileBlockDevice::VectoredTransfer(const uint64_t* ids,
-                                         void* const* bufs, size_t n,
-                                         bool write, bool counted) {
-  if (fd_ < 0) return Status::IOError("device not open: " + path_);
-  if (n == 0) return Status::OK();
-  IoRing* ring = engine_ != nullptr ? engine_->ring() : nullptr;
-  if (ring != nullptr) {
-    return VectoredTransferRing(ring, ids, bufs, n, write, counted);
-  }
-  const uint64_t bound = next_id_.load(std::memory_order_acquire);
-  size_t i = 0;
-  while (i < n) {
-    if (ids[i] >= bound) {
-      return Status::InvalidArgument(
-          std::string(write ? "write" : "read") + " of unallocated block " +
-          std::to_string(ids[i]));
-    }
-    // Extend the run while ids stay contiguous (and allocated).
-    size_t len = 1;
-    while (i + len < n && len < kMaxIov && ids[i + len] == ids[i] + len &&
-           ids[i + len] < bound) {
-      len++;
-    }
-    size_t completed = 0;
-    // Whole-run retry on transient failure: each attempt resets
-    // `completed`, and charging below uses only the FINAL attempt's
-    // count, so a retried run charges exactly what the fault-free
-    // sequential loop would have.
-    Status s;
-    if (retry_ == nullptr) {
-      s = TransferRun(ids[i], bufs + i, len, write, &completed);
-    } else {
-      s = RunWithDiskRetry(retry_, engine_, EngineDiskTag(ids[i]), ids[i],
-                           [&, i, len] {
-                             completed = 0;
-                             return TransferRun(ids[i], bufs + i, len, write,
-                                                &completed);
-                           });
-    }
-    if (counted && completed > 0) {
-      // Same charge as `completed` single-block ops: this is still one
-      // disk moving blocks, not a parallel step; on a mid-run error only
-      // the blocks that physically transferred are charged, exactly like
-      // the equivalent loop.
-      if (write) {
-        AccountWrites(completed);
-      } else {
-        AccountReads(completed);
-      }
-    }
-    VEM_RETURN_IF_ERROR(s);
-    i += len;
-  }
-  return Status::OK();
-}
-
 void FileBlockDevice::EnsureRingRegistration(IoRing* ring) {
   std::lock_guard<std::mutex> lk(ring_mu_);
   if (ring_registered_ == ring) return;
@@ -523,309 +236,304 @@ void FileBlockDevice::EnsureRingRegistration(IoRing* ring) {
   ring_fd_slot_ = ring->RegisterFd(fd_);
   if (direct_io_active_) {
     if (!ring_staging_) {
-      ring_staging_ = AllocIoBuffer(kRingStagingBytes);
-      ring_staging_bytes_ = ring_staging_ ? kRingStagingBytes : 0;
+      ring_staging_ = AllocIoBuffer(kRingStagingBytes, std::nothrow);
     }
     if (ring_staging_) {
-      ring_buf_slot_ =
-          ring->RegisterBuffer(ring_staging_.get(), ring_staging_bytes_);
+      ring_buf_slot_ = ring->RegisterBuffer(ring_staging_.get(),
+                                            kRingStagingBytes);
     }
   }
 }
 
-Status FileBlockDevice::VectoredTransferRing(IoRing* ring, const uint64_t* ids,
-                                             void* const* bufs, size_t n,
-                                             bool write, bool counted) {
-  EnsureRingRegistration(ring);
-  const uint64_t bound = next_id_.load(std::memory_order_acquire);
+// One coalesced run of contiguous block ids: its slice of the caller's
+// buffers, its staged target and its progress. Buffered runs move through
+// `iov` (one entry per block, over user memory); O_DIRECT runs move one
+// linear region, `target`: the user memory itself, or, when `bounced`, a
+// slice of the registered staging buffer or the run's own `bounce`.
+struct FileBlockDevice::Run {
+  uint64_t first_id = 0;
+  size_t nblocks = 0;
+  void* const* bufs = nullptr;
+  struct iovec* iov = nullptr;
+  char* target = nullptr;
+  bool bounced = false;
+  int buf_index = -1;   // registered staging slot for ring ops, or -1
+  IoBuffer bounce;
+  size_t done = 0;      // bytes moved so far: the resume offset
+  size_t attempts = 0;  // retries spent from the policy's budget
+  bool finished = false;
+  Status error;
 
-  // Pass 1: split the batch into coalesced runs exactly like the worker
-  // path. An unallocated id ends the valid prefix; the runs before it
-  // still transfer and charge (the sequential loop would have issued
-  // them before hitting the bad id), then the precheck error returns.
-  struct RingRun {
-    size_t first = 0;     // index into ids/bufs
-    uint64_t first_id = 0;
-    size_t nblocks = 0;
-    size_t total = 0;     // bytes
-    size_t done = 0;
-    size_t completed_blocks = 0;
-    size_t attempts = 0;  // transient-retry budget consumed (policy-bounded)
-    bool finished = false;
-    Status error = Status::OK();
-    // Direct-mode target: user memory (in_place), a slice of the
-    // registered staging buffer (buf_index >= 0), or a per-call bounce.
-    bool in_place = false;
-    char* target = nullptr;
-    int buf_index = -1;
-    size_t iov_off = 0;  // buffered: first iovec in the arena
-  };
-  std::vector<RingRun> runs;
-  Status precheck = Status::OK();
-  size_t valid_blocks = 0;
-  {
-    size_t i = 0;
-    while (i < n) {
-      if (ids[i] >= bound) {
-        precheck = Status::InvalidArgument(
-            std::string(write ? "write" : "read") + " of unallocated block " +
-            std::to_string(ids[i]));
-        break;
-      }
-      size_t len = 1;
-      while (i + len < n && len < kMaxIov && ids[i + len] == ids[i] + len &&
-             ids[i + len] < bound) {
-        len++;
-      }
-      RingRun r;
-      r.first = i;
-      r.first_id = ids[i];
-      r.nblocks = len;
-      r.total = len * block_size_;
-      runs.push_back(r);
-      valid_blocks += len;
-      i += len;
-    }
-  }
-  if (runs.empty()) return precheck;
+  bool pending() const { return !finished && error.ok(); }
+};
 
-  // Pass 2: stage targets. Buffered runs get iovecs over user memory;
-  // direct runs transfer in place when contiguous-aligned, else bounce —
-  // preferring a slice of the registered staging buffer (one contender
-  // at a time; others fall back to per-call aligned allocations).
-  std::vector<struct iovec> iov_arena;
-  std::deque<AlignedBuffer> bounces;
-  std::unique_lock<std::mutex> staging_lock(staging_mu_, std::defer_lock);
-  char* staging = nullptr;
-  size_t staging_left = 0;
-  size_t staging_off = 0;
-  if (direct_io_active_) {
-    if (ring_buf_slot_ >= 0 && staging_lock.try_lock()) {
-      staging = ring_staging_.get();
-      staging_left = ring_staging_bytes_;
-    }
-  } else {
-    iov_arena.resize(valid_blocks);
-  }
-  size_t next_iov = 0;
-  for (RingRun& r : runs) {
+struct FileBlockDevice::Staging {
+  char* next = nullptr;
+  size_t left = 0;
+  int slot = -1;
+};
+
+Status FileBlockDevice::Transfer(const uint64_t* ids, void* const* bufs,
+                                 size_t n, bool write, bool counted,
+                                 bool batch) {
+  if (fd_ < 0) return Status::IOError("device not open: " + path_);
+  if (n == 0) return Status::OK();
+  // A one-block plan lives on the stack; only batches allocate theirs.
+  Run one_run;
+  struct iovec one_iov{};
+  std::unique_ptr<Run[]> many_runs;
+  std::unique_ptr<struct iovec[]> many_iov;
+  Run* runs = &one_run;
+  struct iovec* iov = &one_iov;
+  if (n > 1) {
+    many_runs.reset(new Run[n]);
+    runs = many_runs.get();
     if (!direct_io_active_) {
-      r.iov_off = next_iov;
-      next_iov += r.nblocks;
-      for (size_t k = 0; k < r.nblocks; ++k) {
-        iov_arena[r.iov_off + k].iov_base = bufs[r.first + k];
-        iov_arena[r.iov_off + k].iov_len = block_size_;
-      }
-      continue;
-    }
-    if (ContiguousAligned(bufs + r.first, r.nblocks, block_size_)) {
-      r.in_place = true;
-      r.target = static_cast<char*>(bufs[r.first]);
-    } else if (staging != nullptr && r.total <= staging_left) {
-      r.target = staging + staging_off;
-      r.buf_index = ring_buf_slot_;
-      staging_off += r.total;
-      staging_left -= r.total;
-    } else {
-      bounces.emplace_back();
-      if (!bounces.back().Alloc(r.total)) {
-        return Status::IOError("posix_memalign failed for direct I/O bounce");
-      }
-      r.target = static_cast<char*>(bounces.back().p);
-    }
-    if (write && !r.in_place) {
-      for (size_t k = 0; k < r.nblocks; ++k) {
-        std::memcpy(r.target + k * block_size_, bufs[r.first + k],
-                    block_size_);
-      }
+      many_iov.reset(new struct iovec[n]);
+      iov = many_iov.get();
     }
   }
-
-  // Pass 3: submit every unfinished run as one SQE, all runs in one
-  // io_uring_enter, and resume shorts until each run is terminal. EOF
-  // and partial-transfer rules match TransferRun/TransferRunDirect.
-  std::vector<IoRing::Op> ops;
-  std::vector<size_t> op_run;
-  bool pending = true;
-  while (pending) {
-    pending = false;
-    ops.clear();
-    op_run.clear();
-    for (size_t ri = 0; ri < runs.size(); ++ri) {
-      RingRun& r = runs[ri];
-      if (r.finished || !r.error.ok()) continue;
-      IoRing::Op op;
-      op.fd = fd_;
-      op.fixed_fd = ring_fd_slot_;
-      op.write = write;
-      op.offset = r.first_id * block_size_ + r.done;
-      if (direct_io_active_) {
-        op.buf = r.target + r.done;
-        op.len = r.total - r.done;
-        op.buf_index = r.buf_index;
-      } else {
-        // Rebuild the head iovec for the resume offset; earlier entries
-        // of this run's arena slice are fully consumed and never reused.
-        size_t skip_iov = r.done / block_size_;
-        size_t skip_bytes = r.done % block_size_;
-        iov_arena[r.iov_off + skip_iov].iov_base =
-            static_cast<char*>(bufs[r.first + skip_iov]) + skip_bytes;
-        iov_arena[r.iov_off + skip_iov].iov_len = block_size_ - skip_bytes;
-        op.iov = iov_arena.data() + r.iov_off + skip_iov;
-        op.iovcnt = static_cast<unsigned>(r.nblocks - skip_iov);
-      }
-      ops.push_back(op);
-      op_run.push_back(ri);
+  IoRing* ring = batch && engine_ != nullptr ? engine_->ring() : nullptr;
+  Staging staging;
+  std::unique_lock<std::mutex> staging_lock(staging_mu_, std::defer_lock);
+  if (ring != nullptr) {
+    EnsureRingRegistration(ring);
+    // One contender at a time carves up the registered staging buffer;
+    // the others bounce through per-call allocations.
+    if (ring_buf_slot_ >= 0 && staging_lock.try_lock()) {
+      staging = {ring_staging_.get(), kRingStagingBytes, ring_buf_slot_};
     }
-    if (ops.empty()) break;
+  }
+  size_t nruns = 0;
+  Status precheck =
+      PlanRuns(ids, bufs, n, write, runs, iov, &staging, &nruns);
+  if (ring != nullptr) {
+    RunRing(ring, runs, nruns, write);
+  } else {
+    // Like the single-block loop, stop at the first run that fails.
+    for (size_t i = 0; i < nruns; ++i) {
+      RunSyscalls(runs[i], write);
+      if (!runs[i].error.ok()) break;
+    }
+  }
+  return FinishRuns(runs, nruns, write, counted, std::move(precheck));
+}
+
+Status FileBlockDevice::PlanRuns(const uint64_t* ids, void* const* bufs,
+                                 size_t n, bool write, Run* runs,
+                                 struct iovec* iov, Staging* staging,
+                                 size_t* nruns) {
+  const uint64_t bound = next_id_.load(std::memory_order_acquire);
+  *nruns = 0;
+  for (size_t i = 0; i < n;) {
+    // An unallocated id ends the plan; the runs before it still transfer
+    // and charge, as the single-block loop would have issued them first.
+    if (ids[i] >= bound) {
+      return Status::InvalidArgument(std::string(write ? "write" : "read") +
+                                     " of unallocated block " +
+                                     std::to_string(ids[i]));
+    }
+    size_t len = 1;
+    while (i + len < n && len < kMaxIov && ids[i + len] == ids[i] + len &&
+           ids[i + len] < bound) {
+      len++;
+    }
+    Run& r = runs[*nruns];
+    r.first_id = ids[i];
+    r.nblocks = len;
+    r.bufs = bufs + i;
+    const size_t bytes = len * block_size_;
+    if (!direct_io_active_) {
+      r.iov = iov + i;
+      for (size_t k = 0; k < len; ++k) r.iov[k] = {bufs[i + k], block_size_};
+    } else if (ContiguousAligned(r.bufs, len, block_size_)) {
+      r.target = static_cast<char*>(bufs[i]);
+    } else {
+      r.bounced = true;
+      if (bytes <= staging->left) {
+        r.target = staging->next;
+        r.buf_index = staging->slot;
+        staging->next += bytes;
+        staging->left -= bytes;
+      } else {
+        r.bounce = AllocIoBuffer(bytes, std::nothrow);
+        if (!r.bounce) {
+          return Status::IOError("allocation failed for direct I/O bounce");
+        }
+        r.target = r.bounce.get();
+      }
+      if (write) {
+        for (size_t k = 0; k < len; ++k) {
+          std::memcpy(r.target + k * block_size_, r.bufs[k], block_size_);
+        }
+      }
+    }
+    ++*nruns;
+    i += len;
+  }
+  return Status::OK();
+}
+
+int FileBlockDevice::ConsumeForcedErrno() {
+  int left = forced_count_.load();
+  while (left > 0) {
+    if (forced_count_.compare_exchange_weak(left, left - 1)) {
+      return forced_errno_.load();
+    }
+  }
+  return 0;
+}
+
+void FileBlockDevice::ApplyResult(Run& r, int64_t res, bool write) {
+  if (const int forced = ConsumeForcedErrno(); forced != 0) res = -forced;
+  if (res == -EINTR) return;  // resubmit from the same offset, silently
+  const size_t total = r.nblocks * block_size_;
+  if (res == 0 && !write) {
+    // EOF: the rest of the run is allocated but never written. It reads
+    // as zeros, like MemoryBlockDevice's zeroed PinNew path.
+    if (r.iov == nullptr) {
+      std::memset(r.target + r.done, 0, total - r.done);
+    } else {
+      for (size_t k = r.done / block_size_; k < r.nblocks; ++k) {
+        const size_t from = k == r.done / block_size_ ? r.done % block_size_
+                                                      : 0;
+        std::memset(static_cast<char*>(r.bufs[k]) + from, 0,
+                    block_size_ - from);
+      }
+    }
+    res = static_cast<int64_t>(total - r.done);
+  }
+  if (res > 0) {
+    r.done += static_cast<size_t>(res);
+    if (r.done < total) return;  // short transfer: resume from r.done
+    r.finished = true;
+    // A success after retried failures is recovery evidence.
+    if (r.attempts > 0 && engine_ != nullptr) {
+      engine_->ReportDiskResult(EngineDiskTag(r.first_id), true, 0);
+    }
+    return;
+  }
+  const uint64_t offset = r.first_id * block_size_ + r.done;
+  Status e = res < 0 ? StatusFromErrno(write ? "write" : "read",
+                                       static_cast<int64_t>(offset),
+                                       static_cast<int>(-res))
+                     : Status::IOError("write wrote nothing at offset " +
+                                       std::to_string(offset));
+  const uint64_t tag = EngineDiskTag(r.first_id);
+  // RunWithDiskRetry's contract: with a policy, report every failed
+  // attempt and retry transient ones from the resume offset; an IOError
+  // that survives fail-stops the head.
+  if (retry_ != nullptr) {
+    if (engine_ != nullptr) engine_->ReportDiskResult(tag, false, 0);
+    if (e.IsTransient() && r.attempts < retry_->config().retry_limit) {
+      retry_->OnRetry(r.first_id, ++r.attempts);
+      return;
+    }
+  }
+  if (e.IsIOError() && engine_ != nullptr) engine_->ReportDiskFailStop(tag);
+  r.error = std::move(e);
+}
+
+IoRing::Op FileBlockDevice::NextStep(Run& r, bool write) const {
+  IoRing::Op op;
+  op.fd = fd_;
+  op.write = write;
+  op.offset = r.first_id * block_size_ + r.done;
+  if (r.iov == nullptr) {
+    // O_DIRECT advances in whole kDirectFsAlign units (file sizes are
+    // block multiples), so the resume point stays aligned.
+    op.buf = r.target + r.done;
+    op.len = r.nblocks * block_size_ - r.done;
+    op.buf_index = r.buf_index;
+    return op;
+  }
+  // Restart at the block holding the resume offset; the iovecs before it
+  // are consumed and never reused. A last block goes linear, sparing the
+  // kernel an iovec import.
+  const size_t skip = r.done / block_size_;
+  const size_t into = r.done % block_size_;
+  char* head = static_cast<char*>(r.bufs[skip]) + into;
+  if (skip + 1 == r.nblocks) {
+    op.buf = head;
+    op.len = block_size_ - into;
+    return op;
+  }
+  r.iov[skip] = {head, block_size_ - into};
+  op.iov = r.iov + skip;
+  op.iovcnt = static_cast<unsigned>(r.nblocks - skip);
+  return op;
+}
+
+void FileBlockDevice::RunSyscalls(Run& r, bool write) {
+  while (r.pending()) {
+    const IoRing::Op op = NextStep(r, write);
+    const off_t off = static_cast<off_t>(op.offset);
+    const int cnt = static_cast<int>(op.iovcnt);
+    ssize_t res = 0;
+    if (op.iov != nullptr) {
+      res = write ? ::pwritev(fd_, op.iov, cnt, off)
+                  : ::preadv(fd_, op.iov, cnt, off);
+    } else {
+      res = write ? ::pwrite(fd_, op.buf, op.len, off)
+                  : ::pread(fd_, op.buf, op.len, off);
+    }
+    ApplyResult(r, res < 0 ? -errno : res, write);
+  }
+}
+
+void FileBlockDevice::RunRing(IoRing* ring, Run* runs, size_t nruns,
+                              bool write) {
+  std::vector<IoRing::Op> ops;
+  std::vector<Run*> owners;
+  for (;;) {
+    ops.clear();
+    owners.clear();
+    for (size_t i = 0; i < nruns; ++i) {
+      if (!runs[i].pending()) continue;
+      ops.push_back(NextStep(runs[i], write));
+      ops.back().fixed_fd = ring_fd_slot_;
+      owners.push_back(&runs[i]);
+    }
+    if (ops.empty()) return;
     Status s = ring->SubmitAndWait(ops.data(), ops.size());
     if (engine_ != nullptr) engine_->ReportRingResult(s.ok());
     if (!s.ok()) {
-      // Ring submission itself failed. Instead of failing the batch,
-      // degrade live: finish every in-flight run on the worker-pool
-      // syscall path (idempotent — runs restart from offset 0, and
-      // charging uses only the final completed count). The engine's
-      // ReportRingResult above counts the strike; after
-      // kRingFailureLimit consecutive failures ring() goes null and the
-      // whole stack drops to preadv/pwritev for good.
-      for (size_t oi = 0; oi < ops.size(); ++oi) {
-        RingRun& r = runs[op_run[oi]];
-        size_t completed = 0;
-        Status fs;
-        if (retry_ == nullptr) {
-          fs = TransferRun(r.first_id, bufs + r.first, r.nblocks, write,
-                           &completed);
-        } else {
-          fs = RunWithDiskRetry(retry_, engine_, EngineDiskTag(r.first_id),
-                                r.first_id, [&] {
-                                  completed = 0;
-                                  return TransferRun(r.first_id,
-                                                     bufs + r.first, r.nblocks,
-                                                     write, &completed);
-                                });
-        }
-        r.completed_blocks = completed;
-        // TransferRun delivered straight into user memory; flag the run
-        // in-place so pass 4 does not overwrite it from the (stale)
-        // ring bounce target.
-        r.in_place = true;
-        if (fs.ok()) {
-          r.finished = true;
-        } else {
-          r.error = fs;
-        }
-      }
-      break;
+      // Submission itself failed: finish every unfinished run on the
+      // syscall executor from its resume offset. After kRingFailureLimit
+      // failures in a row the engine's ring() goes null for good.
+      for (Run* r : owners) RunSyscalls(*r, write);
+      return;
     }
-    for (size_t oi = 0; oi < ops.size(); ++oi) {
-      RingRun& r = runs[op_run[oi]];
-      ssize_t res = ops[oi].res;
-      if (res == -EINTR || res == -EAGAIN) {
-        pending = true;  // retry from the same offset
-        continue;
-      }
-      if (res < 0) {
-        Status e = StatusFromErrno(
-            write ? "ring write" : "ring read",
-            static_cast<int64_t>(r.first_id * block_size_ + r.done),
-            static_cast<int>(-res));
-        // Transiently failed SQE: back off and resubmit from the run's
-        // resume offset (bounded by the policy's retry budget), feeding
-        // the per-disk health record like every other retried attempt.
-        if (e.IsTransient() && retry_ != nullptr &&
-            r.attempts < retry_->config().retry_limit) {
-          r.attempts++;
-          if (engine_ != nullptr) {
-            engine_->ReportDiskResult(EngineDiskTag(r.first_id), false, 0);
-          }
-          retry_->OnRetry(r.first_id, r.attempts);
-          pending = true;
-          continue;
-        }
-        r.completed_blocks = r.done / block_size_;
-        r.error = std::move(e);
-        continue;
-      }
-      if (res == 0) {
-        if (write) {
-          r.completed_blocks = r.done / block_size_;
-          r.error = Status::IOError("ring write wrote nothing");
-          continue;
-        }
-        // EOF on read: the remainder is allocated-but-unwritten space.
-        if (direct_io_active_) {
-          std::memset(r.target + r.done, 0, r.total - r.done);
-        } else {
-          for (size_t k = r.done / block_size_; k < r.nblocks; ++k) {
-            size_t start = (k == r.done / block_size_) ? r.done % block_size_
-                                                       : 0;
-            std::memset(static_cast<char*>(bufs[r.first + k]) + start, 0,
-                        block_size_ - start);
-          }
-        }
-        r.finished = true;
-        r.completed_blocks = r.nblocks;
-        continue;
-      }
-      r.done += static_cast<size_t>(res);
-      if (r.done >= r.total) {
-        r.finished = true;
-        r.completed_blocks = r.nblocks;
-      } else {
-        pending = true;
-      }
+    for (size_t i = 0; i < ops.size(); ++i) {
+      ApplyResult(*owners[i], ops[i].res, write);
     }
   }
+}
 
-  // Pass 4: deliver direct-mode bounce reads, charge, and report. Charge
-  // per run in batch order (counted plane only), exactly the sequential
-  // loop's per-run AccountWrites/AccountReads; the first failed run's
-  // status wins, then the precheck error for the invalid tail.
-  Status fail = Status::OK();
-  for (RingRun& r : runs) {
-    if (write && r.completed_blocks > 0) {
-      NoteWrittenExtent(r.first_id, r.completed_blocks);
-    }
-    if (direct_io_active_ && !write && !r.in_place) {
-      for (size_t k = 0; k < r.completed_blocks; ++k) {
-        std::memcpy(bufs[r.first + k], r.target + k * block_size_,
-                    block_size_);
+Status FileBlockDevice::FinishRuns(const Run* runs, size_t nruns, bool write,
+                                   bool counted, Status precheck) {
+  const Run* failed = nullptr;
+  for (size_t i = 0; i < nruns; ++i) {
+    const Run& r = runs[i];
+    const size_t blocks = r.finished ? r.nblocks : r.done / block_size_;
+    if (write && blocks > 0) NoteWrittenExtent(r.first_id, blocks);
+    if (!write && r.bounced) {
+      for (size_t k = 0; k < blocks; ++k) {
+        std::memcpy(r.bufs[k], r.target + k * block_size_, block_size_);
       }
     }
-    if (counted && r.completed_blocks > 0) {
+    // Charge what the single-block loop would have: every block moved up
+    // to and including the first failing run, one block I/O each.
+    if (counted && failed == nullptr && blocks > 0) {
       if (write) {
-        AccountWrites(r.completed_blocks);
+        AccountWrites(blocks);
       } else {
-        AccountReads(r.completed_blocks);
+        AccountReads(blocks);
       }
     }
-    if (fail.ok() && !r.error.ok()) fail = r.error;
+    if (failed == nullptr && !r.error.ok()) failed = &r;
   }
-  if (!fail.ok()) return fail;
-  return precheck;
-}
-
-Status FileBlockDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
-                                  size_t n) {
-  return VectoredTransfer(ids, bufs, n, /*write=*/false, /*counted=*/true);
-}
-
-Status FileBlockDevice::WriteBatch(const uint64_t* ids,
-                                   const void* const* bufs, size_t n) {
-  return VectoredTransfer(ids, const_cast<void* const*>(bufs), n,
-                          /*write=*/true, /*counted=*/true);
-}
-
-Status FileBlockDevice::ReadBatchUncounted(const uint64_t* ids,
-                                           void* const* bufs, size_t n) {
-  return VectoredTransfer(ids, bufs, n, /*write=*/false, /*counted=*/false);
-}
-
-Status FileBlockDevice::WriteBatchUncounted(const uint64_t* ids,
-                                            const void* const* bufs,
-                                            size_t n) {
-  return VectoredTransfer(ids, const_cast<void* const*>(bufs), n,
-                          /*write=*/true, /*counted=*/false);
+  return failed != nullptr ? failed->error : precheck;
 }
 
 uint64_t FileBlockDevice::Allocate() {

@@ -4,14 +4,39 @@
 // file accessed with pread/pwrite, so wall-clock benchmarks exercise the
 // actual storage stack (page cache effects included, as on any laptop).
 //
-// This device implements the full async surface of BlockDevice:
-//  - ReadBatch/WriteBatch coalesce runs of contiguous block ids into
-//    single preadv/pwritev calls (one syscall per run instead of one per
-//    block — the dominant win for sequential streams);
-//  - the uncounted plane is thread-safe against concurrent Allocate/Free
-//    on the owning thread (transfers touch only the fd and an atomic
-//    bound), so IoEngine workers can run read-ahead/write-behind while
-//    the algorithm keeps allocating.
+// One data path moves every block. The eight transfer entry points
+// (Read/Write, the *Uncounted forms and the four batch calls) all go
+// through the same three steps:
+//  - a run planner splits the ids into runs of contiguous ids (at most
+//    kMaxIov each), stops at the first unallocated id, and stages each
+//    run's target: iovecs over user memory when buffered; under O_DIRECT
+//    the user buffer itself when it is one aligned contiguous region,
+//    else a slice of the ring's registered staging buffer, else a
+//    per-call bounce buffer;
+//  - an executor moves the runs. The syscall executor issues
+//    preadv/pwritev per step (pread/pwrite for a linear O_DIRECT target);
+//    the ring executor, used by batch calls when the attached IoEngine
+//    runs the io_uring backend (Options::io_backend = kIoUring), submits
+//    every unfinished run's next step as one SQE in a single
+//    SubmitAndWait per round, and hands the rest to the syscall executor
+//    if submission fails. Every op result, from either executor, goes
+//    through one result rule: it resumes short transfers, zero-fills
+//    reads past EOF (allocated-but-unwritten blocks read as zeros),
+//    fails a write that wrote nothing, resubmits EINTR silently, and
+//    sends every other error through the retry and health plane
+//    (RunWithDiskRetry's contract: each failed attempt is reported,
+//    transient ones retry under the policy, a retried success is
+//    recovery evidence, and a surviving IOError fail-stops the head);
+//  - a finish step copies bounce reads back, notes the written extent,
+//    and charges each run in batch order exactly as the equivalent
+//    single-block loop would: blocks that moved before the first failing
+//    run (that run's completed blocks included) are charged, its status
+//    wins, then the planner's unallocated-id error.
+// So the transport never changes IoStats. Single-block calls plan on
+// the stack and never use the ring. The uncounted plane is thread-safe
+// against concurrent Allocate/Free on the owning thread (transfers touch
+// only the fd and an atomic bound), so IoEngine workers can run
+// read-ahead/write-behind while the algorithm keeps allocating.
 //
 // Cold-cache mode (`direct_io`): the file is opened with O_DIRECT so
 // every transfer hits the storage device instead of the OS page cache.
@@ -19,23 +44,15 @@
 // compute/transfer overlap is invisible; direct I/O restores real device
 // latency so benches measure the engine, not the kernel's caching.
 // O_DIRECT demands 512-byte-aligned offsets, lengths, and (conservatively)
-// page-aligned memory; the device bounce-buffers unaligned user memory
-// and hands aligned contiguous runs straight to the kernel. When the
+// page-aligned memory, which the planner's staging provides. When the
 // filesystem rejects O_DIRECT (EINVAL at open) or block_size is not a
 // multiple of 512, the device silently falls back to buffered I/O —
-// direct_io_active() reports the outcome. Accounting and the zero-fill
-// EOF contract are identical in both modes.
+// direct_io_active() reports the outcome.
 //
-// io_uring transport: when the attached IoEngine runs the ring backend
-// (Options::io_backend = kIoUring), the batch entry points route through
-// the engine's IoRing instead of preadv/pwritev — one SQE per coalesced
-// run, all runs of a batch submitted together, so non-contiguous deep
-// batches (random reads, forecast waves) are serviced concurrently by the
-// kernel. The device registers its fd with the ring on first use and, in
-// direct mode, a persistent page-aligned staging buffer as a registered
-// buffer for bounce transfers. Runs, charging, EOF zero-fill, and bounce
-// semantics are bit-identical to the worker path. A device that
-// registered with a ring must be destroyed before that engine.
+// The device registers its fd with the engine's ring on first use and,
+// in direct mode, the persistent staging buffer as a registered buffer.
+// A device that registered with a ring must be destroyed before that
+// engine.
 //
 // Crash-safety contract: the constructor fsyncs the parent directory
 // after O_CREAT (a crash right after open could otherwise lose the
@@ -52,11 +69,10 @@
 #include <vector>
 
 #include "io/block_device.h"
+#include "io/io_ring.h"
 #include "util/options.h"
 
 namespace vem {
-
-class IoRing;
 
 /// Disk blocks stored in a single file; block id -> byte offset id*B.
 class FileBlockDevice final : public BlockDevice {
@@ -114,26 +130,65 @@ class FileBlockDevice final : public BlockDevice {
   uint64_t data_syncs() const { return data_syncs_.load(); }
 
   size_t block_size() const override { return block_size_; }
-  Status Read(uint64_t id, void* buf) override;
-  Status Write(uint64_t id, const void* buf) override;
-  Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) override;
+  Status Read(uint64_t id, void* buf) override {
+    return Transfer(&id, &buf, 1, /*write=*/false, /*counted=*/true,
+                    /*batch=*/false);
+  }
+  Status Write(uint64_t id, const void* buf) override {
+    void* b = const_cast<void*>(buf);
+    return Transfer(&id, &b, 1, /*write=*/true, /*counted=*/true,
+                    /*batch=*/false);
+  }
+  Status ReadBatch(const uint64_t* ids, void* const* bufs,
+                   size_t n) override {
+    return Transfer(ids, bufs, n, /*write=*/false, /*counted=*/true,
+                    /*batch=*/true);
+  }
   Status WriteBatch(const uint64_t* ids, const void* const* bufs,
-                    size_t n) override;
+                    size_t n) override {
+    return Transfer(ids, const_cast<void* const*>(bufs), n, /*write=*/true,
+                    /*counted=*/true, /*batch=*/true);
+  }
 
   bool SupportsUncounted() const override { return true; }
   bool SupportsAsync() const override { return true; }
-  Status ReadUncounted(uint64_t id, void* buf) override;
-  Status WriteUncounted(uint64_t id, const void* buf) override;
+  Status ReadUncounted(uint64_t id, void* buf) override {
+    return Transfer(&id, &buf, 1, /*write=*/false, /*counted=*/false,
+                    /*batch=*/false);
+  }
+  Status WriteUncounted(uint64_t id, const void* buf) override {
+    void* b = const_cast<void*>(buf);
+    return Transfer(&id, &b, 1, /*write=*/true, /*counted=*/false,
+                    /*batch=*/false);
+  }
   Status ReadBatchUncounted(const uint64_t* ids, void* const* bufs,
-                            size_t n) override;
+                            size_t n) override {
+    return Transfer(ids, bufs, n, /*write=*/false, /*counted=*/false,
+                    /*batch=*/true);
+  }
   Status WriteBatchUncounted(const uint64_t* ids, const void* const* bufs,
-                             size_t n) override;
+                             size_t n) override {
+    return Transfer(ids, const_cast<void* const*>(bufs), n, /*write=*/true,
+                    /*counted=*/false, /*batch=*/true);
+  }
 
   uint64_t Allocate() override;
   void Free(uint64_t id) override;
   uint64_t num_allocated() const override { return allocated_; }
 
+  /// Test hook: the next `count` op results (one syscall or one ring
+  /// completion each, on any executor) read as -`err` inside the shared
+  /// result rule, so fault handling is exercised identically on every
+  /// transport. `count` 0 disarms.
+  void ForceErrnoForTest(int err, int count) {
+    forced_errno_.store(err);
+    forced_count_.store(count);
+  }
+
  private:
+  struct Run;      // one planned run of contiguous ids (file_block_device.cc)
+  struct Staging;  // the registered staging buffer a plan may carve up
+
   /// fsync the directory holding path_ so the O_CREAT directory entry is
   /// durable — without it a crash can lose the file itself even after
   /// its data was fsynced. Failures go to the sticky error.
@@ -146,44 +201,44 @@ class FileBlockDevice final : public BlockDevice {
   /// full fsync when the written extent grew past the last synced one.
   void NoteWrittenExtent(uint64_t first_id, size_t nblocks);
 
-  /// Single-block transfer bodies behind the retry shim: the public
-  /// ReadUncounted/WriteUncounted re-run these whole on a transient
-  /// failure (a failed attempt charges nothing, and each body resumes
-  /// EINTR shorts internally, so whole-body re-execution is idempotent).
-  Status ReadUncountedImpl(uint64_t id, void* buf);
-  Status WriteUncountedImpl(uint64_t id, const void* buf);
+  /// The one transfer body behind all eight entry points: plan, execute
+  /// (on the engine's ring when `batch` and the engine has one, else on
+  /// syscalls), finish. `counted` charges IoStats in the finish step.
+  Status Transfer(const uint64_t* ids, void* const* bufs, size_t n,
+                  bool write, bool counted, bool batch);
 
-  /// Shared engine for all four batch entry points: splits [ids, ids+n)
-  /// into maximal runs of contiguous ids (capped at the iovec limit) and
-  /// issues one preadv/pwritev per run. `write` picks the direction;
-  /// `counted` charges stats per run exactly as the equivalent loop would.
-  Status VectoredTransfer(const uint64_t* ids, void* const* bufs, size_t n,
-                          bool write, bool counted);
-  /// One coalesced run; zero-fills short reads (see ReadUncounted).
-  /// `blocks_completed` reports how many blocks fully transferred, so a
-  /// mid-run error still charges the I/O that physically happened.
-  Status TransferRun(uint64_t first_id, void* const* bufs, size_t nblocks,
-                     bool write, size_t* blocks_completed);
+  /// Run planner: fills runs[0, *nruns) with the contiguous runs of
+  /// [ids, ids+n) and stages their targets (`iov` holds n entries in
+  /// buffered mode). Returns the error that ended the plan early (an
+  /// unallocated id, or a failed bounce allocation), OK otherwise.
+  Status PlanRuns(const uint64_t* ids, void* const* bufs, size_t n,
+                  bool write, Run* runs, struct iovec* iov,
+                  Staging* staging, size_t* nruns);
 
-  /// TransferRun for the O_DIRECT fd: one contiguous pread/pwrite per run
-  /// (the disk range of contiguous ids is contiguous bytes), straight
-  /// into user memory when the run's buffers are one aligned contiguous
-  /// region, through a freshly-allocated aligned bounce buffer otherwise.
-  /// Allocation is per call, so engine workers stay race-free.
-  Status TransferRunDirect(uint64_t first_id, void* const* bufs,
-                           size_t nblocks, bool write,
-                           size_t* blocks_completed);
+  /// The per-op result rule: folds one op result (bytes moved, or
+  /// -errno) into `r` — see the file comment.
+  void ApplyResult(Run& r, int64_t res, bool write);
 
-  /// VectoredTransfer over the engine's io_uring: same run splitting,
-  /// bounds checks, charging, and EOF contract, but every run of the
-  /// batch becomes one SQE and the batch submits with one enter. Short
-  /// transfers are resumed per run until complete or error.
-  Status VectoredTransferRing(IoRing* ring, const uint64_t* ids,
-                              void* const* bufs, size_t n, bool write,
-                              bool counted);
+  /// The next step of an unfinished run, from its resume offset.
+  IoRing::Op NextStep(Run& r, bool write) const;
+
+  /// Syscall executor: drives `r` until it finishes or fails.
+  void RunSyscalls(Run& r, bool write);
+
+  /// Ring executor: one SQE per unfinished run per round.
+  void RunRing(IoRing* ring, Run* runs, size_t nruns, bool write);
+
+  /// Finish step: bounce copy-back, written extent, charges, status.
+  Status FinishRuns(const Run* runs, size_t nruns, bool write, bool counted,
+                    Status precheck);
+
   /// Register fd_ (and, in direct mode, the persistent staging buffer)
   /// with `ring` once; cheap no-op afterwards.
   void EnsureRingRegistration(IoRing* ring);
+
+  /// The errno ForceErrnoForTest asked for, consuming one count; 0 when
+  /// none is armed.
+  int ConsumeForcedErrno();
 
   std::string path_;
   size_t block_size_;
@@ -221,9 +276,11 @@ class FileBlockDevice final : public BlockDevice {
   IoRing* ring_registered_ = nullptr;
   int ring_fd_slot_ = -1;
   IoBuffer ring_staging_;
-  size_t ring_staging_bytes_ = 0;
   int ring_buf_slot_ = -1;
   std::mutex staging_mu_;
+
+  std::atomic<int> forced_errno_{0};
+  std::atomic<int> forced_count_{0};
 };
 
 }  // namespace vem

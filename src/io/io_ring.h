@@ -11,10 +11,12 @@
 // Contract with the rest of the engine:
 //  - The ring is a pure transport: it moves bytes and reports per-op
 //    results, never touches IoStats, and never reorders the caller's
-//    accounting. FileBlockDevice routes its vectored transfers through
-//    SubmitAndWait when the attached engine runs the ring backend; runs,
-//    charging, EOF zero-fill, and bounce-buffer semantics are identical
-//    to the preadv/pwritev path (file_block_device.cc owns all of them).
+//    accounting. FileBlockDevice's batch calls use it as one of two
+//    executors when the attached engine runs the ring backend: the
+//    device plans the runs and stages their targets once, and every CQE
+//    goes through the same result rule (short-transfer resume, EOF
+//    zero-fill, retry) and finish step (charging) as a preadv/pwritev
+//    result does, so there is nothing for the two paths to disagree on.
 //  - One ring per IoEngine, shared by that engine's workers under an
 //    internal mutex: each SubmitAndWait batch submits all its SQEs, waits
 //    for all their CQEs, and leaves the ring empty. Per-disk concurrency

@@ -87,9 +87,9 @@ class RetryPolicy {
              const std::function<void(const Status&)>& on_fail = nullptr);
 
   /// Record one retry on the gauge and spend its backoff — for callers
-  /// that own their resume loop instead of handing Run() a closure (the
-  /// io_uring path resubmits a transiently failed SQE from its resume
-  /// offset; re-wrapping the whole submission would lose that offset).
+  /// that own their resume loop instead of handing Run() a closure
+  /// (FileBlockDevice's result rule resubmits a transiently failed op
+  /// from its resume offset, on syscalls and on the ring alike).
   void OnRetry(uint64_t key, size_t attempt);
 
   /// Backoff delay for retry number `attempt` (1-based), in nanoseconds:

@@ -19,6 +19,7 @@
 #include "io/memory_block_device.h"
 #include "io/striped_device.h"
 #include "sort/external_sort.h"
+#include "transport_axis.h"
 #include "util/options.h"
 #include "util/random.h"
 
@@ -85,20 +86,48 @@ TEST(IoEngine, DestructorDrainsQueue) {
 
 // ------------------------------------------------- FileBlockDevice basics
 
-TEST(FileBlockDevice, AllocateThenReadIsZeroFilled) {
-  FileBlockDevice dev(ScratchPath("eofread"), 128);
+using FileBlockDeviceAxis = TransportAxis;
+
+TEST_P(FileBlockDeviceAxis, AllocateThenReadIsZeroFilled) {
+  const size_t bs = 4096;  // one filesystem block, so `hole` is sparse
+  FileBlockDevice dev(ScratchPath("eofread"), bs);
   ASSERT_TRUE(dev.valid());
+  Attach(&dev);
   uint64_t written = dev.Allocate();
+  uint64_t hole = dev.Allocate();
+  uint64_t far = dev.Allocate();
   uint64_t untouched = dev.Allocate();
-  std::vector<char> payload(128, 'x'), buf(128, 'q');
+  std::vector<char> payload(bs, 'x'), buf(bs, 'q'), zeros(bs, 0);
   ASSERT_TRUE(dev.Write(written, payload.data()).ok());
   // `untouched` lives past EOF: short pread must zero-fill, not fail.
   ASSERT_TRUE(dev.Read(untouched, buf.data()).ok());
-  for (char c : buf) EXPECT_EQ(c, 0);
-  // Partially-hole blocks too: allocate far ahead, write beyond, read back.
+  EXPECT_EQ(buf, zeros);
+  // Allocate far ahead, write beyond, read back: `hole` is now a real
+  // file hole inside EOF.
+  ASSERT_TRUE(dev.Write(far, payload.data()).ok());
+  buf.assign(bs, 'q');
+  ASSERT_TRUE(dev.Read(hole, buf.data()).ok());
+  EXPECT_EQ(buf, zeros);
   ASSERT_TRUE(dev.Read(written, buf.data()).ok());
-  EXPECT_EQ(0, std::memcmp(buf.data(), payload.data(), 128));
+  EXPECT_EQ(buf, payload);
+  // One batch run over data, the hole, data, then EOF: the batch path
+  // (the ring on io_uring) fills the hole from the file and the tail
+  // past EOF with zeros.
+  uint64_t ids[4] = {written, hole, far, untouched};
+  std::vector<std::vector<char>> got(4, std::vector<char>(bs, 'q'));
+  void* bufs[4] = {got[0].data(), got[1].data(), got[2].data(),
+                   got[3].data()};
+  ASSERT_TRUE(dev.ReadBatch(ids, bufs, 4).ok());
+  EXPECT_EQ(got[0], payload);
+  EXPECT_EQ(got[1], zeros);
+  EXPECT_EQ(got[2], payload);
+  EXPECT_EQ(got[3], zeros);
+  EXPECT_EQ(dev.stats().block_reads, 7u);
+  dev.set_io_engine(nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, FileBlockDeviceAxis, kAllTransports,
+                         TransportParamName);
 
 // ------------------------------------------------------- batch equivalence
 
@@ -196,8 +225,11 @@ TEST(BatchTransfers, FaultyDeviceInjectsMidBatch) {
   EXPECT_EQ(wdev.stats().block_writes, 4u);
 }
 
-TEST(BatchTransfers, FileBatchRejectsUnallocated) {
+using BatchTransfersAxis = TransportAxis;
+
+TEST_P(BatchTransfersAxis, FileBatchRejectsUnallocated) {
   FileBlockDevice dev(ScratchPath("unalloc"), 64);
+  Attach(&dev);
   uint64_t a = dev.Allocate();
   std::vector<char> block(64, 'p');
   ASSERT_TRUE(dev.Write(a, block.data()).ok());
@@ -205,7 +237,46 @@ TEST(BatchTransfers, FileBatchRejectsUnallocated) {
   std::vector<char> b0(64), b1(64);
   void* bufs[2] = {b0.data(), b1.data()};
   EXPECT_TRUE(dev.ReadBatch(ids, bufs, 2).IsInvalidArgument());
+
+  // The valid prefix before the unallocated id transfers and is charged
+  // exactly as the single-block loop would charge it, on every transport.
+  FileBlockDevice loop(ScratchPath("unalloc_loop"), 64);
+  ASSERT_EQ(loop.Allocate(), a);
+  ASSERT_TRUE(loop.Write(a, block.data()).ok());
+  ASSERT_TRUE(loop.Read(a, b0.data()).ok());
+  uint64_t b = dev.Allocate(), c = dev.Allocate();
+  ASSERT_EQ(loop.Allocate(), b);
+  ASSERT_EQ(loop.Allocate(), c);
+  const uint64_t bad = c + 7;
+  // A backward jump, then a contiguous pair, then the bad id.
+  uint64_t wids[4] = {c, a, b, bad};
+  std::vector<std::vector<char>> w(4, std::vector<char>(64));
+  std::vector<std::vector<char>> r(4, std::vector<char>(64, 'q'));
+  std::vector<const void*> wbufs;
+  std::vector<void*> rbufs;
+  for (size_t i = 0; i < 4; ++i) {
+    w[i].assign(64, static_cast<char>('a' + i));
+    wbufs.push_back(w[i].data());
+    rbufs.push_back(r[i].data());
+  }
+  EXPECT_TRUE(dev.WriteBatch(wids, wbufs.data(), 4).IsInvalidArgument());
+  EXPECT_TRUE(dev.ReadBatch(wids, rbufs.data(), 4).IsInvalidArgument());
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(r[i], w[i]) << i;
+  Status ws, rs;
+  for (size_t i = 0; i < 4 && ws.ok(); ++i) ws = loop.Write(wids[i], wbufs[i]);
+  for (size_t i = 0; i < 4 && rs.ok(); ++i) rs = loop.Read(wids[i], rbufs[i]);
+  EXPECT_TRUE(ws.IsInvalidArgument());
+  EXPECT_TRUE(rs.IsInvalidArgument());
+  EXPECT_EQ(dev.stats().block_writes, 4u);
+  EXPECT_EQ(dev.stats().block_reads, 4u);
+  EXPECT_TRUE(dev.stats() == loop.stats())
+      << "batch " << dev.stats().ToString() << " vs loop "
+      << loop.stats().ToString();
+  dev.set_io_engine(nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, BatchTransfersAxis, kAllTransports,
+                         TransportParamName);
 
 // ----------------------------------------------------- reader read-ahead
 

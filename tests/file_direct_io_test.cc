@@ -5,6 +5,7 @@
 // that direct mode never changes IoStats relative to buffered mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -15,6 +16,7 @@
 #include "io/file_block_device.h"
 #include "io/io_engine.h"
 #include "sort/external_sort.h"
+#include "transport_axis.h"
 #include "util/random.h"
 
 namespace vem {
@@ -67,9 +69,12 @@ TEST(DirectIo, RequestIsAlwaysSafe) {
 
 // ------------------------------------------------------------- alignment
 
-TEST(DirectIo, UnalignedUserBuffersRoundTrip) {
+using DirectIoAxis = TransportAxis;
+
+TEST_P(DirectIoAxis, UnalignedUserBuffersRoundTrip) {
   FileBlockDevice dev(ScratchPath("unaligned"), kDirectBlock, true, true);
   ASSERT_TRUE(dev.valid());
+  Attach(&dev);
   // Deliberately misaligned user memory: offset the payload by 1 byte
   // inside an oversized allocation. The device must bounce-buffer.
   std::vector<char> wraw(kDirectBlock + 64), rraw(kDirectBlock + 64);
@@ -83,6 +88,20 @@ TEST(DirectIo, UnalignedUserBuffersRoundTrip) {
   ASSERT_TRUE(dev.Write(id, wbuf).ok());
   ASSERT_TRUE(dev.Read(id, rbuf).ok());
   EXPECT_EQ(0, std::memcmp(wbuf, rbuf, kDirectBlock));
+  // The batch path bounces the same way (through the registered staging
+  // buffer on io_uring): two misaligned, adjacent blocks as one run.
+  std::vector<char> wraw2(2 * kDirectBlock + 64), rraw2(2 * kDirectBlock + 64);
+  for (size_t i = 0; i < wraw2.size(); ++i) {
+    wraw2[i] = static_cast<char>(rng.Next());
+  }
+  uint64_t ids[2] = {dev.Allocate(), dev.Allocate()};
+  const void* wbufs[2] = {wraw2.data() + 1, wraw2.data() + 1 + kDirectBlock};
+  void* rbufs[2] = {rraw2.data() + 1, rraw2.data() + 1 + kDirectBlock};
+  ASSERT_TRUE(dev.WriteBatch(ids, wbufs, 2).ok());
+  ASSERT_TRUE(dev.ReadBatch(ids, rbufs, 2).ok());
+  EXPECT_EQ(0, std::memcmp(wraw2.data() + 1, rraw2.data() + 1,
+                           2 * kDirectBlock));
+  dev.set_io_engine(nullptr);
 }
 
 TEST(DirectIo, AlignedUserBuffersRoundTrip) {
@@ -101,11 +120,12 @@ TEST(DirectIo, AlignedUserBuffersRoundTrip) {
   std::free(rmem);
 }
 
-TEST(DirectIo, VectoredScatteredBatchRoundTrip) {
+TEST_P(DirectIoAxis, VectoredScatteredBatchRoundTrip) {
   // Non-contiguous per-block buffers force the bounce path for every
   // coalesced run; contents must still round-trip exactly.
   FileBlockDevice dev(ScratchPath("vectored"), kDirectBlock, true, true);
   ASSERT_TRUE(dev.valid());
+  Attach(&dev);
   const size_t kBlocks = 19;
   std::vector<uint64_t> ids(kBlocks);
   std::vector<std::vector<char>> payload(kBlocks);
@@ -122,13 +142,46 @@ TEST(DirectIo, VectoredScatteredBatchRoundTrip) {
   for (size_t i = 0; i < kBlocks; ++i) rbufs[i] = got[i].data();
   ASSERT_TRUE(dev.ReadBatch(ids.data(), rbufs.data(), kBlocks).ok());
   for (size_t i = 0; i < kBlocks; ++i) EXPECT_EQ(got[i], payload[i]) << i;
+  dev.set_io_engine(nullptr);
+}
+
+TEST_P(DirectIoAxis, BatchLargerThanRingStagingRoundTrip) {
+  // A non-contiguous batch of 1.25 MiB, more than the ring's 1 MiB
+  // registered staging buffer: on io_uring the first run takes a staging
+  // slice and the second overflows it into a per-call bounce buffer.
+  FileBlockDevice dev(ScratchPath("staging"), kDirectBlock, true, true);
+  ASSERT_TRUE(dev.valid());
+  Attach(&dev);
+  const size_t kBlocks = 320, kSecondRun = 200;
+  std::vector<uint64_t> ids(kBlocks);
+  for (auto& id : ids) id = dev.Allocate();
+  // Run one is ids[200, 320) (480 KiB), run two ids[0, 200) (800 KiB).
+  std::rotate(ids.begin(), ids.begin() + kSecondRun, ids.end());
+  Rng rng(11);
+  std::vector<std::vector<char>> payload(kBlocks), got(kBlocks);
+  std::vector<const void*> wbufs(kBlocks);
+  std::vector<void*> rbufs(kBlocks);
+  for (size_t i = 0; i < kBlocks; ++i) {
+    payload[i].resize(kDirectBlock);
+    for (char& c : payload[i]) c = static_cast<char>(rng.Next());
+    got[i].assign(kDirectBlock, 0);
+    wbufs[i] = payload[i].data();
+    rbufs[i] = got[i].data();
+  }
+  ASSERT_TRUE(dev.WriteBatch(ids.data(), wbufs.data(), kBlocks).ok());
+  ASSERT_TRUE(dev.ReadBatch(ids.data(), rbufs.data(), kBlocks).ok());
+  for (size_t i = 0; i < kBlocks; ++i) EXPECT_EQ(got[i], payload[i]) << i;
+  EXPECT_EQ(dev.stats().block_writes, kBlocks);
+  EXPECT_EQ(dev.stats().block_reads, kBlocks);
+  dev.set_io_engine(nullptr);
 }
 
 // ---------------------------------------------------------- EOF zero-fill
 
-TEST(DirectIo, AllocatedButUnwrittenReadsZero) {
+TEST_P(DirectIoAxis, AllocatedButUnwrittenReadsZero) {
   FileBlockDevice dev(ScratchPath("eof"), kDirectBlock, true, true);
   ASSERT_TRUE(dev.valid());
+  Attach(&dev);
   uint64_t written = dev.Allocate();
   uint64_t hole = dev.Allocate();     // never written, inside EOF once
   uint64_t past_eof = dev.Allocate();  // stays past EOF
@@ -149,7 +202,19 @@ TEST(DirectIo, AllocatedButUnwrittenReadsZero) {
   ASSERT_TRUE(dev.ReadBatch(span_ids, bufs, 2).ok());
   EXPECT_EQ(0, std::memcmp(b0.data(), payload.data(), kDirectBlock));
   for (char c : b1) ASSERT_EQ(c, 0);
+  // A batch run that crosses EOF reads the rest as zeros.
+  uint64_t tail = dev.Allocate();
+  uint64_t eof_ids[2] = {far, tail};
+  b0.assign(kDirectBlock, 'q');
+  b1.assign(kDirectBlock, 'q');
+  ASSERT_TRUE(dev.ReadBatch(eof_ids, bufs, 2).ok());
+  EXPECT_EQ(0, std::memcmp(b0.data(), payload.data(), kDirectBlock));
+  for (char c : b1) ASSERT_EQ(c, 0);
+  dev.set_io_engine(nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(Transports, DirectIoAxis, kAllTransports,
+                         TransportParamName);
 
 // ------------------------------------------------- stats identity contract
 

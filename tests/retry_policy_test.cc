@@ -8,16 +8,21 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "io/faulty_device.h"
+#include "io/file_block_device.h"
 #include "io/io_engine.h"
 #include "io/io_ring.h"
 #include "io/memory_arbiter.h"
 #include "io/memory_block_device.h"
 #include "io/prefetch_governor.h"
 #include "io/retry_policy.h"
+#include "transport_axis.h"
 #include "util/options.h"
 #include "util/status.h"
 
@@ -312,6 +317,135 @@ TEST(DeviceRetry, RetriesExhaustedSurfacesTransientStatus) {
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
   EXPECT_EQ(policy.retries(), 2u);
 }
+
+// ------------------------------------- file device: one rule, every transport
+
+// FileBlockDevice feeds every op result, from the syscall executor and
+// the io_uring executor alike, through one result rule: EINTR resubmits
+// silently, every other errno goes through StatusFromErrno and the retry
+// plane. ForceErrnoForTest injects errnos inside that rule, so each case
+// asserts the same outcome on every transport, with and without a policy.
+class FileDeviceErrno
+    : public ::testing::TestWithParam<std::tuple<Transport, bool>> {
+ protected:
+  static constexpr size_t kBlock = 4096;
+  static constexpr size_t kBlocks = 4;
+
+  void SetUp() override {
+    if (!TransportUsable(std::get<0>(GetParam()))) {
+      GTEST_SKIP() << "io_uring not available on this kernel/build";
+    }
+    engine_ = MakeTransportEngine(std::get<0>(GetParam()));
+    RetryPolicy::Config cfg;
+    cfg.retry_limit = 3;
+    policy_ = std::make_unique<RetryPolicy>(cfg, ft_.clock(), ft_.sleeper());
+  }
+  bool with_policy() const { return std::get<1>(GetParam()); }
+
+  std::unique_ptr<FileBlockDevice> MakeDevice(const char* name) {
+    auto dev = std::make_unique<FileBlockDevice>(
+        std::string("/tmp/vem_retry_test_") + name + ".bin", kBlock);
+    EXPECT_TRUE(dev->valid());
+    dev->set_io_engine(engine_.get());
+    if (with_policy()) dev->set_retry_policy(policy_.get());
+    for (size_t i = 0; i < kBlocks; ++i) ids_[i] = dev->Allocate();
+    return dev;
+  }
+  // One batch write and one batch read, each of two runs (the second
+  // half of the ids first), then one single-block read. On io_uring both
+  // runs of a batch are in flight together, so a failure in the first
+  // must still leave the second uncharged, as the single-block loop
+  // would.
+  Status Workload(FileBlockDevice* dev, const std::vector<char>& payload,
+                  std::vector<char>* got) {
+    uint64_t order[kBlocks];
+    const void* wbufs[kBlocks];
+    void* rbufs[kBlocks];
+    for (size_t i = 0; i < kBlocks; ++i) {
+      const size_t k = (i + kBlocks / 2) % kBlocks;
+      order[i] = ids_[k];
+      wbufs[i] = payload.data() + k * kBlock;
+      rbufs[i] = got->data() + k * kBlock;
+    }
+    VEM_RETURN_IF_ERROR(dev->WriteBatch(order, wbufs, kBlocks));
+    VEM_RETURN_IF_ERROR(dev->ReadBatch(order, rbufs, kBlocks));
+    return dev->Read(ids_[0], got->data());
+  }
+  static std::vector<char> Payload() {
+    std::vector<char> p(kBlocks * kBlock);
+    for (size_t i = 0; i < p.size(); ++i) p[i] = static_cast<char>(i * 31);
+    return p;
+  }
+
+  FakeTime ft_;
+  std::unique_ptr<RetryPolicy> policy_;
+  std::unique_ptr<IoEngine> engine_;
+  uint64_t ids_[kBlocks] = {};
+};
+
+TEST_P(FileDeviceErrno, EagainRetriesUnderPolicyElseUnavailable) {
+  const std::vector<char> payload = Payload();
+  std::vector<char> got(payload.size(), 0);
+  auto clean = MakeDevice("eagain_clean");
+  ASSERT_TRUE(Workload(clean.get(), payload, &got).ok());
+  ASSERT_EQ(policy_->retries(), 0u);
+  got.assign(got.size(), 0);
+  auto dev = MakeDevice("eagain");
+  dev->ForceErrnoForTest(EAGAIN, 2);
+  Status s = Workload(dev.get(), payload, &got);
+  if (with_policy()) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(policy_->retries(), 2u);
+    EXPECT_EQ(got, payload);
+    EXPECT_TRUE(dev->stats() == clean->stats())
+        << "faulted " << dev->stats().ToString() << " vs clean "
+        << clean->stats().ToString();
+  } else {
+    EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+    EXPECT_EQ(dev->stats().block_writes, 0u);
+  }
+  if (engine_ != nullptr) {
+    EXPECT_FALSE(engine_->DiskHealth(dev->EngineDiskTag(ids_[0])).fail_stopped);
+  }
+  dev->set_io_engine(nullptr);
+  clean->set_io_engine(nullptr);
+}
+
+TEST_P(FileDeviceErrno, EintrResubmitsSilently) {
+  const std::vector<char> payload = Payload();
+  std::vector<char> got(payload.size(), 0);
+  auto dev = MakeDevice("eintr");
+  dev->ForceErrnoForTest(EINTR, 3);
+  Status s = Workload(dev.get(), payload, &got);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(got, payload);
+  EXPECT_EQ(policy_->retries(), 0u);
+  EXPECT_EQ(dev->stats().block_writes, kBlocks);
+  dev->set_io_engine(nullptr);
+}
+
+TEST_P(FileDeviceErrno, EioFailsAndFailStopsTheHead) {
+  const std::vector<char> payload = Payload();
+  std::vector<char> got(payload.size(), 0);
+  auto dev = MakeDevice("eio");
+  dev->ForceErrnoForTest(EIO, 1);
+  Status s = Workload(dev.get(), payload, &got);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(policy_->retries(), 0u);  // permanent: never retried
+  EXPECT_EQ(dev->stats().block_writes, 0u);
+  if (engine_ != nullptr) {
+    EXPECT_TRUE(engine_->DiskHealth(dev->EngineDiskTag(ids_[0])).fail_stopped);
+  }
+  dev->set_io_engine(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, FileDeviceErrno,
+    ::testing::Combine(kAllTransports, ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Transport, bool>>& info) {
+      return TransportName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "Policy" : "NoPolicy");
+    });
 
 // ------------------------------------------------- health and quarantine
 
