@@ -261,9 +261,9 @@ int main(int argc, char** argv) {
       "# (io_uring compiled_in=%d kernel_supported=%d)\n\n",
       IoRing::CompiledIn() ? 1 : 0, IoRing::KernelSupported() ? 1 : 0);
   if (uring_ok) {
-    IoEngine wp_engine(opts.io_threads, opts.disk_inflight_cap,
+    IoEngine wp_engine(opts.io_threads, /*disk_inflight_cap=*/1,
                        IoBackend::kWorkerPool);
-    IoEngine ur_engine(opts.io_threads, opts.disk_inflight_cap,
+    IoEngine ur_engine(opts.io_threads, /*disk_inflight_cap=*/1,
                        IoBackend::kIoUring);
     report.Add("backend", "active_backend_io_uring",
                ur_engine.backend() == IoBackend::kIoUring ? 1.0 : 0.0);

@@ -422,9 +422,7 @@ DegradedRun RedundantSortRun(bool kill) {
     disks.push_back(std::move(w));
   }
   IndependentDiskDevice dev(std::move(disks), kPlacementSeed);
-  Options ropts;
-  ropts.redundancy = Redundancy::kParity;
-  dev.SetRedundancy(ropts);
+  dev.SetRedundancy(Redundancy::kParity);
 
   DegradedRun run;
   Rng rng(404);
@@ -527,8 +525,7 @@ int main(int argc, char** argv) {
 
   CountedComparison();
 
-  Options opts;
-  IoEngine engine(4, opts.disk_inflight_cap);
+  IoEngine engine(4, /*disk_inflight_cap=*/1);
   std::printf(
       "## Wall-clock, file-backed children: independent (forecast merge,\n"
       "## sync vs armed K=%zu + engine) vs striped (armed), same D disks,\n"
@@ -643,7 +640,7 @@ int main(int argc, char** argv) {
   report.Add("backend", "io_uring_kernel_supported",
              IoRing::KernelSupported() ? 1.0 : 0.0);
   if (uring_ok) {
-    IoEngine ur_engine(4, opts.disk_inflight_cap, IoBackend::kIoUring);
+    IoEngine ur_engine(4, /*disk_inflight_cap=*/1, IoBackend::kIoUring);
     report.Add("backend", "active_backend_io_uring",
                ur_engine.backend() == IoBackend::kIoUring ? 1.0 : 0.0);
     std::printf(

@@ -44,10 +44,10 @@
 //
 // ---------------------------------------------------- redundancy plane
 //
-// SetRedundancy (Options::redundancy) arms single-head fault tolerance:
+// SetRedundancy(mode, group_width) arms single-head fault tolerance:
 //
 //  - PARITY: logical ids are grouped G-1 at a time (group of id = id /
-//    (G-1), G = Options::parity_group_width clamped to [2, D]); each
+//    (G-1), G = group_width clamped to [2, D], 0 meaning D); each
 //    group lazily owns one PARITY block = XOR of its members, placed on
 //    a head distinct from every member (rotation rides the cycling
 //    allocator: the parity head scans from group % D, and member
@@ -98,10 +98,26 @@
 
 #include "io/block_device.h"
 #include "io/memory_block_device.h"
-#include "util/options.h"
 #include "util/random.h"
 
 namespace vem {
+
+/// Redundancy scheme for IndependentDiskDevice (see the "Redundancy
+/// plane" section of the file comment), armed by SetRedundancy.
+///  - kNone:   no redundancy — a permanently failed head loses its
+///             blocks (the historical behavior).
+///  - kParity: RAID-5-style rotated parity groups of width G (the
+///             SetRedundancy group width; G-1 data blocks + 1 parity
+///             block, all on distinct heads). Survives any single-head
+///             failure; small writes pay a physical read-modify-write on
+///             the parity block, charged to the redundancy gauge only.
+///  - kMirror: every block keeps a full copy on a second head (G = 2
+///             parity degenerates to mirroring of the XOR; kMirror
+///             stores the plain copy and skips the RMW).
+/// Redundancy never changes the LOGICAL IoStats planes: degraded reads
+/// and diverted writes charge exactly what the healthy path would have,
+/// and all reconstruction traffic rides RedundancyStats.
+enum class Redundancy { kNone, kParity, kMirror };
 
 /// Logical device of block size B over D independent child disks with
 /// randomized cycling placement. Stats on this device count PDM parallel
@@ -232,10 +248,6 @@ class IndependentDiskDevice final : public BlockDevice {
   /// ignored and the device stays at kNone. `group_width` is G for
   /// kParity (0 = D), clamped to [2, D]; ignored for kMirror.
   void SetRedundancy(Redundancy mode, size_t group_width = 0);
-  /// Options-driven arming (Options::redundancy / parity_group_width).
-  void SetRedundancy(const Options& opts) {
-    SetRedundancy(opts.redundancy, opts.parity_group_width);
-  }
   Redundancy redundancy() const { return redundancy_; }
   /// Parity group width G in force (0 when parity is not armed).
   size_t parity_group_width() const {

@@ -22,8 +22,9 @@ uint64_t SteadyNowNs() {
 }  // namespace
 
 IoEngine::IoEngine(size_t num_threads, size_t disk_inflight_cap,
-                   IoBackend backend)
-    : disk_inflight_cap_(disk_inflight_cap == 0 ? 1 : disk_inflight_cap) {
+                   IoBackend backend, uint64_t deadline_ms)
+    : disk_inflight_cap_(disk_inflight_cap == 0 ? 1 : disk_inflight_cap),
+      deadline_ms_(deadline_ms) {
   if (backend == IoBackend::kIoUring) {
     // Runtime fallback: a missing kernel (or a seccomp filter, or a build
     // without the header) leaves ring_ null and the engine indistinguishable
@@ -474,16 +475,6 @@ void IoEngine::ReportRingResult(bool ok) {
       kRingFailureLimit) {
     ring_disabled_.store(true, std::memory_order_release);
   }
-}
-
-void IoEngine::set_deadline_ms(uint64_t ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  deadline_ms_ = ms;
-}
-
-uint64_t IoEngine::deadline_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deadline_ms_;
 }
 
 uint64_t IoEngine::timeouts() const {

@@ -113,15 +113,17 @@ class IoEngine : public DepthGauge {
   ///        clamped to >= 1. One head per disk is the PDM rule.
   /// @param backend requested submission backend; kIoUring degrades to
   ///        the worker pool when the ring cannot be built (see backend()).
+  /// The watchdog is off (deadline 0).
   explicit IoEngine(size_t num_threads = 2, size_t disk_inflight_cap = 1,
-                    IoBackend backend = IoBackend::kWorkerPool);
+                    IoBackend backend = IoBackend::kWorkerPool)
+      : IoEngine(num_threads, disk_inflight_cap, backend,
+                 /*deadline_ms=*/0) {}
 
-  /// Convenience: thread count, per-disk cap, backend, and watchdog
-  /// deadline from Options.
+  /// Thread count, backend and watchdog deadline from Options, at the
+  /// PDM's one-transfer-per-head cap of 1 per disk.
   explicit IoEngine(const Options& opts)
-      : IoEngine(opts.io_threads, opts.disk_inflight_cap, opts.io_backend) {
-    deadline_ms_ = opts.io_deadline_ms;
-  }
+      : IoEngine(opts.io_threads, /*disk_inflight_cap=*/1, opts.io_backend,
+                 opts.io_deadline_ms) {}
 
   /// Drains the queues (waits for every submitted job) and joins workers.
   ~IoEngine() override;
@@ -209,9 +211,9 @@ class IoEngine : public DepthGauge {
   void set_retry_policy(RetryPolicy* retry) { retry_ = retry; }
   RetryPolicy* retry_policy() const { return retry_; }
 
-  /// Watchdog deadline (Options::io_deadline_ms); 0 waits forever.
-  void set_deadline_ms(uint64_t ms);
-  uint64_t deadline_ms() const;
+  /// Watchdog deadline (Options::io_deadline_ms), fixed at
+  /// construction; 0 waits forever.
+  uint64_t deadline_ms() const { return deadline_ms_; }
   /// Jobs abandoned by Wait after the deadline (observability gauge).
   uint64_t timeouts() const;
 
@@ -325,6 +327,9 @@ class IoEngine : public DepthGauge {
   static constexpr double kQuarantineExit = 0.15;
 
  private:
+  IoEngine(size_t num_threads, size_t disk_inflight_cap, IoBackend backend,
+           uint64_t deadline_ms);
+
   void WorkerLoop();
 
   struct Job {
@@ -396,7 +401,7 @@ class IoEngine : public DepthGauge {
   // done_ and are discarded, so abandoned results neither leak nor
   // satisfy a later stray Wait.
   std::unordered_set<Ticket> abandoned_;
-  uint64_t deadline_ms_ = 0;
+  const uint64_t deadline_ms_;
   uint64_t timeouts_ = 0;
   Ticket next_ticket_ = 1;
   bool stop_ = false;

@@ -37,9 +37,6 @@ MemoryArbiter::Config MemoryArbiter::ConfigFromOptions(const Options& opts) {
   Config cfg;
   cfg.budget_bytes = opts.memory_budget;
   cfg.block_size = opts.block_size != 0 ? opts.block_size : 4096;
-  cfg.window_accesses = opts.arbiter_window_accesses != 0
-                            ? opts.arbiter_window_accesses
-                            : Config{}.window_accesses;
   size_t blocks = std::max<size_t>(cfg.budget_bytes / cfg.block_size, 8);
   // One step moves 1/32 of M (at least one block): big enough that the
   // split converges within a few windows, small enough not to thrash.

@@ -64,11 +64,8 @@ void PrefetchGovernor::PushUsage() {
 PrefetchGovernor::Config PrefetchGovernor::ConfigFromOptions(
     const Options& opts) {
   Config cfg;
-  size_t budget_bytes = opts.prefetch_budget_bytes != 0
-                            ? opts.prefetch_budget_bytes
-                            : opts.memory_budget / 2;
   size_t bs = opts.block_size != 0 ? opts.block_size : 4096;
-  cfg.budget_blocks = std::max<size_t>(budget_bytes / bs, 4);
+  cfg.budget_blocks = std::max<size_t>(opts.memory_budget / 2 / bs, 4);
   // No single stream may claim more than half the budget (2*depth of a
   // quarter), so at least two streams can always overlap.
   cfg.max_depth =

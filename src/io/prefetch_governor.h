@@ -107,9 +107,9 @@ class PrefetchGovernor {
   explicit PrefetchGovernor(Config cfg, Clock clock = nullptr);
 
   /// Convenience: policy derived from the machine configuration. The
-  /// budget is Options::prefetch_budget_bytes when set, else half of
-  /// memory_budget — the same "staging competes with the algorithm's
-  /// working set" split the PQ and sorter use for their run buffers.
+  /// budget is half of memory_budget — the same "staging competes with
+  /// the algorithm's working set" split the PQ and sorter use for their
+  /// run buffers. A different budget is a Config::budget_blocks.
   explicit PrefetchGovernor(const Options& opts, Clock clock = nullptr);
   static Config ConfigFromOptions(const Options& opts);
 

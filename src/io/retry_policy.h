@@ -25,7 +25,6 @@
 #include <functional>
 #include <string>
 
-#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -45,6 +44,9 @@ Status StatusFromErrno(const char* op, int64_t offset, int err);
 /// immutable after construction.
 class RetryPolicy {
  public:
+  /// The one way to arm retries: build a RetryPolicy from a Config and
+  /// hand it to a device's or engine's set_retry_policy(). Unarmed,
+  /// every path runs each transfer once.
   struct Config {
     /// Maximum retries (attempts - 1). 0 disables retrying: Run()
     /// executes the closure exactly once and returns its Status.
@@ -64,16 +66,6 @@ class RetryPolicy {
 
   explicit RetryPolicy(Config cfg);
   RetryPolicy(Config cfg, Clock clock, Sleeper sleeper);
-
-  /// The knobs from global Options (io_retry_limit / io_retry_base_us /
-  /// io_retry_max_us).
-  static Config ConfigFromOptions(const Options& opt) {
-    Config c;
-    c.retry_limit = opt.io_retry_limit;
-    c.base_us = opt.io_retry_base_us;
-    c.max_us = opt.io_retry_max_us;
-    return c;
-  }
 
   /// Execute `op` until it returns OK, a non-transient Status, or the
   /// retry limit is exhausted (the last transient Status propagates).

@@ -21,29 +21,18 @@ namespace vem {
 ///    accounting planes are unchanged.
 enum class IoBackend { kWorkerPool, kIoUring };
 
-/// Redundancy scheme for IndependentDiskDevice (see the "Redundancy
-/// plane" section of io/independent_disk_device.h).
-///  - kNone:   no redundancy — a permanently failed head loses its
-///             blocks (the historical behavior).
-///  - kParity: RAID-5-style rotated parity groups of width G =
-///             parity_group_width (G-1 data blocks + 1 parity block, all
-///             on distinct heads). Survives any single-head failure;
-///             small writes pay a physical read-modify-write on the
-///             parity block, charged to the redundancy gauge only.
-///  - kMirror: every block keeps a full copy on a second head (G = 2
-///             parity degenerates to mirroring of the XOR; kMirror
-///             stores the plain copy and skips the RMW).
-/// Redundancy never changes the LOGICAL IoStats planes: degraded reads
-/// and diverted writes charge exactly what the healthy path would have,
-/// and all reconstruction traffic rides RedundancyStats.
-enum class Redundancy { kNone, kParity, kMirror };
-
 /// Global configuration of the simulated machine.
 ///
 /// Maps onto the PDM parameters:
 ///  - B (items/block)  = block_size / sizeof(item)
 ///  - M (items in RAM) = memory_budget / sizeof(item)
-///  - D (# disks)      = num_disks
+///  - D (# disks)      = the child count a StripedDevice or
+///    IndependentDiskDevice is built with (see num_disks)
+/// The other fields opt into a plane (prefetch, engine, O_DIRECT, WAL,
+/// watchdog); everything defaults to the synchronous single-disk path.
+/// A component's finer policy (governor budget, arbiter cadence, retry
+/// backoff, per-disk job cap, redundancy) lives in its own Config or
+/// constructor, not here. README "Knobs" lists each field's evidence.
 struct Options {
   /// Bytes per disk block. PDM parameter B (scaled by item size).
   size_t block_size = 4096;
@@ -53,7 +42,9 @@ struct Options {
   /// such as per-run block-id lists is exempt, as in STXXL/TPIE).
   size_t memory_budget = 1u << 20;  // 1 MiB
 
-  /// Number of independent disks. PDM parameter D. Used by StripedDevice.
+  /// Number of disks, PDM parameter D, for callers that build a
+  /// multi-disk device from Options. No library code reads it: the
+  /// devices take D as their child count.
   size_t num_disks = 1;
 
   /// K-block read-ahead / write-behind depth for streaming access. An
@@ -75,26 +66,13 @@ struct Options {
   /// where compiled in and kernel-supported (runtime fallback otherwise).
   IoBackend io_backend = IoBackend::kWorkerPool;
 
-  /// Per-disk in-flight cap for disk-tagged IoEngine jobs: at most this
-  /// many jobs tagged with the same disk run on workers concurrently,
-  /// modeling one head per independent disk (IndependentDiskDevice tags
-  /// its per-disk fan-out). 1 is the PDM's one-transfer-per-head rule;
-  /// untagged jobs are never capped.
-  size_t disk_inflight_cap = 1;
-
-  /// Seed for randomized block placement on IndependentDiskDevice
-  /// (randomized cycling: each cycle of D consecutive allocations lands
-  /// on a fresh random permutation of the disks). Same seed + same
-  /// allocation sequence = same placement, so multi-run experiments and
-  /// stats-identity tests are reproducible.
+  /// Seed for randomized block placement, for callers that build an
+  /// IndependentDiskDevice from Options (its constructor takes the seed;
+  /// no library code reads this field). Randomized cycling: each cycle
+  /// of D consecutive allocations lands on a fresh random permutation of
+  /// the disks. Same seed + same allocation sequence = same placement,
+  /// so multi-run experiments and stats-identity tests are reproducible.
   uint64_t placement_seed = 0x9E3779B97F4A7C15ull;
-
-  /// Global staging budget for the adaptive PrefetchGovernor, in bytes.
-  /// 0 (the default) derives it as memory_budget / 2 — read-ahead staging
-  /// competes with the algorithm's working set for M, so depth must be
-  /// allocated against it (the survey's prefetching/caching duality), not
-  /// hard-coded per stream. See prefetch_governor.h.
-  size_t prefetch_budget_bytes = 0;
 
   /// Open FileBlockDevice scratch files with O_DIRECT so transfers bypass
   /// the OS page cache (cold-cache mode). On a warm page cache every read
@@ -105,21 +83,6 @@ struct Options {
   /// (FileBlockDevice::direct_io_active() reports the outcome). Never
   /// affects IoStats either way.
   bool direct_io = false;
-
-  /// Knobs for the MemoryArbiter (io/memory_arbiter.h): construct an
-  /// ExecutionContext (serve/execution_context.h) from these Options to
-  /// run caching frames and prefetch staging against ONE memory budget —
-  /// the BufferPool's frames and the PrefetchGovernor's staging budget
-  /// become revocable leases on M that grow on miss/stall evidence and
-  /// are reclaimed from whichever side shows waste. Without a context
-  /// the historical fixed split stands: pool frames as constructed,
-  /// staging at M/2; a context starts its policy from that same split.
-  /// Never affects IoStats either way — arbitration moves memory, not
-  /// charges.
-  ///
-  /// Pool accesses per arbiter report window (decision cadence). 0 uses
-  /// the arbiter's default.
-  size_t arbiter_window_accesses = 0;
 
   /// fdatasync FileBlockDevice scratch files before closing them, so
   /// timed writes are durably on the medium rather than absorbed by the
@@ -140,24 +103,6 @@ struct Options {
   /// device at commit.
   bool enable_wal = false;
 
-  /// Fault-tolerance plane (io/retry_policy.h): maximum number of
-  /// RETRIES (attempts - 1) for a transiently failing transfer. 0 (the
-  /// default) disables retrying entirely — every path is bit-identical
-  /// to the pre-retry substrate. Retries apply only to Status values
-  /// whose IsTransient() is true; permanent errors always propagate on
-  /// the first attempt. Retries never touch the logical IoStats planes:
-  /// they ride a separate physical gauge (RetryPolicy::retries /
-  /// retry_backoff_ns).
-  size_t io_retry_limit = 0;
-
-  /// First backoff delay, in microseconds. Each subsequent retry doubles
-  /// the cap (bounded exponential) and sleeps a deterministically
-  /// jittered fraction of it in [cap/2, cap).
-  uint64_t io_retry_base_us = 100;
-
-  /// Upper bound on a single backoff delay, in microseconds.
-  uint64_t io_retry_max_us = 20000;
-
   /// Hung-I/O watchdog deadline for IoEngine jobs, in milliseconds.
   /// 0 (the default) waits forever — the historical behavior. When set,
   /// IoEngine::Wait gives up on a job that has not completed within the
@@ -165,24 +110,6 @@ struct Options {
   /// the abandoned job's eventual result is discarded. This is a
   /// liveness backstop, not a retry trigger (see Status::IsTransient).
   uint64_t io_deadline_ms = 0;
-
-  /// Redundancy scheme for IndependentDiskDevice. kNone (the default)
-  /// is bit-identical to the pre-redundancy substrate. kParity arms
-  /// rotated parity groups; kMirror keeps a full second copy. Either
-  /// scheme makes the device survive one permanently failed head:
-  /// reads reconstruct from the surviving group members, writes divert
-  /// through the redundancy plane, and a RebuildManager can drain the
-  /// lost head onto a hot spare. With redundancy armed, placement
-  /// ignores quarantine (the redundancy plane, not placement diversion,
-  /// carries sick-head traffic) so healthy and degraded runs keep
-  /// bit-identical logical IoStats.
-  Redundancy redundancy = Redundancy::kNone;
-
-  /// Parity group width G for Redundancy::kParity: each group holds
-  /// G-1 data blocks plus one parity block, all on distinct heads.
-  /// Clamped to [2, num_disks]. 0 (the default) uses G = num_disks —
-  /// the widest (cheapest-in-space) group the disk count supports.
-  size_t parity_group_width = 0;
 
   /// Group-commit window in microseconds: a committer that finds no
   /// fsync in flight waits this long before paying one, so concurrent

@@ -387,7 +387,6 @@ Options ArbiterOptions() {
   Options opts;
   opts.block_size = 4096;
   opts.memory_budget = 64 * 4096;
-  opts.arbiter_window_accesses = 8;
   return opts;
 }
 
@@ -452,6 +451,11 @@ TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
       (void)tree.Get(probe.Next(), &v);  // mostly NotFound: fine
     }
     EXPECT_TRUE(pool->FlushAll().ok());
+    if (arbitrated) {
+      // The arbiter must actually move memory, or the identity is vacuous.
+      EXPECT_GT(ctx->arbiter()->pool_grows(), 0u);
+      EXPECT_GT(ctx->arbiter()->staging_sheds(), 0u);
+    }
     return dev.stats();
   };
   IoStats fixed = run(false);
@@ -468,7 +472,7 @@ TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
 /// never a single logical charge.
 TEST(MemoryArbiterIdentity, MultiTenantStatsMatchSingleTenantRuns) {
   Options opts = ArbiterOptions();  // each tenant's 64-block slice
-  const size_t kKeys = 6000;
+  const size_t kKeys = 20000;
   const size_t kScanItems = 16 * (4096 / sizeof(uint64_t));
   auto run_tenant = [&](ExecutionContext* ctx, uint64_t seed) {
     BPlusTree<uint64_t, uint64_t> tree(ctx);
@@ -523,6 +527,10 @@ TEST(MemoryArbiterIdentity, MultiTenantStatsMatchSingleTenantRuns) {
   t0.join();
   t1.join();
   EXPECT_LE(machine.charged_blocks(), machine.total_blocks());
+  // Each tenant's tree outgrows its 32-frame pool share, so the shared
+  // arbiter must move frames mid-run, or the identity is vacuous.
+  EXPECT_GT(machine.pool_grows(), 0u);
+  EXPECT_GT(machine.staging_sheds(), 0u);
   EXPECT_EQ(devs[0]->stats(), base[0]);
   EXPECT_EQ(devs[1]->stats(), base[1]);
 }

@@ -349,10 +349,6 @@ TEST(PrefetchGovernor, ConfigFromOptionsDerivesBudgetAgainstM) {
   auto cfg = PrefetchGovernor::ConfigFromOptions(opts);
   EXPECT_EQ(cfg.budget_blocks, (1u << 19) / 4096);  // M/2 in blocks
   EXPECT_EQ(cfg.max_depth, cfg.budget_blocks / 4);  // <= half the budget armed
-
-  opts.prefetch_budget_bytes = 1u << 19;
-  auto explicit_cfg = PrefetchGovernor::ConfigFromOptions(opts);
-  EXPECT_EQ(explicit_cfg.budget_blocks, (1u << 19) / 4096);
 }
 
 // ------------------------------------------- PQ staging cap (no governor)

@@ -192,17 +192,6 @@ TEST(RetryPolicy, ZeroLimitIsDisabled) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(RetryPolicy, ConfigFromOptions) {
-  Options opt;
-  opt.io_retry_limit = 3;
-  opt.io_retry_base_us = 50;
-  opt.io_retry_max_us = 800;
-  RetryPolicy::Config c = RetryPolicy::ConfigFromOptions(opt);
-  EXPECT_EQ(c.retry_limit, 3u);
-  EXPECT_EQ(c.base_us, 50u);
-  EXPECT_EQ(c.max_us, 800u);
-}
-
 // ------------------------------------------- device-level transient faults
 
 // A transient fault schedule absorbed by the batch-loop retry: logical
