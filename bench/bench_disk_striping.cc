@@ -350,7 +350,7 @@ void CountedComparison() {
       (void)sum;
     }
     uint64_t scan_ios = sp.delta().parallel_ios();
-    ExternalSorter<uint64_t> ssorter(&sdev, kMem);
+    ExternalSorter<uint64_t> ssorter(&sdev, Options{.memory_budget = kMem});
     ExtVector<uint64_t> sout(&sdev);
     IoProbe sprobe(sdev);
     ssorter.Sort(sin, &sout);
@@ -365,7 +365,7 @@ void CountedComparison() {
       for (size_t i = 0; i < kN; ++i) w.Append(rng2.Next());
       w.Finish();
     }
-    ExternalSorter<uint64_t> isorter(&idev, kMem);
+    ExternalSorter<uint64_t> isorter(&idev, Options{.memory_budget = kMem});
     isorter.set_forecast_merge(true);
     ExtVector<uint64_t> iout(&idev);
     IoProbe iprobe(idev);

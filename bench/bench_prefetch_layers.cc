@@ -213,7 +213,7 @@ Run RunBfs(size_t depth, IoEngine* engine) {
       w.Finish();
     }
     ExtGraph g(dev, &pool);
-    Status built = g.Build(edges, v, kMemBytes, /*symmetrize=*/true);
+    Status built = g.Build(edges, v, LayerOptions(0), /*symmetrize=*/true);
     if (!built.ok()) {
       std::fprintf(stderr, "graph build failed: %s\n",
                    built.ToString().c_str());

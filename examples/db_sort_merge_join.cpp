@@ -7,13 +7,14 @@
 // co-scan — the textbook Sort(N) + Sort(M) + Scan join every engine
 // implements.
 //
-// Build & run:  cmake --build build && ./build/examples/db_sort_merge_join
+// Build & run:  cmake --build build && ./build/example_db_sort_merge_join
 #include <cstdio>
 
 #include "core/ext_vector.h"
 #include "io/memory_block_device.h"
 #include "search/buffer_tree.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/random.h"
 
 using namespace vem;
@@ -39,6 +40,7 @@ struct Joined {
 int main() {
   constexpr size_t kBlockBytes = 4096;
   constexpr size_t kMemoryBytes = 128 * 1024;
+  const Options kOpts{.memory_budget = kMemoryBytes};
   const size_t kOrders = 400000, kCustomers = 50000;
   MemoryBlockDevice disk(kBlockBytes);
 
@@ -75,12 +77,12 @@ int main() {
   ExtVector<Order> orders_sorted(&disk);
   ExtVector<Customer> customers_sorted(&disk);
   if (!ExternalSort<Order, decltype(by_cust_o)>(orders, &orders_sorted,
-                                                kMemoryBytes, by_cust_o)
+                                                kOpts, by_cust_o)
            .ok()) {
     return 1;
   }
   if (!ExternalSort<Customer, decltype(by_cust_c)>(
-           customers, &customers_sorted, kMemoryBytes, by_cust_c)
+           customers, &customers_sorted, kOpts, by_cust_c)
            .ok()) {
     return 1;
   }
@@ -115,7 +117,7 @@ int main() {
 
   // 4. Maintain a secondary index under a bulk update stream with a
   //    buffer tree (the write-optimized path).
-  BufferTree<uint64_t, uint64_t> index(&disk, kMemoryBytes);
+  BufferTree<uint64_t, uint64_t> index(&disk, kOpts);
   {
     IoProbe probe(disk);
     ExtVector<Joined>::Reader r(&result);

@@ -6,7 +6,7 @@
 //  - external connected components: how many islands of walkable land?
 //  - external BFS: hop-optimal route between two corners.
 //
-// Build & run:  cmake --build build && ./build/examples/gis_terrain
+// Build & run:  cmake --build build && ./build/example_gis_terrain
 #include <cstdio>
 
 #include "graph/bfs.h"
@@ -14,6 +14,7 @@
 #include "graph/connected_components.h"
 #include "graph/graph.h"
 #include "io/memory_block_device.h"
+#include "util/options.h"
 #include "util/random.h"
 
 using namespace vem;
@@ -48,6 +49,7 @@ uint64_t CellId(size_t r, size_t c) { return r * kSide + c; }
 int main() {
   constexpr size_t kBlockBytes = 4096;
   constexpr size_t kMemoryBytes = 128 * 1024;
+  const Options kOpts{.memory_budget = kMemoryBytes};
   const double kWaterline = 0.42;
   MemoryBlockDevice disk(kBlockBytes);
   BufferPool pool(&disk, 8);
@@ -80,7 +82,7 @@ int main() {
   uint64_t mainland = kNoVertex;
   {
     IoProbe probe(disk);
-    ConnectedComponents cc(&disk, kMemoryBytes);
+    ConnectedComponents cc(&disk, kOpts);
     if (!cc.Run(edges, kSide * kSide, &labels).ok()) return 1;
     size_t islands = 0;
     uint64_t best_size = 0, cur_label = kNoVertex, cur_size = 0;
@@ -91,7 +93,7 @@ int main() {
     };
     ExtVector<VertexLabel> by_l(&disk);
     if (!ExternalSort<VertexLabel, decltype(by_label)>(labels, &by_l,
-                                                       kMemoryBytes, by_label)
+                                                       kOpts, by_label)
              .ok()) {
       return 1;
     }
@@ -133,13 +135,13 @@ int main() {
     }
   }
   ExtGraph graph(&disk, &pool);
-  if (!graph.Build(edges, kSide * kSide, kMemoryBytes, /*symmetrize=*/true)
+  if (!graph.Build(edges, kSide * kSide, kOpts, /*symmetrize=*/true)
            .ok()) {
     return 1;
   }
   {
     IoProbe probe(disk);
-    ExternalBfs bfs(&disk, kMemoryBytes);
+    ExternalBfs bfs(&disk, kOpts);
     ExtVector<VertexDist> dists(&disk);
     if (!bfs.Run(graph, start, &dists).ok()) return 1;
     uint64_t goal_dist = kNoVertex;

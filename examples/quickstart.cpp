@@ -4,13 +4,14 @@
 // externally, builds a B+-tree index, and prints the exact I/O bill for
 // each step — the numbers the PDM cost model predicts.
 //
-// Build & run:  cmake --build build && ./build/examples/quickstart
+// Build & run:  cmake --build build && ./build/example_quickstart
 #include <cstdio>
 
 #include "core/ext_vector.h"
 #include "io/memory_block_device.h"
 #include "search/bplus_tree.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/random.h"
 
 using namespace vem;
@@ -20,6 +21,7 @@ int main() {
   // (for u64 items): B = 512, M = 8192.
   constexpr size_t kBlockBytes = 4096;
   constexpr size_t kMemoryBytes = 64 * 1024;
+  const Options kOpts{.memory_budget = kMemoryBytes};
   MemoryBlockDevice disk(kBlockBytes);
 
   // 1. Write 1M random integers (16x larger than memory).
@@ -39,7 +41,7 @@ int main() {
   ExtVector<uint64_t> sorted(&disk);
   {
     IoProbe probe(disk);
-    ExternalSorter<uint64_t> sorter(&disk, kMemoryBytes);
+    ExternalSorter<uint64_t> sorter(&disk, kOpts);
     if (!sorter.Sort(data, &sorted).ok()) return 1;
     std::printf(
         "sorted with %zu-way merge, %zu pass(es): %llu I/Os "

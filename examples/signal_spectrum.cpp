@@ -6,12 +6,13 @@
 // budget, and the dominant frequencies are recovered with one scan over
 // the spectrum — every stage scan- or transpose-bounded.
 //
-// Build & run:  cmake --build build && ./build/examples/signal_spectrum
+// Build & run:  cmake --build build && ./build/example_signal_spectrum
 #include <cmath>
 #include <cstdio>
 
 #include "io/memory_block_device.h"
 #include "sort/fft.h"
+#include "util/options.h"
 #include "util/random.h"
 
 using namespace vem;
@@ -19,6 +20,7 @@ using namespace vem;
 int main() {
   constexpr size_t kBlockBytes = 4096;
   constexpr size_t kMemoryBytes = 256 * 1024;  // M = 16K complex samples
+  const Options kOpts{.memory_budget = kMemoryBytes};
   const size_t kN = 1 << 20;                   // 1M samples = 16 MiB signal
   MemoryBlockDevice disk(kBlockBytes);
 
@@ -49,7 +51,7 @@ int main() {
   ExtVector<Complex> spectrum(&disk);
   {
     IoProbe probe(disk);
-    ExternalFft fft(&disk, kMemoryBytes);
+    ExternalFft fft(&disk, kOpts);
     Status s = fft.Forward(signal, &spectrum);
     if (!s.ok()) {
       std::printf("FFT failed: %s\n", s.ToString().c_str());

@@ -6,13 +6,14 @@
 // external sort by count finds the top-k. Every stage is scan- or
 // sort-bounded; no hash table ever grows beyond M.
 //
-// Build & run:  cmake --build build && ./build/examples/text_wordcount
+// Build & run:  cmake --build build && ./build/example_text_wordcount
 #include <cstdio>
 #include <string>
 
 #include "io/memory_block_device.h"
 #include "sort/external_sort.h"
 #include "string/string_sort.h"
+#include "util/options.h"
 #include "util/random.h"
 
 using namespace vem;
@@ -33,6 +34,7 @@ constexpr size_t kVocabSize = sizeof(kVocab) / sizeof(kVocab[0]);
 int main() {
   constexpr size_t kBlockBytes = 4096;
   constexpr size_t kMemoryBytes = 64 * 1024;
+  const Options kOpts{.memory_budget = kMemoryBytes};
   const size_t kWords = 200000;
   MemoryBlockDevice disk(kBlockBytes);
 
@@ -52,7 +54,7 @@ int main() {
   ExtVector<uint64_t> order(&disk);
   {
     IoProbe probe(disk);
-    ExternalStringSort sorter(&disk, kMemoryBytes);
+    ExternalStringSort sorter(&disk, kOpts);
     if (!sorter.Sort(corpus, &order).ok()) return 1;
     std::printf("string sort: %llu I/Os, %zu refinement round(s)\n",
                 static_cast<unsigned long long>(probe.delta().block_ios()),
@@ -92,7 +94,7 @@ int main() {
 
   // 4. Sort groups by count (descending) and print the top 10.
   ExtVector<WordCount> ranked(&disk);
-  if (!ExternalSort(counts, &ranked, kMemoryBytes).ok()) return 1;
+  if (!ExternalSort(counts, &ranked, kOpts).ok()) return 1;
   std::printf("\ntop 10 of %zu distinct words:\n", ranked.size());
   {
     ExtVector<WordCount>::Reader r(&ranked);

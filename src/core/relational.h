@@ -5,8 +5,8 @@
 // Both are Sort(N) + Sort(M) + co-scan: the exact plan a disk-based
 // query engine picks when hash tables don't fit.
 //
-// Both take their machine parameters as Options (or an ExecutionContext
-// carrying them): M is `memory_budget`, B comes from the output's device,
+// Both take their machine parameters as Options (a context caller passes
+// ctx->options()): M is `memory_budget`, B comes from the output's device,
 // and `prefetch_depth` K > 0 arms K-block read-ahead on the co-scan
 // readers, write-behind on the output writer, and the same depth on
 // every internal sort's run streams (see ExternalSorter). With an
@@ -23,7 +23,6 @@
 #include <functional>
 
 #include "core/ext_vector.h"
-#include "serve/execution_context.h"
 #include "sort/external_sort.h"
 #include "util/options.h"
 #include "util/status.h"
@@ -122,32 +121,6 @@ Status GroupByAggregate(const ExtVector<Row>& rows, ExtVector<Out>* out,
   }
   VEM_RETURN_IF_ERROR(r.status());
   return w.Finish();
-}
-
-/// Context-carried join: the ExecutionContext's Options (the tenant's M
-/// slice and prefetch depth). `out` must live on the context's device.
-template <typename L, typename R, typename Out, typename Key>
-Status SortMergeJoin(ExecutionContext* ctx, const ExtVector<L>& left,
-                     const ExtVector<R>& right, ExtVector<Out>* out,
-                     const std::function<Key(const L&)>& key_l,
-                     const std::function<Key(const R&)>& key_r,
-                     const std::function<Out(const L&, const R&)>& combine) {
-  return SortMergeJoin<L, R, Out, Key>(left, right, out, ctx->options(),
-                                       key_l, key_r, combine);
-}
-
-/// Context-carried aggregation: the ExecutionContext's Options. `out`
-/// must live on the context's device.
-template <typename Row, typename Key, typename Acc, typename Out>
-Status GroupByAggregate(ExecutionContext* ctx, const ExtVector<Row>& rows,
-                        ExtVector<Out>* out,
-                        const std::function<Key(const Row&)>& key_of,
-                        const std::function<Acc(const Key&)>& init,
-                        const std::function<void(Acc*, const Row&)>& fold,
-                        const std::function<Out(const Key&, const Acc&)>&
-                            finish) {
-  return GroupByAggregate<Row, Key, Acc, Out>(rows, out, ctx->options(),
-                                              key_of, init, fold, finish);
 }
 
 }  // namespace vem

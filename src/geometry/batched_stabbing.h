@@ -17,6 +17,7 @@
 #include "core/ext_vector.h"
 #include "geometry/segment_intersection.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -48,7 +49,7 @@ struct StabHit {
 inline Status BatchedStabbingReport(const ExtVector<Interval>& intervals,
                                     const ExtVector<StabQuery>& queries,
                                     ExtVector<StabHit>* out,
-                                    size_t memory_budget_bytes) {
+                                    const Options& opts) {
   BlockDevice* dev = out->device();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ExtVector<HSegment> hs(dev);
@@ -78,7 +79,7 @@ inline Status BatchedStabbingReport(const ExtVector<Interval>& intervals,
   }
   ExtVector<IntersectionPair> pairs(dev);
   {
-    OrthogonalSegmentIntersection osi(dev, memory_budget_bytes);
+    OrthogonalSegmentIntersection osi(dev, opts);
     VEM_RETURN_IF_ERROR(osi.Run(hs, vs, &pairs));
   }
   hs.Destroy();
@@ -104,7 +105,7 @@ struct StabCount {
 inline Status BatchedStabbingCount(const ExtVector<Interval>& intervals,
                                    const ExtVector<StabQuery>& queries,
                                    ExtVector<StabCount>* out,
-                                   size_t memory_budget_bytes) {
+                                   const Options& opts) {
   BlockDevice* dev = out->device();
   // Endpoint streams sorted by coordinate.
   ExtVector<double> starts(dev), ends(dev);
@@ -121,9 +122,8 @@ inline Status BatchedStabbingCount(const ExtVector<Interval>& intervals,
     VEM_RETURN_IF_ERROR(ew.Finish());
   }
   ExtVector<double> starts_sorted(dev), ends_sorted(dev);
-  VEM_RETURN_IF_ERROR(ExternalSort(starts, &starts_sorted,
-                                   memory_budget_bytes));
-  VEM_RETURN_IF_ERROR(ExternalSort(ends, &ends_sorted, memory_budget_bytes));
+  VEM_RETURN_IF_ERROR(ExternalSort(starts, &starts_sorted, opts));
+  VEM_RETURN_IF_ERROR(ExternalSort(ends, &ends_sorted, opts));
   starts.Destroy();
   ends.Destroy();
   auto by_x = [](const StabQuery& a, const StabQuery& b) {
@@ -132,7 +132,7 @@ inline Status BatchedStabbingCount(const ExtVector<Interval>& intervals,
   };
   ExtVector<StabQuery> queries_sorted(dev);
   VEM_RETURN_IF_ERROR(ExternalSort<StabQuery, decltype(by_x)>(
-      queries, &queries_sorted, memory_budget_bytes, by_x));
+      queries, &queries_sorted, opts, by_x));
   // Three-way merge: count(q) = #(lo <= q.x) - #(hi < q.x).
   typename ExtVector<StabQuery>::Reader qr(&queries_sorted);
   ExtVector<double>::Reader sr(&starts_sorted), er(&ends_sorted);

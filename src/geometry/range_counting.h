@@ -19,6 +19,7 @@
 #include "io/block_device.h"
 #include "sort/external_sort.h"
 #include "util/random.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -44,13 +45,19 @@ struct DomCount {
 /// Distribution-sweep dominance counter.
 class DominanceCounter {
  public:
-  DominanceCounter(BlockDevice* dev, size_t memory_budget_bytes,
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on the input copies, the
+  /// y-ordered co-scans, the output writer and the internal sorts' run
+  /// streams (0 = synchronous). The per-strip writers stay synchronous:
+  /// Θ(m) of them are open at once and each armed writer would stage 2K
+  /// extra blocks. Never changes IoStats.
+  DominanceCounter(BlockDevice* dev, const Options& opts,
                    uint64_t seed = 0xD0E)
-      : dev_(dev), memory_budget_(memory_budget_bytes), rng_(seed) {}
+      : dev_(dev), opts_(opts), rng_(seed) {}
 
   Status Run(const ExtVector<Point2>& points,
              const ExtVector<DomQuery>& queries, ExtVector<DomCount>* out) {
-    typename ExtVector<DomCount>::Writer w(out);
+    typename ExtVector<DomCount>::Writer w(out, opts_.prefetch_depth);
     ExtVector<Point2> p(dev_);
     ExtVector<DomQuery> q(dev_);
     VEM_RETURN_IF_ERROR(Copy(points, &p));
@@ -62,8 +69,8 @@ class DominanceCounter {
  private:
   template <typename T>
   Status Copy(const ExtVector<T>& in, ExtVector<T>* out) {
-    typename ExtVector<T>::Reader r(&in);
-    typename ExtVector<T>::Writer w(out);
+    typename ExtVector<T>::Reader r(&in, 0, opts_.prefetch_depth);
+    typename ExtVector<T>::Writer w(out, opts_.prefetch_depth);
     T item;
     while (r.Next(&item)) {
       if (!w.Append(item)) return w.status();
@@ -73,11 +80,11 @@ class DominanceCounter {
   }
 
   size_t fan_out() const {
-    size_t m = memory_budget_ / dev_->block_size();
+    size_t m = opts_.memory_budget / dev_->block_size();
     return std::max<size_t>(2, m / 4);
   }
   size_t memory_items() const {
-    return memory_budget_ / (sizeof(Point2) + sizeof(DomQuery));
+    return opts_.memory_budget / (sizeof(Point2) + sizeof(DomQuery));
   }
 
   Status Solve(ExtVector<Point2> points, ExtVector<DomQuery> queries,
@@ -85,7 +92,7 @@ class DominanceCounter {
     if (queries.size() == 0) return Status::OK();
     if (points.size() == 0) {
       // No points left: every query resolves to its accumulator.
-      typename ExtVector<DomQuery>::Reader r(&queries);
+      typename ExtVector<DomQuery>::Reader r(&queries, 0, opts_.prefetch_depth);
       DomQuery q;
       while (r.Next(&q)) {
         if (!out->Append(DomCount{q.id, q.acc})) return out->status();
@@ -128,9 +135,9 @@ class DominanceCounter {
     ExtVector<Point2> ps(dev_);
     ExtVector<DomQuery> qs(dev_);
     VEM_RETURN_IF_ERROR(ExternalSort<Point2, decltype(p_by_y)>(
-        points, &ps, memory_budget_, p_by_y));
+        points, &ps, opts_, p_by_y));
     VEM_RETURN_IF_ERROR(ExternalSort<DomQuery, decltype(q_by_y)>(
-        queries, &qs, memory_budget_, q_by_y));
+        queries, &qs, opts_, q_by_y));
     points.Destroy();
     queries.Destroy();
     {
@@ -143,8 +150,8 @@ class DominanceCounter {
             &child_q[s]));
       }
       std::vector<uint64_t> strip_count(strips, 0);
-      typename ExtVector<Point2>::Reader pr(&ps);
-      typename ExtVector<DomQuery>::Reader qr(&qs);
+      typename ExtVector<Point2>::Reader pr(&ps, 0, opts_.prefetch_depth);
+      typename ExtVector<DomQuery>::Reader qr(&qs, 0, opts_.prefetch_depth);
       Point2 p;
       DomQuery q;
       bool have_p = pr.Next(&p), have_q = qr.Next(&q);
@@ -185,7 +192,7 @@ class DominanceCounter {
     std::vector<double> sample;
     *min_x = std::numeric_limits<double>::infinity();
     *max_x = -std::numeric_limits<double>::infinity();
-    typename ExtVector<Point2>::Reader r(&points);
+    typename ExtVector<Point2>::Reader r(&points, 0, opts_.prefetch_depth);
     Point2 p;
     size_t seen = 0;
     while (r.Next(&p)) {
@@ -227,11 +234,11 @@ class DominanceCounter {
     ExtVector<Point2> ps(dev_);
     ExtVector<DomQuery> qs(dev_);
     VEM_RETURN_IF_ERROR(ExternalSort<Point2, decltype(p_by_y)>(
-        points, &ps, memory_budget_, p_by_y));
+        points, &ps, opts_, p_by_y));
     VEM_RETURN_IF_ERROR(ExternalSort<DomQuery, decltype(q_by_y)>(
-        queries, &qs, memory_budget_, q_by_y));
-    typename ExtVector<Point2>::Reader pr(&ps);
-    typename ExtVector<DomQuery>::Reader qr(&qs);
+        queries, &qs, opts_, q_by_y));
+    typename ExtVector<Point2>::Reader pr(&ps, 0, opts_.prefetch_depth);
+    typename ExtVector<DomQuery>::Reader qr(&qs, 0, opts_.prefetch_depth);
     Point2 p;
     DomQuery q;
     bool have_p = pr.Next(&p), have_q = qr.Next(&q);
@@ -291,7 +298,7 @@ class DominanceCounter {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   Rng rng_;
 };
 
@@ -315,7 +322,7 @@ struct RectCount {
 inline Status BatchedRectangleCount(const ExtVector<Point2>& points,
                                     const ExtVector<RectQuery>& rects,
                                     ExtVector<RectCount>* out,
-                                    size_t memory_budget_bytes) {
+                                    const Options& opts) {
   BlockDevice* dev = out->device();
   constexpr double kLowest = std::numeric_limits<double>::lowest();
   auto below = [](double x) { return std::nextafter(x, kLowest); };
@@ -323,8 +330,8 @@ inline Status BatchedRectangleCount(const ExtVector<Point2>& points,
   // of the query id, rectangle index above.
   ExtVector<DomQuery> corners(dev);
   {
-    typename ExtVector<RectQuery>::Reader r(&rects);
-    typename ExtVector<DomQuery>::Writer w(&corners);
+    typename ExtVector<RectQuery>::Reader r(&rects, 0, opts.prefetch_depth);
+    typename ExtVector<DomQuery>::Writer w(&corners, opts.prefetch_depth);
     RectQuery q;
     uint64_t idx = 0;
     while (r.Next(&q)) {
@@ -345,7 +352,7 @@ inline Status BatchedRectangleCount(const ExtVector<Point2>& points,
   }
   ExtVector<DomCount> dom(dev);
   {
-    DominanceCounter dc(dev, memory_budget_bytes);
+    DominanceCounter dc(dev, opts);
     VEM_RETURN_IF_ERROR(dc.Run(points, corners, &dom));
   }
   corners.Destroy();
@@ -357,13 +364,13 @@ inline Status BatchedRectangleCount(const ExtVector<Point2>& points,
   };
   ExtVector<DomCount> sorted(dev);
   VEM_RETURN_IF_ERROR(
-      ExternalSort<DomCount, ByIdCmp>(dom, &sorted, memory_budget_bytes));
+      ExternalSort<DomCount, ByIdCmp>(dom, &sorted, opts));
   dom.Destroy();
   // Map rectangle index back to the caller's id with one more join
   // against the rect stream (rects are in idx order already).
-  typename ExtVector<DomCount>::Reader dr(&sorted);
-  typename ExtVector<RectQuery>::Reader rr(&rects);
-  typename ExtVector<RectCount>::Writer w(out);
+  typename ExtVector<DomCount>::Reader dr(&sorted, 0, opts.prefetch_depth);
+  typename ExtVector<RectQuery>::Reader rr(&rects, 0, opts.prefetch_depth);
+  typename ExtVector<RectCount>::Writer w(out, opts.prefetch_depth);
   DomCount c[4];
   RectQuery q;
   while (rr.Next(&q)) {

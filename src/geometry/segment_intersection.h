@@ -68,11 +68,6 @@ class OrthogonalSegmentIntersection {
                                 uint64_t seed = 0x6E0)
       : dev_(dev), opts_(opts), rng_(seed) {}
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  OrthogonalSegmentIntersection(BlockDevice* dev, size_t memory_budget_bytes,
-                                uint64_t seed = 0x6E0)
-      : OrthogonalSegmentIntersection(
-            dev, Options{.memory_budget = memory_budget_bytes}, seed) {}
 
   /// Recursion depth of the last Run (tests).
   size_t max_depth() const { return max_depth_; }

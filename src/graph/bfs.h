@@ -34,9 +34,6 @@ class ExternalBfs {
   /// streams (0 = synchronous). Never changes IoStats.
   ExternalBfs(BlockDevice* dev, const Options& opts) : dev_(dev), opts_(opts) {}
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  ExternalBfs(BlockDevice* dev, size_t memory_budget_bytes)
-      : ExternalBfs(dev, Options{.memory_budget = memory_budget_bytes}) {}
 
   /// Number of BFS levels of the last Run().
   size_t levels() const { return levels_; }

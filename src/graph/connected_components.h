@@ -43,10 +43,6 @@ class ConnectedComponents {
   ConnectedComponents(BlockDevice* dev, const Options& opts)
       : dev_(dev), opts_(opts) {}
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  ConnectedComponents(BlockDevice* dev, size_t memory_budget_bytes)
-      : ConnectedComponents(dev,
-                            Options{.memory_budget = memory_budget_bytes}) {}
 
   /// Hook-and-contract rounds of the last Run().
   size_t rounds() const { return rounds_; }

@@ -12,6 +12,7 @@
 #include "graph/graph.h"
 #include "graph/list_ranking.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -37,8 +38,12 @@ struct VertexDepth2 {
 /// Euler-tour computations over a tree given as an undirected edge list.
 class EulerTour {
  public:
-  EulerTour(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every arc/pairing scan and
+  /// reaches the internal sorts and the inner ListRanker (0 =
+  /// synchronous). Never changes IoStats.
+  EulerTour(BlockDevice* dev, const Options& opts)
+      : dev_(dev), opts_(opts) {}
 
   /// Compute the tour. `tree_edges` holds each undirected edge once;
   /// vertices are 0..n-1; the tree must be connected with n-1 edges.
@@ -51,7 +56,8 @@ class EulerTour {
     if (n == 0) return Status::InvalidArgument("empty tree");
     if (n == 1) {
       if (preorder_out != nullptr) {
-        typename ExtVector<Preorder>::Writer w(preorder_out);
+        typename ExtVector<Preorder>::Writer w(preorder_out,
+                                               opts_.prefetch_depth);
         if (!w.Append(Preorder{root, 0})) return w.status();
         VEM_RETURN_IF_ERROR(w.Finish());
       }
@@ -60,8 +66,8 @@ class EulerTour {
     // 1. Symmetrize + sort arcs by (u, v). Arc id := index in this order.
     ExtVector<Edge> arcs(dev_);
     {
-      typename ExtVector<Edge>::Reader r(&tree_edges);
-      typename ExtVector<Edge>::Writer w(&arcs);
+      typename ExtVector<Edge>::Reader r(&tree_edges, 0, opts_.prefetch_depth);
+      typename ExtVector<Edge>::Writer w(&arcs, opts_.prefetch_depth);
       Edge e;
       while (r.Next(&e)) {
         if (!w.Append(e)) return w.status();
@@ -71,7 +77,7 @@ class EulerTour {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<Edge> sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(arcs, &sorted, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(arcs, &sorted, opts_));
     arcs.Destroy();
     const uint64_t num_arcs = sorted.size();
 
@@ -88,8 +94,8 @@ class EulerTour {
     ExtVector<SuccMsg> succs(dev_);
     uint64_t tour_head = kNoVertex;  // id of the root's first out-arc
     {
-      typename ExtVector<Edge>::Reader r(&sorted);
-      typename ExtVector<SuccMsg>::Writer w(&succs);
+      typename ExtVector<Edge>::Reader r(&sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<SuccMsg>::Writer w(&succs, opts_.prefetch_depth);
       Edge e;
       std::vector<uint64_t> group;  // neighbor ids of current source
       uint64_t group_src = kNoVertex;
@@ -125,16 +131,17 @@ class EulerTour {
       return Status::InvalidArgument("root has no incident edge");
     }
     ExtVector<SuccMsg> succs_sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(succs, &succs_sorted, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(succs, &succs_sorted, opts_));
     succs.Destroy();
 
     // 3. Merge-join arcs with succ messages -> list nodes; break the
     //    cycle where succ == tour_head.
     ExtVector<ListNode> list(dev_);
     {
-      typename ExtVector<Edge>::Reader ar(&sorted);
-      typename ExtVector<SuccMsg>::Reader mr(&succs_sorted);
-      typename ExtVector<ListNode>::Writer w(&list);
+      typename ExtVector<Edge>::Reader ar(&sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<SuccMsg>::Reader mr(&succs_sorted, 0,
+                                             opts_.prefetch_depth);
+      typename ExtVector<ListNode>::Writer w(&list, opts_.prefetch_depth);
       Edge e;
       SuccMsg m{};
       uint64_t idx = 0;
@@ -158,16 +165,16 @@ class EulerTour {
     //    (inclusive); position = num_arcs - rank.
     ExtVector<ListRank> ranks(dev_);
     {
-      ListRanker ranker(dev_, memory_budget_);
+      ListRanker ranker(dev_, opts_);
       VEM_RETURN_IF_ERROR(ranker.Rank(list, &ranks));
     }
     list.Destroy();
 
     // 5. Emit TourArcs: ranks sorted by id == arc order of `sorted`.
     {
-      typename ExtVector<Edge>::Reader ar(&sorted);
-      typename ExtVector<ListRank>::Reader rr(&ranks);
-      typename ExtVector<TourArc>::Writer w(arcs_out);
+      typename ExtVector<Edge>::Reader ar(&sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<ListRank>::Reader rr(&ranks, 0, opts_.prefetch_depth);
+      typename ExtVector<TourArc>::Writer w(arcs_out, opts_.prefetch_depth);
       Edge e;
       ListRank lr{};
       while (ar.Next(&e)) {
@@ -210,8 +217,8 @@ class EulerTour {
     };
     ExtVector<PairKey> keyed(dev_);
     {
-      typename ExtVector<TourArc>::Reader r(&arcs);
-      typename ExtVector<PairKey>::Writer w(&keyed);
+      typename ExtVector<TourArc>::Reader r(&arcs, 0, opts_.prefetch_depth);
+      typename ExtVector<PairKey>::Writer w(&keyed, opts_.prefetch_depth);
       TourArc a;
       while (r.Next(&a)) {
         if (!w.Append(PairKey{std::min(a.u, a.v), std::max(a.u, a.v), a.pos,
@@ -223,12 +230,12 @@ class EulerTour {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<PairKey> paired(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(keyed, &paired, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(keyed, &paired, opts_));
     keyed.Destroy();
     ExtVector<PosDir> dirs(dev_);
     {
-      typename ExtVector<PairKey>::Reader r(&paired);
-      typename ExtVector<PosDir>::Writer w(&dirs);
+      typename ExtVector<PairKey>::Reader r(&paired, 0, opts_.prefetch_depth);
+      typename ExtVector<PosDir>::Writer w(&dirs, opts_.prefetch_depth);
       PairKey a, b;
       while (r.Next(&a)) {
         if (!r.Next(&b)) return Status::Corruption("unpaired arc");
@@ -242,12 +249,12 @@ class EulerTour {
     }
     paired.Destroy();
     ExtVector<PosDir> by_pos(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(dirs, &by_pos, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(dirs, &by_pos, opts_));
     dirs.Destroy();
     ExtVector<VertexDepth2> depths(dev_);
     {
-      typename ExtVector<PosDir>::Reader r(&by_pos);
-      typename ExtVector<VertexDepth2>::Writer w(&depths);
+      typename ExtVector<PosDir>::Reader r(&by_pos, 0, opts_.prefetch_depth);
+      typename ExtVector<VertexDepth2>::Writer w(&depths, opts_.prefetch_depth);
       if (!w.Append(VertexDepth2{root, 0})) return w.status();
       PosDir d;
       uint64_t depth = 0;
@@ -267,7 +274,7 @@ class EulerTour {
       return a.vertex < b.vertex;
     };
     VEM_RETURN_IF_ERROR(ExternalSort<VertexDepth2, decltype(by_vertex)>(
-        depths, out, memory_budget_, by_vertex));
+        depths, out, opts_, by_vertex));
     return Status::OK();
   }
 
@@ -289,8 +296,8 @@ class EulerTour {
     };
     ExtVector<PairKey> keyed(dev_);
     {
-      typename ExtVector<TourArc>::Reader r(&arcs);
-      typename ExtVector<PairKey>::Writer w(&keyed);
+      typename ExtVector<TourArc>::Reader r(&arcs, 0, opts_.prefetch_depth);
+      typename ExtVector<PairKey>::Writer w(&keyed, opts_.prefetch_depth);
       TourArc a;
       while (r.Next(&a)) {
         PairKey k{std::min(a.u, a.v), std::max(a.u, a.v), a.pos, a.v};
@@ -300,7 +307,7 @@ class EulerTour {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<PairKey> paired(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(keyed, &paired, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(keyed, &paired, opts_));
     keyed.Destroy();
     // Consecutive pairs are an arc and its reverse; the earlier one is
     // the down arc, entering vertex `head`.
@@ -311,8 +318,8 @@ class EulerTour {
     };
     ExtVector<DownArc> downs(dev_);
     {
-      typename ExtVector<PairKey>::Reader r(&paired);
-      typename ExtVector<DownArc>::Writer w(&downs);
+      typename ExtVector<PairKey>::Reader r(&paired, 0, opts_.prefetch_depth);
+      typename ExtVector<DownArc>::Writer w(&downs, opts_.prefetch_depth);
       PairKey a, b;
       while (r.Next(&a)) {
         if (!r.Next(&b)) return Status::Corruption("unpaired arc");
@@ -324,13 +331,13 @@ class EulerTour {
     }
     paired.Destroy();
     ExtVector<DownArc> by_pos(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(downs, &by_pos, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(downs, &by_pos, opts_));
     downs.Destroy();
     // Scan in tour order: preorder(root)=0, then 1,2,... per down arc.
     ExtVector<Preorder> pres(dev_);
     {
-      typename ExtVector<DownArc>::Reader r(&by_pos);
-      typename ExtVector<Preorder>::Writer w(&pres);
+      typename ExtVector<DownArc>::Reader r(&by_pos, 0, opts_.prefetch_depth);
+      typename ExtVector<Preorder>::Writer w(&pres, opts_.prefetch_depth);
       if (!w.Append(Preorder{root, 0})) return w.status();
       DownArc d;
       uint64_t c = 1;
@@ -345,12 +352,12 @@ class EulerTour {
       return a.vertex < b.vertex;
     };
     VEM_RETURN_IF_ERROR(ExternalSort<Preorder, decltype(by_vertex)>(
-        pres, out, memory_budget_, by_vertex));
+        pres, out, opts_, by_vertex));
     return Status::OK();
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
 };
 
 }  // namespace vem

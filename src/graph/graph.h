@@ -9,6 +9,7 @@
 #include "core/ext_vector.h"
 #include "serve/execution_context.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -42,9 +43,10 @@ class ExtGraph {
 
   /// Build from an arc list. For an undirected graph pass both (u,v) and
   /// (v,u), or set `symmetrize` to add reverses automatically.
-  /// Cost: Sort(E) + Scan(E).
+  /// Cost: Sort(E) + Scan(E); the sort takes M and its stream depth
+  /// from `opts`.
   Status Build(const ExtVector<Edge>& arcs, uint64_t num_vertices,
-               size_t memory_budget_bytes, bool symmetrize = false) {
+               const Options& opts, bool symmetrize = false) {
     num_vertices_ = num_vertices;
     BlockDevice* dev = offsets_.device();
     ExtVector<Edge> all(dev);
@@ -65,7 +67,7 @@ class ExtGraph {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<Edge> sorted(dev);
-    VEM_RETURN_IF_ERROR(ExternalSort(all, &sorted, memory_budget_bytes));
+    VEM_RETURN_IF_ERROR(ExternalSort(all, &sorted, opts));
     all.Destroy();
     // One merged scan: offsets (prefix counts) + neighbor ids.
     {

@@ -55,10 +55,6 @@ class ListRanker {
   ListRanker(BlockDevice* dev, const Options& opts, uint64_t seed = 0x1157)
       : dev_(dev), opts_(opts), seed_(seed) {}
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  ListRanker(BlockDevice* dev, size_t memory_budget_bytes,
-             uint64_t seed = 0x1157)
-      : ListRanker(dev, Options{.memory_budget = memory_budget_bytes}, seed) {}
 
   /// Number of contraction levels the last Rank() used (for tests).
   size_t levels() const { return levels_; }

@@ -52,7 +52,7 @@ class WeightedGraph {
 
   /// Build from arcs; set `symmetrize` for undirected graphs.
   Status Build(const ExtVector<WeightedEdge>& arcs, uint64_t n,
-               size_t memory_budget_bytes, bool symmetrize = false) {
+               const Options& opts, bool symmetrize = false) {
     num_vertices_ = n;
     BlockDevice* dev = offsets_.device();
     ExtVector<WeightedEdge> all(dev);
@@ -73,7 +73,7 @@ class WeightedGraph {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     ExtVector<WeightedEdge> sorted(dev);
-    VEM_RETURN_IF_ERROR(ExternalSort(all, &sorted, memory_budget_bytes));
+    VEM_RETURN_IF_ERROR(ExternalSort(all, &sorted, opts));
     all.Destroy();
     {
       typename ExtVector<WeightedEdge>::Reader r(&sorted);
@@ -131,14 +131,16 @@ class WeightedGraph {
 /// Semi-external Dijkstra.
 class SemiExternalSssp {
  public:
-  SemiExternalSssp(BlockDevice* dev, BufferPool* pool,
-                   size_t memory_budget_bytes)
-      : dev_(dev), pool_(pool), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; its `prefetch_depth` K reaches the
+  /// priority queue's run streams (0 = synchronous). Never changes
+  /// IoStats.
+  SemiExternalSssp(BlockDevice* dev, BufferPool* pool, const Options& opts)
+      : dev_(dev), pool_(pool), opts_(opts) {}
 
   /// Serving-plane wiring: distances and PQ run streams charge the
   /// context tenant's slice of M (serve/execution_context.h).
   explicit SemiExternalSssp(ExecutionContext* ctx)
-      : SemiExternalSssp(ctx->device(), ctx->pool(), ctx->memory_budget()) {}
+      : SemiExternalSssp(ctx->device(), ctx->pool(), ctx->options()) {}
 
   /// Shortest distances from `source`; out[v] = kInfDist if unreachable.
   /// `out` is a dense pooled vector of num_vertices entries.
@@ -164,7 +166,7 @@ class SemiExternalSssp {
         return dist != o.dist ? dist < o.dist : v < o.v;
       }
     };
-    ExternalPriorityQueue<Item> pq(dev_, memory_budget_);
+    ExternalPriorityQueue<Item> pq(dev_, opts_);
     VEM_RETURN_IF_ERROR(out->Set(source, 0));
     VEM_RETURN_IF_ERROR(pq.Push(Item{0, source}));
     std::vector<std::pair<uint64_t, uint64_t>> arcs;
@@ -193,7 +195,7 @@ class SemiExternalSssp {
  private:
   BlockDevice* dev_;
   BufferPool* pool_;
-  size_t memory_budget_;
+  Options opts_;
 };
 
 }  // namespace vem

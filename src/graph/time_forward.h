@@ -19,6 +19,7 @@
 #include "graph/graph.h"
 #include "search/external_pq.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -42,8 +43,12 @@ class TimeForwardProcessor {
   using EvalFn =
       std::function<V(uint64_t v, const std::vector<V>& incoming)>;
 
-  TimeForwardProcessor(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K reaches the edge sort, the message queue and the edge/output
+  /// scans, which arm K-block read-ahead/write-behind (0 = synchronous).
+  /// Never changes IoStats.
+  TimeForwardProcessor(BlockDevice* dev, const Options& opts)
+      : dev_(dev), opts_(opts) {}
 
   /// Run over vertices 0..n-1 in id (== topological) order. `edges` must
   /// satisfy u < v for every edge (u, v); violations are reported as
@@ -52,17 +57,17 @@ class TimeForwardProcessor {
              ExtVector<VertexValue>* out) {
     // Sort edges by source so out-edges stream in vertex order.
     ExtVector<Edge> sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(edges, &sorted, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(edges, &sorted, opts_));
 
     struct Msg {
       uint64_t dest;
       V value;
       bool operator<(const Msg& o) const { return dest < o.dest; }
     };
-    ExternalPriorityQueue<Msg> inbox(dev_, memory_budget_);
+    ExternalPriorityQueue<Msg> inbox(dev_, opts_);
 
-    typename ExtVector<Edge>::Reader er(&sorted);
-    typename ExtVector<VertexValue>::Writer w(out);
+    typename ExtVector<Edge>::Reader er(&sorted, 0, opts_.prefetch_depth);
+    typename ExtVector<VertexValue>::Writer w(out, opts_.prefetch_depth);
     Edge e{};
     bool have_e = er.Next(&e);
     std::vector<V> incoming;
@@ -103,7 +108,7 @@ class TimeForwardProcessor {
 
  private:
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
 };
 
 }  // namespace vem

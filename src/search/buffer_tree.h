@@ -43,9 +43,11 @@ class BufferTree {
     V value;
   };
 
-  BufferTree(BlockDevice* dev, size_t memory_budget_bytes, Cmp cmp = Cmp())
+  /// Fanout and buffer capacity derive from `opts.memory_budget` (PDM
+  /// M); B comes from `dev`.
+  BufferTree(BlockDevice* dev, const Options& opts, Cmp cmp = Cmp())
       : dev_(dev), cmp_(cmp) {
-    size_t m = std::max<size_t>(memory_budget_bytes / dev->block_size(), 8);
+    size_t m = std::max<size_t>(opts.memory_budget / dev->block_size(), 8);
     fanout_ = std::max<size_t>(m / 4, 4);
     buffer_cap_ops_ =
         std::max<size_t>((m / 2) * (dev->block_size() / sizeof(Op)), 64);
@@ -53,11 +55,6 @@ class BufferTree {
     root_ = NewInternal();
     nodes_[root_].children.push_back(NewLeaf());
   }
-
-  /// Sized from the machine configuration: fanout and buffer capacity
-  /// derive from Options::memory_budget (PDM M).
-  BufferTree(BlockDevice* dev, const Options& opts, Cmp cmp = Cmp())
-      : BufferTree(dev, opts.memory_budget, cmp) {}
 
   size_t fanout() const { return fanout_; }
   size_t leaf_capacity() const { return leaf_cap_; }

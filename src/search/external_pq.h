@@ -60,11 +60,6 @@ class ExternalPriorityQueue {
     staging_budget_blocks_ = std::max<size_t>(half / dev->block_size(), 2);
   }
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  ExternalPriorityQueue(BlockDevice* dev, size_t memory_budget_bytes,
-                        Cmp cmp = Cmp())
-      : ExternalPriorityQueue(
-            dev, Options{.memory_budget = memory_budget_bytes}, cmp) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

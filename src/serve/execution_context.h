@@ -11,12 +11,13 @@
 // ExecutionContext bundles the whole machine view behind one object:
 //   { Options, BlockDevice*, IoEngine*, MemoryArbiter tenant lease,
 //     PrefetchGovernor, BufferPool }
-// and every algorithm layer accepts it directly (BPlusTree, ExtHashTable,
-// ExternalSorter, SortMergeJoin, GroupByAggregate, Graph, Matrix, ...).
-// The Options inside the context carry the per-query knobs: a layer
-// built from the context reads memory_budget and prefetch_depth from
-// options() once, at construction, exactly as a layer built from
-// (device, Options) does.
+// and the pool-backed layers accept it directly (BPlusTree, ExtHashTable,
+// ExtGraph, WeightedGraph, SemiExternalSssp, ExtMatrix), as does
+// ExternalSorter. The Options inside the context carry the per-query
+// knobs: a layer built from the context reads memory_budget and
+// prefetch_depth from options() once, at construction, exactly as a
+// layer built from (device, Options) does; pool-less layers and free
+// functions take ctx->options() directly.
 //
 // Two construction modes:
 //  - STANDALONE: the context owns a private MemoryArbiter over
@@ -123,9 +124,6 @@ class ExecutionContext {
   TenantLease* tenant() { return tenant_.get(); }
   BufferPool* pool() { return &pool_; }
   PrefetchGovernor* governor() { return &governor_; }
-
-  /// The tenant's memory slice in bytes (PDM M for this context).
-  size_t memory_budget() const { return opts_.memory_budget; }
 
  private:
   /// Initial pool fraction of the tenant's slice: the historical fixed

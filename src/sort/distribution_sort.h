@@ -46,11 +46,6 @@ class DistributionSorter {
         cmp_(cmp),
         rng_(seed) {}
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  DistributionSorter(BlockDevice* dev, size_t memory_budget_bytes,
-                     Cmp cmp = Cmp(), uint64_t seed = 0xD157)
-      : DistributionSorter(dev, Options{.memory_budget = memory_budget_bytes},
-                           cmp, seed) {}
 
   /// Splitter count per pass. Each of the k "less-than" buckets and k-1
   /// "equal-to-splitter" buckets holds a writer, so ~2k+1 block buffers

@@ -85,12 +85,6 @@ class ExternalSorter {
         prefetch_depth_(opts.prefetch_depth),
         cmp_(cmp) {}
 
-  /// Synchronous form: internal memory M = `memory_budget_bytes`.
-  ExternalSorter(BlockDevice* dev, size_t memory_budget_bytes,
-                 Cmp cmp = Cmp())
-      : ExternalSorter(dev, Options{.memory_budget = memory_budget_bytes},
-                       cmp) {}
-
   /// Serving-plane wiring: device, memory budget (the tenant's slice of
   /// M) and prefetch depth all come from the ExecutionContext.
   explicit ExternalSorter(ExecutionContext* ctx, Cmp cmp = Cmp())
@@ -394,21 +388,12 @@ class ExternalSorter {
   bool forecast_merge_ = false;
 };
 
-/// Convenience wrapper: a synchronous sort on the output's device.
+/// Convenience wrapper: sort on the output's device with M and the
+/// stream depth from `opts`.
 template <typename T, typename Cmp = std::less<T>>
 Status ExternalSort(const ExtVector<T>& input, ExtVector<T>* output,
-                    size_t memory_budget_bytes, Cmp cmp = Cmp()) {
-  return ExternalSorter<T, Cmp>(output->device(), memory_budget_bytes, cmp)
-      .Sort(input, output);
-}
-
-/// Context-carried wrapper: budget (the tenant's M slice) and prefetch
-/// depth come from the ExecutionContext's Options; the output vector
-/// must live on the context's device.
-template <typename T, typename Cmp = std::less<T>>
-Status ExternalSort(ExecutionContext* ctx, const ExtVector<T>& input,
-                    ExtVector<T>* output, Cmp cmp = Cmp()) {
-  return ExternalSorter<T, Cmp>(output->device(), ctx->options(), cmp)
+                    const Options& opts, Cmp cmp = Cmp()) {
+  return ExternalSorter<T, Cmp>(output->device(), opts, cmp)
       .Sort(input, output);
 }
 

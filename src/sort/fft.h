@@ -79,10 +79,10 @@ inline void FftInMemory(std::vector<Complex>* a, bool inverse) {
 /// `out` must be empty and share the input's device; uses its own pool.
 template <typename T>
 Status TransposeTiledT(const ExtVector<T>& in, size_t rows, size_t cols,
-                       ExtVector<T>* out, size_t memory_budget_bytes) {
+                       ExtVector<T>* out, const Options& opts) {
   BlockDevice* dev = out->device();
   BufferPool pool(dev,
-                  std::max<size_t>(memory_budget_bytes / dev->block_size(), 4));
+                  std::max<size_t>(opts.memory_budget / dev->block_size(), 4));
   ExtVector<T> result(dev, &pool);
   {
     typename ExtVector<T>::Writer w(&result);
@@ -93,7 +93,7 @@ Status TransposeTiledT(const ExtVector<T>& in, size_t rows, size_t cols,
     VEM_RETURN_IF_ERROR(w.Finish());
   }
   size_t t = static_cast<size_t>(std::sqrt(
-      static_cast<double>(memory_budget_bytes) / (2 * sizeof(T))));
+      static_cast<double>(opts.memory_budget) / (2 * sizeof(T))));
   if (t == 0) t = 1;
   std::vector<T> tile;
   for (size_t r0 = 0; r0 < rows; r0 += t) {
@@ -128,12 +128,9 @@ Status TransposeTiledT(const ExtVector<T>& in, size_t rows, size_t cols,
 /// Out-of-core FFT engine.
 class ExternalFft {
  public:
-  ExternalFft(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
-
-  /// Machine-configuration form: M from Options.
+  /// M is `opts.memory_budget`; B comes from `dev`.
   ExternalFft(BlockDevice* dev, const Options& opts)
-      : dev_(dev), memory_budget_(opts.memory_budget) {}
+      : dev_(dev), opts_(opts) {}
 
   /// Forward DFT: out[k] = sum_n in[n] e^{-2 pi i nk / N}. N must be a
   /// power of two with sqrt(N) <= M/sizeof(Complex) (single-level regime).
@@ -155,7 +152,7 @@ class ExternalFft {
     if ((n & (n - 1)) != 0) {
       return Status::InvalidArgument("FFT size must be a power of two");
     }
-    const size_t mem_items = memory_budget_ / sizeof(Complex);
+    const size_t mem_items = opts_.memory_budget / sizeof(Complex);
     if (n <= mem_items) {
       // Fits in memory: one read pass + in-RAM FFT + one write pass.
       std::vector<Complex> buf;
@@ -177,7 +174,7 @@ class ExternalFft {
     // Step 1: transpose -> N1 x N2 (rows indexed by n1).
     ExtVector<Complex> t1(dev_);
     VEM_RETURN_IF_ERROR(
-        TransposeTiledT(in, n2, n1, &t1, memory_budget_));
+        TransposeTiledT(in, n2, n1, &t1, opts_));
     // Steps 2+3: N2-point FFT per row, then twiddle by w_N^{n1*k2}.
     ExtVector<Complex> s2(dev_);
     VEM_RETURN_IF_ERROR(RowFftPass(t1, n1, n2, inverse,
@@ -186,7 +183,7 @@ class ExternalFft {
     // Step 4: transpose -> N2 x N1 (rows indexed by k2).
     ExtVector<Complex> t2(dev_);
     VEM_RETURN_IF_ERROR(
-        TransposeTiledT(s2, n1, n2, &t2, memory_budget_));
+        TransposeTiledT(s2, n1, n2, &t2, opts_));
     s2.Destroy();
     // Step 5: N1-point FFT per row.
     ExtVector<Complex> s3(dev_);
@@ -196,7 +193,7 @@ class ExternalFft {
     // Step 6: transpose -> N1 x N2 so index = k1*N2 + k2.
     ExtVector<Complex> t3(dev_);
     VEM_RETURN_IF_ERROR(
-        TransposeTiledT(s3, n2, n1, &t3, memory_budget_));
+        TransposeTiledT(s3, n2, n1, &t3, opts_));
     s3.Destroy();
     if (!inverse) {
       *out = std::move(t3);
@@ -251,7 +248,7 @@ class ExternalFft {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
 };
 
 /// Baseline: textbook in-place iterative FFT over a pooled

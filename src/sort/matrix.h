@@ -64,9 +64,10 @@ class ExtMatrix {
 };
 
 /// Tiled out-of-core transpose. `out` must be empty with shape (cols,rows)
-/// and a BufferPool sized to the memory budget (frames = M/block).
+/// and a BufferPool sized to the memory budget (frames = M/block). The
+/// tile side comes from `opts.memory_budget`.
 inline Status TransposeTiled(const ExtMatrix& in, ExtMatrix* out,
-                             size_t memory_budget_bytes) {
+                             const Options& opts) {
   if (out->rows() != in.cols() || out->cols() != in.rows()) {
     return Status::InvalidArgument("transpose shape mismatch");
   }
@@ -76,8 +77,8 @@ inline Status TransposeTiled(const ExtMatrix& in, ExtMatrix* out,
   }
   // Tile side: one input tile is buffered in RAM (t*t doubles), and the
   // dirtied output tile blocks live in the pool — budget half each.
-  size_t t = static_cast<size_t>(
-      std::sqrt(static_cast<double>(memory_budget_bytes) / (2 * sizeof(double))));
+  size_t t = static_cast<size_t>(std::sqrt(
+      static_cast<double>(opts.memory_budget) / (2 * sizeof(double))));
   if (t == 0) t = 1;
 
   std::vector<double> tile;
@@ -108,12 +109,6 @@ inline Status TransposeTiled(const ExtMatrix& in, ExtMatrix* out,
   return out->data().pool()->FlushAll();
 }
 
-/// Machine-configuration overload: tile size from Options::memory_budget.
-inline Status TransposeTiled(const ExtMatrix& in, ExtMatrix* out,
-                             const Options& opts) {
-  return TransposeTiled(in, out, opts.memory_budget);
-}
-
 /// Naive transpose baseline: emit output row-major; each output row is an
 /// input column, read by strided Gets through the pool.
 inline Status TransposeNaive(const ExtMatrix& in, ExtMatrix* out) {
@@ -135,9 +130,10 @@ inline Status TransposeNaive(const ExtMatrix& in, ExtMatrix* out) {
 }
 
 /// Blocked out-of-core matrix multiply C = A * B with s×s tiles, three
-/// tiles resident (s = sqrt(M/3)). Θ(n³/(B·sqrt(M))) I/Os.
+/// tiles resident (s = sqrt(M/3), M = `opts.memory_budget`).
+/// Θ(n³/(B·sqrt(M))) I/Os.
 inline Status MultiplyTiled(const ExtMatrix& a, const ExtMatrix& b,
-                            ExtMatrix* c, size_t memory_budget_bytes) {
+                            ExtMatrix* c, const Options& opts) {
   if (a.cols() != b.rows() || c->rows() != a.rows() || c->cols() != b.cols()) {
     return Status::InvalidArgument("matmul shape mismatch");
   }
@@ -145,8 +141,8 @@ inline Status MultiplyTiled(const ExtMatrix& a, const ExtMatrix& b,
     return Status::InvalidArgument("MultiplyTiled needs a pooled output");
   }
   VEM_RETURN_IF_ERROR(c->Zero());
-  size_t s = static_cast<size_t>(
-      std::sqrt(static_cast<double>(memory_budget_bytes) / (3 * sizeof(double))));
+  size_t s = static_cast<size_t>(std::sqrt(
+      static_cast<double>(opts.memory_budget) / (3 * sizeof(double))));
   if (s == 0) s = 1;
 
   std::vector<double> ta, tb, tc;
@@ -195,12 +191,6 @@ inline Status MultiplyTiled(const ExtMatrix& a, const ExtMatrix& b,
     }
   }
   return c->data().pool()->FlushAll();
-}
-
-/// Machine-configuration overload: tile size from Options::memory_budget.
-inline Status MultiplyTiled(const ExtMatrix& a, const ExtMatrix& b,
-                            ExtMatrix* c, const Options& opts) {
-  return MultiplyTiled(a, b, c, opts.memory_budget);
 }
 
 }  // namespace vem

@@ -34,13 +34,13 @@ struct DestTagged {
 
 }  // namespace internal
 
-/// output[dest[i]] = input[i], by tag-sort-strip. dest must be a
-/// permutation of 0..N-1 (checked only by size; duplicate destinations
-/// silently overwrite).
+/// output[dest[i]] = input[i], by tag-sort-strip; the sort takes M and
+/// its stream depth from `opts`. dest must be a permutation of 0..N-1
+/// (checked only by size; duplicate destinations silently overwrite).
 template <typename T>
 Status PermuteBySorting(const ExtVector<T>& input,
                         const ExtVector<uint64_t>& dest, ExtVector<T>* output,
-                        size_t memory_budget_bytes) {
+                        const Options& opts) {
   using Tagged = internal::DestTagged<T>;
   if (input.size() != dest.size()) {
     return Status::InvalidArgument("input/dest size mismatch");
@@ -61,7 +61,7 @@ Status PermuteBySorting(const ExtVector<T>& input,
     VEM_RETURN_IF_ERROR(w.Finish());
   }
   ExtVector<Tagged> sorted(dev);
-  VEM_RETURN_IF_ERROR(ExternalSort(tagged, &sorted, memory_budget_bytes));
+  VEM_RETURN_IF_ERROR(ExternalSort(tagged, &sorted, opts));
   tagged.Destroy();
   {
     typename ExtVector<Tagged>::Reader r(&sorted);
@@ -76,16 +76,15 @@ Status PermuteBySorting(const ExtVector<T>& input,
   return Status::OK();
 }
 
-/// output[dest[i]] = input[i] by direct random writes through a pool of
-/// M/B frames. Output is pre-sized to input.size().
+/// output[dest[i]] = input[i] by direct random writes through the
+/// output's buffer pool (its frame count is the caller's M/B). Output is
+/// pre-sized to input.size().
 template <typename T>
 Status PermuteDirect(const ExtVector<T>& input,
-                     const ExtVector<uint64_t>& dest, ExtVector<T>* output,
-                     size_t memory_budget_bytes) {
+                     const ExtVector<uint64_t>& dest, ExtVector<T>* output) {
   if (input.size() != dest.size()) {
     return Status::InvalidArgument("input/dest size mismatch");
   }
-  BlockDevice* dev = output->device();
   if (output->pool() == nullptr) {
     return Status::InvalidArgument("PermuteDirect output needs a BufferPool");
   }
@@ -98,8 +97,6 @@ Status PermuteDirect(const ExtVector<T>& input,
     }
     VEM_RETURN_IF_ERROR(w.Finish());
   }
-  (void)memory_budget_bytes;  // pool size already fixed by the caller
-  (void)dev;
   typename ExtVector<T>::Reader vr(&input);
   ExtVector<uint64_t>::Reader dr(&dest);
   T v;
@@ -135,29 +132,23 @@ struct PermuteCostModel {
 };
 
 /// Permute choosing the cheaper strategy per the survey's min() bound.
-/// If `chosen` is non-null it receives the decision.
-template <typename T>
-Status PermuteAuto(const ExtVector<T>& input, const ExtVector<uint64_t>& dest,
-                   ExtVector<T>* output, size_t memory_budget_bytes,
-                   PermuteStrategy* chosen = nullptr) {
-  auto est = PermuteCostModel::Estimate(input.size(), sizeof(T),
-                                        output->device()->block_size(),
-                                        memory_budget_bytes);
-  if (est.direct_ios <= est.sorting_ios && output->pool() != nullptr) {
-    if (chosen != nullptr) *chosen = PermuteStrategy::kDirect;
-    return PermuteDirect(input, dest, output, memory_budget_bytes);
-  }
-  if (chosen != nullptr) *chosen = PermuteStrategy::kSorting;
-  return PermuteBySorting(input, dest, output, memory_budget_bytes);
-}
-
-/// Machine-configuration overload: the crossover estimate and the sort
-/// budget come from Options (M, B).
+/// The crossover estimate takes M from `opts.memory_budget` and B from
+/// the output's device; the sorting strategy's sort runs at
+/// `opts.prefetch_depth`. If `chosen` is non-null it receives the
+/// decision.
 template <typename T>
 Status PermuteAuto(const ExtVector<T>& input, const ExtVector<uint64_t>& dest,
                    ExtVector<T>* output, const Options& opts,
                    PermuteStrategy* chosen = nullptr) {
-  return PermuteAuto(input, dest, output, opts.memory_budget, chosen);
+  auto est = PermuteCostModel::Estimate(input.size(), sizeof(T),
+                                        output->device()->block_size(),
+                                        opts.memory_budget);
+  if (est.direct_ios <= est.sorting_ios && output->pool() != nullptr) {
+    if (chosen != nullptr) *chosen = PermuteStrategy::kDirect;
+    return PermuteDirect(input, dest, output);
+  }
+  if (chosen != nullptr) *chosen = PermuteStrategy::kSorting;
+  return PermuteBySorting(input, dest, output, opts);
 }
 
 }  // namespace vem

@@ -12,6 +12,7 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "util/random.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -20,10 +21,12 @@ namespace vem {
 template <typename T, typename Cmp = std::less<T>>
 class ExternalSelector {
  public:
-  ExternalSelector(BlockDevice* dev, size_t memory_budget_bytes,
-                   Cmp cmp = Cmp(), uint64_t seed = 0x5E1)
-      : dev_(dev), memory_budget_(memory_budget_bytes), cmp_(cmp),
-        rng_(seed) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every partitioning scan (0
+  /// = synchronous). Never changes IoStats.
+  ExternalSelector(BlockDevice* dev, const Options& opts, Cmp cmp = Cmp(),
+                   uint64_t seed = 0x5E1)
+      : dev_(dev), opts_(opts), cmp_(cmp), rng_(seed) {}
 
   /// Scans performed by the last Select (tests: expected O(1) rounds).
   size_t rounds() const { return rounds_; }
@@ -37,10 +40,11 @@ class ExternalSelector {
     }
     // Current candidate set; starts as a copy of the input (so we never
     // mutate the caller's data), shrinks per round.
+    const size_t depth = opts_.prefetch_depth;
     ExtVector<T> cur(dev_);
     {
-      typename ExtVector<T>::Reader r(&input);
-      typename ExtVector<T>::Writer w(&cur);
+      typename ExtVector<T>::Reader r(&input, 0, depth);
+      typename ExtVector<T>::Writer w(&cur, depth);
       T v;
       while (r.Next(&v)) {
         if (!w.Append(v)) return w.status();
@@ -49,7 +53,7 @@ class ExternalSelector {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     uint64_t rank = k;
-    const size_t mem_items = memory_budget_ / sizeof(T);
+    const size_t mem_items = opts_.memory_budget / sizeof(T);
     while (true) {
       rounds_++;
       if (rounds_ > 200) return Status::Corruption("selection did not converge");
@@ -68,8 +72,8 @@ class ExternalSelector {
       ExtVector<T> less(dev_), greater(dev_);
       uint64_t n_less = 0, n_equal = 0;
       {
-        typename ExtVector<T>::Reader r(&cur);
-        typename ExtVector<T>::Writer lw(&less), gw(&greater);
+        typename ExtVector<T>::Reader r(&cur, 0, depth);
+        typename ExtVector<T>::Writer lw(&less, depth), gw(&greater, depth);
         T v;
         while (r.Next(&v)) {
           if (cmp_(v, pivot)) {
@@ -107,7 +111,7 @@ class ExternalSelector {
     constexpr size_t kSample = 64;
     std::vector<T> sample;
     sample.reserve(kSample);
-    typename ExtVector<T>::Reader r(&cur);
+    typename ExtVector<T>::Reader r(&cur, 0, opts_.prefetch_depth);
     T v;
     size_t seen = 0;
     while (r.Next(&v)) {
@@ -127,7 +131,7 @@ class ExternalSelector {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   Cmp cmp_;
   Rng rng_;
   size_t rounds_ = 0;
@@ -136,8 +140,8 @@ class ExternalSelector {
 /// Convenience: median of `input` (lower median for even sizes).
 template <typename T, typename Cmp = std::less<T>>
 Status ExternalMedian(const ExtVector<T>& input, T* out,
-                      size_t memory_budget_bytes, Cmp cmp = Cmp()) {
-  ExternalSelector<T, Cmp> sel(input.device(), memory_budget_bytes, cmp);
+                      const Options& opts, Cmp cmp = Cmp()) {
+  ExternalSelector<T, Cmp> sel(input.device(), opts, cmp);
   return sel.Select(input, (input.size() - 1) / 2, out);
 }
 

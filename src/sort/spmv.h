@@ -12,6 +12,7 @@
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -25,8 +26,11 @@ struct CooEntry {
 /// External SpMV engine.
 class SparseMatVec {
  public:
-  SparseMatVec(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on the internal sorts and the
+  /// join/accumulate scans (0 = synchronous). Never changes IoStats.
+  SparseMatVec(BlockDevice* dev, const Options& opts)
+      : dev_(dev), opts_(opts) {}
 
   /// y = A x. A: nnz COO entries with row < rows, col == index into x;
   /// x: dense vector of `cols` doubles; y: output, `rows` doubles
@@ -38,6 +42,7 @@ class SparseMatVec {
       double value;
       bool operator<(const ColProduct& o) const { return row < o.row; }
     };
+    const size_t depth = opts_.prefetch_depth;
     // 1. Sort by column, join with x.
     struct ByCol {
       bool operator()(const CooEntry& p, const CooEntry& q) const {
@@ -46,12 +51,12 @@ class SparseMatVec {
     };
     ExtVector<CooEntry> by_col(dev_);
     VEM_RETURN_IF_ERROR(
-        ExternalSort<CooEntry, ByCol>(a, &by_col, memory_budget_));
+        ExternalSort<CooEntry, ByCol>(a, &by_col, opts_));
     ExtVector<ColProduct> products(dev_);
     {
-      typename ExtVector<CooEntry>::Reader ar(&by_col);
-      ExtVector<double>::Reader xr(&x);
-      typename ExtVector<ColProduct>::Writer w(&products);
+      typename ExtVector<CooEntry>::Reader ar(&by_col, 0, depth);
+      ExtVector<double>::Reader xr(&x, 0, depth);
+      typename ExtVector<ColProduct>::Writer w(&products, depth);
       CooEntry e;
       double xv = 0;
       uint64_t xi = 0;
@@ -72,11 +77,11 @@ class SparseMatVec {
     by_col.Destroy();
     // 2. Sort by row, accumulate into dense y.
     ExtVector<ColProduct> by_row(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(products, &by_row, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(products, &by_row, opts_));
     products.Destroy();
     {
-      typename ExtVector<ColProduct>::Reader pr(&by_row);
-      ExtVector<double>::Writer w(y);
+      typename ExtVector<ColProduct>::Reader pr(&by_row, 0, depth);
+      ExtVector<double>::Writer w(y, depth);
       ColProduct p{};
       bool have_p = pr.Next(&p);
       for (uint64_t r = 0; r < rows; ++r) {
@@ -99,7 +104,7 @@ class SparseMatVec {
 
  private:
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
 };
 
 /// Baseline: stream the entries in given order and fetch x[col] through

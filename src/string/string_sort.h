@@ -21,6 +21,7 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -97,8 +98,12 @@ class StringCorpus {
 /// External string sorter. Output: string ids in lexicographic order.
 class ExternalStringSort {
  public:
-  ExternalStringSort(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every record scan and the
+  /// internal sorts' run streams (0 = synchronous); the corpus byte
+  /// reader seeks, so it stays synchronous. Never changes IoStats.
+  ExternalStringSort(BlockDevice* dev, const Options& opts)
+      : dev_(dev), opts_(opts) {}
 
   /// Rounds (8-byte refinement passes) of the last Sort (tests/benches).
   size_t rounds() const { return rounds_; }
@@ -130,7 +135,7 @@ class ExternalStringSort {
     while (unresolved.size() > 0) {
       rounds_++;
       ExtVector<Rec> sorted(dev_);
-      VEM_RETURN_IF_ERROR(ExternalSort(unresolved, &sorted, memory_budget_));
+      VEM_RETURN_IF_ERROR(ExternalSort(unresolved, &sorted, opts_));
       unresolved.Destroy();
       // Re-group: scan runs of equal (group, key).
       //
@@ -148,9 +153,9 @@ class ExternalStringSort {
       // outright.
       ExtVector<Rec> next(dev_);
       {
-        typename ExtVector<Rec>::Reader r(&sorted);
-        typename ExtVector<Rec>::Writer pw(&placed);
-        typename ExtVector<Rec>::Writer nw(&next);
+        typename ExtVector<Rec>::Reader r(&sorted, 0, opts_.prefetch_depth);
+        typename ExtVector<Rec>::Writer pw(&placed, opts_.prefetch_depth);
+        typename ExtVector<Rec>::Writer nw(&next, opts_.prefetch_depth);
         Rec rec{};
         bool have = r.Next(&rec);
         uint64_t cur_parent = ~0ull;
@@ -200,11 +205,11 @@ class ExternalStringSort {
     }
     // placed: (final rank, 0, id); sort by rank and emit ids.
     ExtVector<Rec> final_sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(placed, &final_sorted, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(placed, &final_sorted, opts_));
     placed.Destroy();
     {
-      typename ExtVector<Rec>::Reader r(&final_sorted);
-      ExtVector<uint64_t>::Writer w(sorted_ids);
+      typename ExtVector<Rec>::Reader r(&final_sorted, 0, opts_.prefetch_depth);
+      ExtVector<uint64_t>::Writer w(sorted_ids, opts_.prefetch_depth);
       Rec rec;
       while (r.Next(&rec)) {
         if (!w.Append(rec.id)) return w.status();
@@ -227,11 +232,12 @@ class ExternalStringSort {
     if (subset != nullptr) {
       auto cmp = [](const Rec& a, const Rec& b) { return a.id < b.id; };
       VEM_RETURN_IF_ERROR(ExternalSort<Rec, decltype(cmp)>(
-          *subset, &by_id, memory_budget_, cmp));
+          *subset, &by_id, opts_, cmp));
     }
-    ExtVector<uint64_t>::Reader offr(&corpus.offsets());
+    ExtVector<uint64_t>::Reader offr(&corpus.offsets(), 0,
+                                     opts_.prefetch_depth);
     ExtVector<char>::Reader blob_reader(&corpus.blob());
-    typename ExtVector<Rec>::Writer w(out);
+    typename ExtVector<Rec>::Writer w(out, opts_.prefetch_depth);
     uint64_t off = 0, next_off = 0;
     if (!offr.Next(&off)) return Status::Corruption("empty offsets");
     uint64_t cur_id = 0;
@@ -265,7 +271,7 @@ class ExternalStringSort {
       }
       VEM_RETURN_IF_ERROR(offr.status());
     } else {
-      typename ExtVector<Rec>::Reader sr(&by_id);
+      typename ExtVector<Rec>::Reader sr(&by_id, 0, opts_.prefetch_depth);
       Rec rec;
       while (sr.Next(&rec)) {
         // Advance the offsets reader to rec.id.
@@ -287,7 +293,7 @@ class ExternalStringSort {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   size_t rounds_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "sort/external_sort.h"
+#include "util/options.h"
 #include "util/status.h"
 
 namespace vem {
@@ -20,8 +21,12 @@ namespace vem {
 /// External suffix array builder over a byte text.
 class SuffixArrayBuilder {
  public:
-  SuffixArrayBuilder(BlockDevice* dev, size_t memory_budget_bytes)
-      : dev_(dev), memory_budget_(memory_budget_bytes) {}
+  /// M is `opts.memory_budget`; B comes from `dev`. `opts.prefetch_depth`
+  /// K arms K-block read-ahead/write-behind on every text/rank/tuple
+  /// scan and the internal sorts' run streams (0 = synchronous). Never
+  /// changes IoStats.
+  SuffixArrayBuilder(BlockDevice* dev, const Options& opts)
+      : dev_(dev), opts_(opts) {}
 
   /// Doubling rounds of the last Build (== ceil(log2 N) worst case).
   size_t rounds() const { return rounds_; }
@@ -55,8 +60,8 @@ class SuffixArrayBuilder {
     {
       ExtVector<RankedPos> first(dev_);
       {
-        typename ExtVector<uint8_t>::Reader r(&text);
-        typename ExtVector<RankedPos>::Writer w(&first);
+        typename ExtVector<uint8_t>::Reader r(&text, 0, opts_.prefetch_depth);
+        typename ExtVector<RankedPos>::Writer w(&first, opts_.prefetch_depth);
         uint8_t c;
         uint64_t pos = 0;
         while (r.Next(&c)) {
@@ -77,9 +82,9 @@ class SuffixArrayBuilder {
       // Tuples (rank[i], rank[i+k], i) via two lagged readers.
       ExtVector<RankedPos> tuples(dev_);
       {
-        typename ExtVector<PosRank>::Reader a(&ranks);
-        typename ExtVector<PosRank>::Reader b(&ranks, k);
-        typename ExtVector<RankedPos>::Writer w(&tuples);
+        typename ExtVector<PosRank>::Reader a(&ranks, 0, opts_.prefetch_depth);
+        typename ExtVector<PosRank>::Reader b(&ranks, k, opts_.prefetch_depth);
+        typename ExtVector<RankedPos>::Writer w(&tuples, opts_.prefetch_depth);
         PosRank pa, pb{};
         bool have_b = b.Next(&pb);
         while (a.Next(&pa)) {
@@ -104,10 +109,10 @@ class SuffixArrayBuilder {
     };
     ExtVector<PosRank> by_r(dev_);
     VEM_RETURN_IF_ERROR(ExternalSort<PosRank, decltype(by_rank)>(
-        ranks, &by_r, memory_budget_, by_rank));
+        ranks, &by_r, opts_, by_rank));
     ranks.Destroy();
-    typename ExtVector<PosRank>::Reader r(&by_r);
-    ExtVector<uint64_t>::Writer w(out);
+    typename ExtVector<PosRank>::Reader r(&by_r, 0, opts_.prefetch_depth);
+    ExtVector<uint64_t>::Writer w(out, opts_.prefetch_depth);
     PosRank pr;
     while (r.Next(&pr)) {
       if (!w.Append(pr.pos)) return w.status();
@@ -123,13 +128,13 @@ class SuffixArrayBuilder {
   Status AssignRanksImpl(ExtVector<RankedPos>& tuples,
                          ExtVector<PosRank>* ranks, bool* all_distinct) {
     ExtVector<RankedPos> sorted(dev_);
-    VEM_RETURN_IF_ERROR(ExternalSort(tuples, &sorted, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(tuples, &sorted, opts_));
     tuples.Destroy();
     ExtVector<PosRank> unsorted(dev_);
     *all_distinct = true;
     {
-      typename ExtVector<RankedPos>::Reader r(&sorted);
-      typename ExtVector<PosRank>::Writer w(&unsorted);
+      typename ExtVector<RankedPos>::Reader r(&sorted, 0, opts_.prefetch_depth);
+      typename ExtVector<PosRank>::Writer w(&unsorted, opts_.prefetch_depth);
       RankedPos t;
       uint64_t index = 0, rank = 0;
       uint64_t prev_r1 = 0, prev_r2 = 0;
@@ -150,7 +155,7 @@ class SuffixArrayBuilder {
       VEM_RETURN_IF_ERROR(w.Finish());
     }
     sorted.Destroy();
-    VEM_RETURN_IF_ERROR(ExternalSort(unsorted, ranks, memory_budget_));
+    VEM_RETURN_IF_ERROR(ExternalSort(unsorted, ranks, opts_));
     return Status::OK();
   }
 
@@ -161,7 +166,7 @@ class SuffixArrayBuilder {
   }
 
   BlockDevice* dev_;
-  size_t memory_budget_;
+  Options opts_;
   size_t rounds_ = 0;
 };
 

@@ -22,6 +22,7 @@ namespace {
 
 constexpr size_t kBlock = 256;
 constexpr size_t kMem = 4096;
+const Options kOpts{.memory_budget = kMem};
 
 // -------------------------------------------------------------- set ops
 
@@ -142,7 +143,7 @@ TEST(SparseMatVec, MatchesDenseReference) {
   ExtVector<double> x(&dev), y(&dev);
   ASSERT_TRUE(a.AppendAll(entries.data(), entries.size()).ok());
   ASSERT_TRUE(x.AppendAll(xv.data(), xv.size()).ok());
-  SparseMatVec spmv(&dev, kMem);
+  SparseMatVec spmv(&dev, kOpts);
   ASSERT_TRUE(spmv.Multiply(a, x, kRows, &y).ok());
   std::vector<double> got;
   ASSERT_TRUE(y.ReadAll(&got).ok());
@@ -160,7 +161,7 @@ TEST(SparseMatVec, EmptyRowsAreZero) {
   ExtVector<double> x(&dev), y(&dev);
   ASSERT_TRUE(a.AppendAll(entries.data(), entries.size()).ok());
   ASSERT_TRUE(x.AppendAll(xv.data(), xv.size()).ok());
-  SparseMatVec spmv(&dev, kMem);
+  SparseMatVec spmv(&dev, kOpts);
   ASSERT_TRUE(spmv.Multiply(a, x, 6, &y).ok());
   std::vector<double> got;
   ASSERT_TRUE(y.ReadAll(&got).ok());
@@ -175,7 +176,7 @@ TEST(SparseMatVec, ColumnOutOfRangeRejected) {
   ExtVector<double> x(&dev), y(&dev);
   ASSERT_TRUE(a.AppendAll(entries.data(), entries.size()).ok());
   ASSERT_TRUE(x.AppendAll(xv.data(), xv.size()).ok());
-  SparseMatVec spmv(&dev, kMem);
+  SparseMatVec spmv(&dev, kOpts);
   EXPECT_TRUE(spmv.Multiply(a, x, 1, &y).IsInvalidArgument());
 }
 
@@ -198,7 +199,7 @@ TEST(SparseMatVec, SortBasedBeatsNaiveOnIos) {
 
   ExtVector<double> y1(&dev), y2(&dev);
   IoProbe p1(dev);
-  SparseMatVec spmv(&dev, 64 * 1024);
+  SparseMatVec spmv(&dev, Options{.memory_budget = 64 * 1024});
   ASSERT_TRUE(spmv.Multiply(a, x, kRows, &y1).ok());
   uint64_t sort_ios = p1.delta().block_ios();
 
@@ -224,7 +225,7 @@ TEST(SuffixArraySearch, FindsAllOccurrences) {
   ASSERT_TRUE(tv.AppendAll(reinterpret_cast<const uint8_t*>(text.data()),
                            text.size())
                   .ok());
-  SuffixArrayBuilder builder(&dev, kMem);
+  SuffixArrayBuilder builder(&dev, kOpts);
   ExtVector<uint64_t> sa(&dev);
   ASSERT_TRUE(builder.Build(tv, &sa).ok());
   SuffixArraySearcher searcher(&tv, &sa);
@@ -262,7 +263,7 @@ TEST(SuffixArraySearch, RandomTextProperty) {
   ASSERT_TRUE(tv.AppendAll(reinterpret_cast<const uint8_t*>(text.data()),
                            text.size())
                   .ok());
-  SuffixArrayBuilder builder(&dev, kMem);
+  SuffixArrayBuilder builder(&dev, kOpts);
   ExtVector<uint64_t> sa(&dev);
   ASSERT_TRUE(builder.Build(tv, &sa).ok());
   SuffixArraySearcher searcher(&tv, &sa);
@@ -298,7 +299,7 @@ TEST(EulerTourDepths, MatchesBfsDepths) {
   }
   ExtVector<Edge> tree(&dev);
   ASSERT_TRUE(tree.AppendAll(e.data(), e.size()).ok());
-  EulerTour et(&dev, kMem);
+  EulerTour et(&dev, kOpts);
   ExtVector<TourArc> arcs(&dev);
   ASSERT_TRUE(et.Run(tree, n, 0, &arcs).ok());
   ExtVector<VertexDepth2> depths(&dev);
@@ -320,7 +321,7 @@ TEST(EulerTourDepths, PathAndStar) {
     for (uint64_t v = 1; v < 10; ++v) e.push_back({v - 1, v});
     ExtVector<Edge> tree(&dev);
     ASSERT_TRUE(tree.AppendAll(e.data(), e.size()).ok());
-    EulerTour et(&dev, kMem);
+    EulerTour et(&dev, kOpts);
     ExtVector<TourArc> arcs(&dev);
     ASSERT_TRUE(et.Run(tree, 10, 0, &arcs).ok());
     ExtVector<VertexDepth2> depths(&dev);
@@ -335,7 +336,7 @@ TEST(EulerTourDepths, PathAndStar) {
     for (uint64_t v = 1; v < 10; ++v) e.push_back({0, v});
     ExtVector<Edge> tree(&dev);
     ASSERT_TRUE(tree.AppendAll(e.data(), e.size()).ok());
-    EulerTour et(&dev, kMem);
+    EulerTour et(&dev, kOpts);
     ExtVector<TourArc> arcs(&dev);
     ASSERT_TRUE(et.Run(tree, 10, 0, &arcs).ok());
     ExtVector<VertexDepth2> depths(&dev);

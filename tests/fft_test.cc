@@ -12,6 +12,7 @@ namespace vem {
 namespace {
 
 constexpr size_t kBlock = 512;  // 32 Complex per block
+const Options kOpts{.memory_budget = 4096};  // 256 Complex: external n > 256
 
 // Reference O(N^2) DFT.
 std::vector<Complex> NaiveDft(const std::vector<Complex>& x, bool inverse) {
@@ -62,7 +63,7 @@ TEST_P(FftSweep, MatchesNaiveDft) {
   auto expect = NaiveDft(x, false);
   ExtVector<Complex> in(&dev), out(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
-  ExternalFft fft(&dev, 4096);  // 256 Complex of memory; external for n>256
+  ExternalFft fft(&dev, kOpts);
   ASSERT_TRUE(fft.Forward(in, &out).ok());
   std::vector<Complex> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
@@ -78,7 +79,7 @@ TEST(ExternalFft, RoundTripLargeSignal) {
   auto x = RandomSignal(n, 9);
   ExtVector<Complex> in(&dev), freq(&dev), back(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
-  ExternalFft fft(&dev, 8192);
+  ExternalFft fft(&dev, Options{.memory_budget = 8192});
   ASSERT_TRUE(fft.Forward(in, &freq).ok());
   ASSERT_TRUE(fft.Inverse(freq, &back).ok());
   std::vector<Complex> got;
@@ -93,7 +94,7 @@ TEST(ExternalFft, ImpulseGivesFlatSpectrum) {
   x[0] = {1, 0};
   ExtVector<Complex> in(&dev), out(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
-  ExternalFft fft(&dev, 4096);
+  ExternalFft fft(&dev, kOpts);
   ASSERT_TRUE(fft.Forward(in, &out).ok());
   std::vector<Complex> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
@@ -115,7 +116,7 @@ TEST(ExternalFft, PureToneGivesSingleBin) {
   }
   ExtVector<Complex> in(&dev), out(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
-  ExternalFft fft(&dev, 4096);
+  ExternalFft fft(&dev, kOpts);
   ASSERT_TRUE(fft.Forward(in, &out).ok());
   std::vector<Complex> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
@@ -131,7 +132,7 @@ TEST(ExternalFft, RejectsNonPowerOfTwo) {
   std::vector<Complex> x(100);
   ExtVector<Complex> in(&dev), out(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
-  ExternalFft fft(&dev, 4096);
+  ExternalFft fft(&dev, kOpts);
   EXPECT_TRUE(fft.Forward(in, &out).IsInvalidArgument());
 }
 
@@ -142,7 +143,7 @@ TEST(ExternalFft, AgreesWithPagedBaseline) {
   auto x = RandomSignal(n, 13);
   ExtVector<Complex> in(&dev), out(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
-  ExternalFft fft(&dev, 4096);
+  ExternalFft fft(&dev, kOpts);
   ASSERT_TRUE(fft.Forward(in, &out).ok());
 
   ExtVector<Complex> paged(&dev, &pool);
@@ -163,7 +164,7 @@ TEST(ExternalFft, SixStepIoIsScanBounded) {
   ExtVector<Complex> in(&dev), out(&dev);
   ASSERT_TRUE(in.AppendAll(x.data(), x.size()).ok());
   const size_t kB = kBlock / sizeof(Complex);
-  ExternalFft fft(&dev, 64 * 1024);  // M >= B^2 regime for the transposes
+  ExternalFft fft(&dev, Options{.memory_budget = 64 * 1024});  // M >= B^2
   IoProbe probe(dev);
   ASSERT_TRUE(fft.Forward(in, &out).ok());
   uint64_t ios = probe.delta().block_ios();

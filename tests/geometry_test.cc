@@ -17,6 +17,7 @@ namespace {
 
 constexpr size_t kBlock = 256;
 constexpr size_t kMem = 4096;
+const Options kOpts{.memory_budget = kMem};
 
 std::vector<IntersectionPair> BruteForce(const std::vector<HSegment>& hs,
                                          const std::vector<VSegment>& vs) {
@@ -60,7 +61,7 @@ TEST_P(SegIntersectSweep, MatchesBruteForce) {
   ExtVector<VSegment> vv(&dev);
   ASSERT_TRUE(hv.AppendAll(hs.data(), hs.size()).ok());
   ASSERT_TRUE(vv.AppendAll(vs.data(), vs.size()).ok());
-  OrthogonalSegmentIntersection osi(&dev, kMem);
+  OrthogonalSegmentIntersection osi(&dev, kOpts);
   ExtVector<IntersectionPair> out(&dev);
   ASSERT_TRUE(osi.Run(hv, vv, &out).ok());
   std::vector<IntersectionPair> got;
@@ -89,7 +90,7 @@ TEST(SegmentIntersection, EndpointTouchingCounts) {
   ExtVector<VSegment> vv(&dev);
   ASSERT_TRUE(hv.AppendAll(hs.data(), hs.size()).ok());
   ASSERT_TRUE(vv.AppendAll(vs.data(), vs.size()).ok());
-  OrthogonalSegmentIntersection osi(&dev, kMem);
+  OrthogonalSegmentIntersection osi(&dev, kOpts);
   ExtVector<IntersectionPair> out(&dev);
   ASSERT_TRUE(osi.Run(hv, vv, &out).ok());
   std::vector<IntersectionPair> got;
@@ -116,7 +117,7 @@ TEST(SegmentIntersection, AllVerticalsSameX) {
   ExtVector<VSegment> vv(&dev);
   ASSERT_TRUE(hv.AppendAll(hs.data(), hs.size()).ok());
   ASSERT_TRUE(vv.AppendAll(vs.data(), vs.size()).ok());
-  OrthogonalSegmentIntersection osi(&dev, kMem);
+  OrthogonalSegmentIntersection osi(&dev, kOpts);
   ExtVector<IntersectionPair> out(&dev);
   ASSERT_TRUE(osi.Run(hv, vv, &out).ok());
   std::vector<IntersectionPair> got;
@@ -150,7 +151,7 @@ TEST(BatchedStabbing, ReportMatchesBruteForce) {
   ASSERT_TRUE(iv.AppendAll(ivs.data(), ivs.size()).ok());
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
   ExtVector<StabHit> out(&dev);
-  ASSERT_TRUE(BatchedStabbingReport(iv, qv, &out, kMem).ok());
+  ASSERT_TRUE(BatchedStabbingReport(iv, qv, &out, kOpts).ok());
   std::vector<StabHit> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
   std::sort(got.begin(), got.end());
@@ -173,7 +174,7 @@ TEST(BatchedStabbing, CountMatchesReport) {
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
 
   ExtVector<StabCount> counts(&dev);
-  ASSERT_TRUE(BatchedStabbingCount(iv, qv, &counts, kMem).ok());
+  ASSERT_TRUE(BatchedStabbingCount(iv, qv, &counts, kOpts).ok());
   std::vector<StabCount> cgot;
   ASSERT_TRUE(counts.ReadAll(&cgot).ok());
   ASSERT_EQ(cgot.size(), qs.size());
@@ -205,7 +206,7 @@ TEST(BatchedStabbing, CountingCostIsOutputIndependent) {
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
   ExtVector<StabCount> counts(&dev);
   IoProbe probe(dev);
-  ASSERT_TRUE(BatchedStabbingCount(iv, qv, &counts, kMem).ok());
+  ASSERT_TRUE(BatchedStabbingCount(iv, qv, &counts, kOpts).ok());
   // Far below Z/B ~ kN*kN/2/32; a small multiple of Sort(N) blocks.
   uint64_t n_blocks = kN * sizeof(Interval) / kBlock;
   EXPECT_LT(probe.delta().block_ios(), 30 * n_blocks);
@@ -236,7 +237,7 @@ TEST_P(DominanceSweep, MatchesBruteForce) {
   ExtVector<DomQuery> qv(&dev);
   ASSERT_TRUE(pv.AppendAll(ps.data(), ps.size()).ok());
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
-  DominanceCounter dc(&dev, kMem);
+  DominanceCounter dc(&dev, kOpts);
   ExtVector<DomCount> out(&dev);
   ASSERT_TRUE(dc.Run(pv, qv, &out).ok());
   std::vector<DomCount> got;
@@ -267,7 +268,7 @@ TEST(Dominance, DuplicateCoordinatesInclusive) {
   ExtVector<DomQuery> qv(&dev);
   ASSERT_TRUE(pv.AppendAll(ps.data(), ps.size()).ok());
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
-  DominanceCounter dc(&dev, kMem);
+  DominanceCounter dc(&dev, kOpts);
   ExtVector<DomCount> out(&dev);
   ASSERT_TRUE(dc.Run(pv, qv, &out).ok());
   std::vector<DomCount> got;
@@ -292,7 +293,7 @@ TEST(Dominance, AllPointsSameX) {
   ExtVector<DomQuery> qv(&dev);
   ASSERT_TRUE(pv.AppendAll(ps.data(), ps.size()).ok());
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
-  DominanceCounter dc(&dev, kMem);
+  DominanceCounter dc(&dev, kOpts);
   ExtVector<DomCount> out(&dev);
   ASSERT_TRUE(dc.Run(pv, qv, &out).ok());
   std::vector<DomCount> got;

@@ -21,6 +21,7 @@ namespace {
 
 constexpr size_t kBlock = 256;
 constexpr size_t kMem = 2048;
+const Options kOpts{.memory_budget = kMem};
 
 // Build a random-order list over ids 0..n-1 whose logical order is a
 // random permutation. Returns (nodes appended in id order, head id,
@@ -59,7 +60,7 @@ TEST_P(ListRankingSweep, RanksRandomList) {
   ListFixture f = MakeRandomList(n, n * 17 + 5);
   ExtVector<ListNode> nodes(&dev);
   ASSERT_TRUE(nodes.AppendAll(f.nodes.data(), f.nodes.size()).ok());
-  ListRanker ranker(&dev, kMem);
+  ListRanker ranker(&dev, kOpts);
   ExtVector<ListRank> ranks(&dev);
   ASSERT_TRUE(ranker.Rank(nodes, &ranks).ok());
   std::vector<ListRank> got;
@@ -81,7 +82,7 @@ TEST(ListRanking, WeightedList) {
       {0, kNoVertex, 3}, {1, 4, 2}, {3, 1, 5}, {4, 0, 7}};
   ExtVector<ListNode> vec(&dev);
   ASSERT_TRUE(vec.AppendAll(nodes.data(), nodes.size()).ok());
-  ListRanker ranker(&dev, kMem);
+  ListRanker ranker(&dev, kOpts);
   ExtVector<ListRank> ranks(&dev);
   ASSERT_TRUE(ranker.Rank(vec, &ranks).ok());
   std::vector<ListRank> got;
@@ -101,7 +102,7 @@ TEST(ListRanking, MultipleDisjointLists) {
                                  {10, 11, 1}, {11, kNoVertex, 1}};
   ExtVector<ListNode> vec(&dev);
   ASSERT_TRUE(vec.AppendAll(nodes.data(), nodes.size()).ok());
-  ListRanker ranker(&dev, kMem);
+  ListRanker ranker(&dev, kOpts);
   ExtVector<ListRank> ranks(&dev);
   ASSERT_TRUE(ranker.Rank(vec, &ranks).ok());
   std::vector<ListRank> got;
@@ -128,7 +129,7 @@ TEST(ListRanking, SortBasedBeatsPointerChasingOnIos) {
   ASSERT_TRUE(pooled.AppendAll(f.nodes.data(), f.nodes.size()).ok());
 
   IoProbe p1(dev);
-  ListRanker ranker(&dev, kBigMem);
+  ListRanker ranker(&dev, Options{.memory_budget = kBigMem});
   ExtVector<ListRank> ranks(&dev);
   ASSERT_TRUE(ranker.Rank(pooled, &ranks).ok());
   uint64_t sort_based = p1.delta().block_ios();
@@ -158,7 +159,7 @@ TEST(ExtGraph, BuildsCsrFromEdges) {
   std::vector<Edge> e = {{0, 1}, {0, 2}, {1, 2}, {3, 0}};
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   ExtGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, 5, kMem, /*symmetrize=*/true).ok());
+  ASSERT_TRUE(g.Build(edges, 5, kOpts, /*symmetrize=*/true).ok());
   EXPECT_EQ(g.num_arcs(), 8u);
   std::vector<uint64_t> adj;
   ASSERT_TRUE(g.Neighbors(0, &adj).ok());
@@ -180,7 +181,7 @@ TEST(EulerTour, SmallTreeTourAndPreorder) {
   ExtVector<Edge> tree(&dev);
   std::vector<Edge> e = {{0, 1}, {0, 2}, {1, 3}, {1, 4}};
   ASSERT_TRUE(tree.AppendAll(e.data(), e.size()).ok());
-  EulerTour et(&dev, kMem);
+  EulerTour et(&dev, kOpts);
   ExtVector<TourArc> arcs(&dev);
   ExtVector<Preorder> pre(&dev);
   ASSERT_TRUE(et.Run(tree, 5, /*root=*/0, &arcs, &pre).ok());
@@ -244,7 +245,7 @@ TEST(EulerTour, RandomTreeMatchesInMemoryDfs) {
   }
   ExtVector<Edge> tree(&dev);
   ASSERT_TRUE(tree.AppendAll(e.data(), e.size()).ok());
-  EulerTour et(&dev, kMem);
+  EulerTour et(&dev, kOpts);
   ExtVector<TourArc> arcs(&dev);
   ExtVector<Preorder> pre_out(&dev);
   ASSERT_TRUE(et.Run(tree, n, 0, &arcs, &pre_out).ok());
@@ -260,7 +261,7 @@ TEST(EulerTour, SingleVertexAndSingleEdge) {
   MemoryBlockDevice dev(kBlock);
   {
     ExtVector<Edge> tree(&dev);
-    EulerTour et(&dev, kMem);
+    EulerTour et(&dev, kOpts);
     ExtVector<TourArc> arcs(&dev);
     ExtVector<Preorder> pre(&dev);
     ASSERT_TRUE(et.Run(tree, 1, 0, &arcs, &pre).ok());
@@ -273,7 +274,7 @@ TEST(EulerTour, SingleVertexAndSingleEdge) {
     ExtVector<Edge> tree(&dev);
     std::vector<Edge> e = {{0, 1}};
     ASSERT_TRUE(tree.AppendAll(e.data(), e.size()).ok());
-    EulerTour et(&dev, kMem);
+    EulerTour et(&dev, kOpts);
     ExtVector<TourArc> arcs(&dev);
     ASSERT_TRUE(et.Run(tree, 2, 1, &arcs).ok());
     std::vector<TourArc> got;
@@ -336,7 +337,7 @@ TEST_P(CcSweep, MatchesUnionFind) {
 
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
-  ConnectedComponents cc(&dev, kMem);
+  ConnectedComponents cc(&dev, kOpts);
   ExtVector<VertexLabel> labels(&dev);
   ASSERT_TRUE(cc.Run(edges, c.n, &labels).ok());
   std::vector<VertexLabel> got;
@@ -362,7 +363,7 @@ TEST(ConnectedComponents, PathGraphConvergesInLogRounds) {
   for (uint64_t v = 1; v < n; ++v) e.push_back({v - 1, v});
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
-  ConnectedComponents cc(&dev, kMem);
+  ConnectedComponents cc(&dev, kOpts);
   ExtVector<VertexLabel> labels(&dev);
   ASSERT_TRUE(cc.Run(edges, n, &labels).ok());
   std::vector<VertexLabel> got;
@@ -411,8 +412,8 @@ TEST(ExternalBfs, MatchesReferenceOnRandomGraph) {
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   ExtGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, n, kMem, /*symmetrize=*/true).ok());
-  ExternalBfs bfs(&dev, kMem);
+  ASSERT_TRUE(g.Build(edges, n, kOpts, /*symmetrize=*/true).ok());
+  ExternalBfs bfs(&dev, kOpts);
   ExtVector<VertexDist> out(&dev);
   ASSERT_TRUE(bfs.Run(g, 0, &out).ok());
   std::vector<VertexDist> got;
@@ -443,8 +444,8 @@ TEST(ExternalBfs, GridGraphLevels) {
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   ExtGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, n, kMem, true).ok());
-  ExternalBfs bfs(&dev, kMem);
+  ASSERT_TRUE(g.Build(edges, n, kOpts, true).ok());
+  ExternalBfs bfs(&dev, kOpts);
   ExtVector<VertexDist> out(&dev);
   ASSERT_TRUE(bfs.Run(g, 0, &out).ok());
   EXPECT_EQ(bfs.levels(), 2 * side - 1);
@@ -469,9 +470,9 @@ TEST(ExternalBfs, MatchesInternalBaseline) {
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   ExtGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, n, kMem, true).ok());
+  ASSERT_TRUE(g.Build(edges, n, kOpts, true).ok());
 
-  ExternalBfs bfs(&dev, kMem);
+  ExternalBfs bfs(&dev, kOpts);
   ExtVector<VertexDist> a(&dev), b(&dev);
   ASSERT_TRUE(bfs.Run(g, 3, &a).ok());
   ASSERT_TRUE(InternalBfsBaseline(g, 3, &pool, &b).ok());

@@ -352,7 +352,8 @@ TEST(ForecastMerge, EquivalentOutputFewerParallelSteps) {
     IndependentDiskDevice dev(4, kBlock, kSeed);
     ExtVector<uint64_t> input(&dev);
     EXPECT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    ExternalSorter<uint64_t> sorter(&dev, /*memory=*/16 * kBlock);
+    ExternalSorter<uint64_t> sorter(&dev,
+                                    Options{.memory_budget = 16 * kBlock});
     sorter.set_forecast_merge(forecast);
     ExtVector<uint64_t> out(&dev);
     IoProbe probe(dev);
@@ -389,7 +390,7 @@ TEST(ForecastMerge, SingleDiskDegeneratesToPlainCosts) {
     MemoryBlockDevice dev(kBlock);
     ExtVector<uint64_t> input(&dev);
     EXPECT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    ExternalSorter<uint64_t> sorter(&dev, /*memory=*/8 * kBlock);
+    ExternalSorter<uint64_t> sorter(&dev, Options{.memory_budget = 8 * kBlock});
     sorter.set_forecast_merge(forecast);
     ExtVector<uint64_t> out(&dev);
     IoProbe probe(dev);
@@ -463,7 +464,7 @@ TEST(IndependentDiskFaults, ForecastMergeSurfacesReadError) {
   for (auto& v : data) v = rng.Next();
   ExtVector<uint64_t> input(&dev);
   ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-  ExternalSorter<uint64_t> sorter(&dev, /*memory=*/8 * kBlock);
+  ExternalSorter<uint64_t> sorter(&dev, Options{.memory_budget = 8 * kBlock});
   sorter.set_forecast_merge(true);
   ExtVector<uint64_t> out(&dev);
   Status s = sorter.Sort(input, &out);

@@ -45,6 +45,7 @@
 #include "sort/permute.h"
 #include "string/string_sort.h"
 #include "string/suffix_array.h"
+#include "util/options.h"
 #include "util/random.h"
 
 namespace vem {
@@ -59,6 +60,7 @@ struct Pdm {
   size_t mem_blocks;  ///< M / DB
   size_t db() const { return d * block; }
   size_t mem() const { return mem_blocks * db(); }
+  Options opts() const { return Options{.memory_budget = mem()}; }
   /// Items of `item` bytes per striped block.
   double b(size_t item) const { return static_cast<double>(db()) / item; }
 };
@@ -136,7 +138,7 @@ template <typename Sorter>
 Cost MeasureSort(BlockDevice* dev, const Pdm& p, size_t n) {
   ExtVector<uint64_t> in(dev), out(dev);
   AppendRandom(&in, n, n);
-  Sorter sorter(dev, p.mem());
+  Sorter sorter(dev, p.opts());
   IoProbe probe(*dev);
   Ok(sorter.Sort(in, &out));
   const Cost c{probe.delta().parallel_ios()};
@@ -174,7 +176,7 @@ Cost MeasurePermute(BlockDevice* dev, const Pdm& p, size_t n) {
   BufferPool pool(dev, p.mem_blocks);
   ExtVector<uint64_t> out(dev, &pool);
   IoProbe probe(*dev);
-  Ok(PermuteAuto(values, dest, &out, p.mem()));
+  Ok(PermuteAuto(values, dest, &out, p.opts()));
   Ok(pool.FlushAll());
   return {probe.delta().parallel_ios()};
 }
@@ -188,7 +190,7 @@ Cost MeasureTranspose(BlockDevice* dev, const Pdm& p, size_t n) {
   Ok(a.Load(data.data()));
   Ok(pool.FlushAll());
   IoProbe probe(*dev);
-  Ok(TransposeTiled(a, &t, p.mem()));
+  Ok(TransposeTiled(a, &t, p.opts()));
   Ok(pool.FlushAll());
   return {probe.delta().parallel_ios()};
 }
@@ -204,7 +206,7 @@ Cost MeasureFft(BlockDevice* dev, const Pdm& p, size_t n) {
     Ok(w.Finish());
   }
   EXPECT_GT(n * sizeof(Complex), p.mem()) << "six-step needs N > M";
-  ExternalFft fft(dev, p.mem());
+  ExternalFft fft(dev, p.opts());
   IoProbe probe(*dev);
   Ok(fft.Forward(in, &out));
   EXPECT_EQ(out.size(), n);
@@ -223,7 +225,7 @@ Cost MeasureListRanking(BlockDevice* dev, const Pdm& p, size_t n) {
   }
   ExtVector<ListNode> list(dev);
   Ok(list.AppendAll(nodes.data(), nodes.size()));
-  ListRanker ranker(dev, p.mem());
+  ListRanker ranker(dev, p.opts());
   ExtVector<ListRank> ranks(dev);
   IoProbe probe(*dev);
   Ok(ranker.Rank(list, &ranks));
@@ -243,7 +245,7 @@ Cost MeasureConnectedComponents(BlockDevice* dev, const Pdm& p, size_t n) {
     }
     Ok(w.Finish());
   }
-  ConnectedComponents cc(dev, p.mem());
+  ConnectedComponents cc(dev, p.opts());
   ExtVector<VertexLabel> labels(dev);
   IoProbe probe(*dev);
   Ok(cc.Run(edges, v, &labels));
@@ -265,8 +267,8 @@ Cost MeasureBfs(BlockDevice* dev, const Pdm& p, size_t n) {
   }
   BufferPool pool(dev, p.mem_blocks);
   ExtGraph g(dev, &pool);
-  Ok(g.Build(edges, n, p.mem(), /*symmetrize=*/true));
-  ExternalBfs bfs(dev, p.mem());
+  Ok(g.Build(edges, n, p.opts(), /*symmetrize=*/true));
+  ExternalBfs bfs(dev, p.opts());
   ExtVector<VertexDist> out(dev);
   IoProbe probe(*dev);
   Ok(bfs.Run(g, 0, &out));
@@ -283,7 +285,7 @@ Cost MeasureEulerTour(BlockDevice* dev, const Pdm& p, size_t n) {
     for (uint64_t i = 1; i < n; ++i) w.Append(Edge{rng.Uniform(i), i});
     Ok(w.Finish());
   }
-  EulerTour tour(dev, p.mem());
+  EulerTour tour(dev, p.opts());
   ExtVector<TourArc> arcs(dev);
   IoProbe probe(*dev);
   Ok(tour.Run(tree, n, 0, &arcs));
@@ -293,7 +295,7 @@ Cost MeasureEulerTour(BlockDevice* dev, const Pdm& p, size_t n) {
 
 /// N pushes, then N pops that must come out in order.
 Cost MeasurePriorityQueue(BlockDevice* dev, const Pdm& p, size_t n) {
-  ExternalPriorityQueue<uint64_t> pq(dev, p.mem());
+  ExternalPriorityQueue<uint64_t> pq(dev, p.opts());
   Rng rng(n);
   IoProbe probe(*dev);
   for (size_t i = 0; i < n; ++i) Ok(pq.Push(rng.Next()));
@@ -311,7 +313,7 @@ Cost MeasurePriorityQueue(BlockDevice* dev, const Pdm& p, size_t n) {
 
 /// N inserts, then one flush down to the leaves.
 Cost MeasureBufferTree(BlockDevice* dev, const Pdm& p, size_t n) {
-  BufferTree<uint64_t, uint64_t> tree(dev, p.mem());
+  BufferTree<uint64_t, uint64_t> tree(dev, p.opts());
   Rng rng(n);
   IoProbe probe(*dev);
   for (size_t i = 0; i < n; ++i) Ok(tree.Insert(rng.Next(), i));
@@ -388,7 +390,7 @@ Cost MeasureSegmentIntersection(BlockDevice* dev, const Pdm& p, size_t n) {
     Ok(hw.Finish());
     Ok(vw.Finish());
   }
-  OrthogonalSegmentIntersection osi(dev, p.mem());
+  OrthogonalSegmentIntersection osi(dev, p.opts());
   ExtVector<IntersectionPair> out(dev);
   IoProbe probe(*dev);
   Ok(osi.Run(hs, vs, &out));
@@ -415,7 +417,7 @@ Cost MeasureBatchedStabbing(BlockDevice* dev, const Pdm& p, size_t n) {
   }
   ExtVector<StabHit> out(dev);
   IoProbe probe(*dev);
-  Ok(BatchedStabbingReport(intervals, queries, &out, p.mem()));
+  Ok(BatchedStabbingReport(intervals, queries, &out, p.opts()));
   return {probe.delta().parallel_ios(), static_cast<double>(out.size())};
 }
 
@@ -433,7 +435,7 @@ Cost MeasureStringSort(BlockDevice* dev, const Pdm& p, size_t n) {
     Ok(corpus.Add(s));
   }
   Ok(corpus.Finalize());
-  ExternalStringSort sorter(dev, p.mem());
+  ExternalStringSort sorter(dev, p.opts());
   ExtVector<uint64_t> ids(dev);
   IoProbe probe(*dev);
   Ok(sorter.Sort(corpus, &ids));
@@ -451,7 +453,7 @@ Cost MeasureSuffixArray(BlockDevice* dev, const Pdm& p, size_t n) {
     for (size_t i = 0; i < n; ++i) w.Append("acgt"[rng.Uniform(4)]);
     Ok(w.Finish());
   }
-  SuffixArrayBuilder builder(dev, p.mem());
+  SuffixArrayBuilder builder(dev, p.opts());
   ExtVector<uint64_t> sa(dev);
   IoProbe probe(*dev);
   Ok(builder.Build(text, &sa));

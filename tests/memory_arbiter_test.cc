@@ -390,12 +390,31 @@ Options ArbiterOptions() {
   return opts;
 }
 
+/// The B+-tree phase both identity tests run: 20,000 inserts, 4,000
+/// probes (mostly misses) and a flush, through `pool`.
+void BPlusTreePhase(BufferPool* pool) {
+  BPlusTree<uint64_t, uint64_t> tree(pool);
+  EXPECT_TRUE(tree.Init().ok());
+  Rng rng(23);
+  for (size_t i = 0; i < 20000; ++i) {
+    EXPECT_TRUE(tree.Insert(rng.Next(), i).ok());
+  }
+  Rng probe(29);
+  uint64_t v;
+  for (size_t i = 0; i < 4000; ++i) {
+    (void)tree.Get(probe.Next(), &v);  // mostly NotFound: fine
+  }
+  EXPECT_TRUE(pool->FlushAll().ok());
+}
+
 /// Scan layer: an armed, governed stream whose staging budget is an
 /// arbiter lease must charge exactly what the synchronous scan charges.
+/// The B+-tree phase first makes the arbiter shed staging to the pool,
+/// so the scan runs on a moved (revoked) staging lease.
 TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
   const size_t kItems = 64 * (4096 / sizeof(uint64_t));  // 64 blocks
   auto fill = [&](ExtVector<uint64_t>* vec, size_t depth) {
-    typename ExtVector<uint64_t>::Writer w(vec, static_cast<int>(depth));
+    typename ExtVector<uint64_t>::Writer w(vec, depth);
     Rng rng(11);
     for (size_t i = 0; i < kItems; ++i) {
       if (!w.Append(rng.Next())) return w.status();
@@ -408,15 +427,24 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
   ASSERT_TRUE(fill(&sync_vec, 0).ok());
   std::vector<uint64_t> sync_out;
   ASSERT_TRUE(sync_vec.ReadAll(&sync_out, 0).ok());
-  // Arbitrated: governor attached by the context, streams lease depth.
-  MemoryBlockDevice arb_dev(4096);
-  ExecutionContext ctx(&arb_dev, ArbiterOptions());
-  ExtVector<uint64_t> arb_vec(&arb_dev);
-  ASSERT_TRUE(fill(&arb_vec, 8).ok());
-  std::vector<uint64_t> arb_out;
-  ASSERT_TRUE(arb_vec.ReadAll(&arb_out, 8).ok());
-  EXPECT_EQ(arb_out, sync_out);
-  EXPECT_EQ(sync_dev.stats(), arb_dev.stats());
+  for (size_t depth : {8, 32}) {
+    SCOPED_TRACE(depth);
+    // Arbitrated: governor attached by the context, streams lease depth.
+    MemoryBlockDevice arb_dev(4096);
+    ExecutionContext ctx(&arb_dev, ArbiterOptions());
+    const size_t initial_budget = ctx.governor()->budget_blocks();
+    BPlusTreePhase(ctx.pool());
+    EXPECT_GT(ctx.arbiter()->staging_sheds(), 0u);
+    IoProbe probe(arb_dev);
+    ExtVector<uint64_t> arb_vec(&arb_dev);
+    ASSERT_TRUE(fill(&arb_vec, depth).ok());
+    std::vector<uint64_t> arb_out;
+    ASSERT_TRUE(arb_vec.ReadAll(&arb_out, depth).ok());
+    // The scan adopted the shed lease, or the identity is vacuous.
+    EXPECT_LT(ctx.governor()->budget_blocks(), initial_budget);
+    EXPECT_EQ(arb_out, sync_out);
+    EXPECT_EQ(sync_dev.stats(), probe.delta());
+  }
 }
 
 /// Pool-backed structure: a B+-tree through the arbitrated (resizable,
@@ -425,7 +453,6 @@ TEST(MemoryArbiterIdentity, GovernedScanMatchesSynchronousStats) {
 TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
   Options opts = ArbiterOptions();
   const size_t kBaselineFrames = 32;  // == the context's pool share of M
-  const size_t kKeys = 20000;
   auto run = [&](bool arbitrated) {
     MemoryBlockDevice dev(4096);
     std::unique_ptr<ExecutionContext> ctx;
@@ -439,18 +466,7 @@ TEST(MemoryArbiterIdentity, BPlusTreeMatchesFixedPoolStats) {
       fixed = std::make_unique<BufferPool>(&dev, kBaselineFrames);
       pool = fixed.get();
     }
-    BPlusTree<uint64_t, uint64_t> tree(pool);
-    EXPECT_TRUE(tree.Init().ok());
-    Rng rng(23);
-    for (size_t i = 0; i < kKeys; ++i) {
-      EXPECT_TRUE(tree.Insert(rng.Next(), i).ok());
-    }
-    Rng probe(29);
-    uint64_t v;
-    for (size_t i = 0; i < 4000; ++i) {
-      (void)tree.Get(probe.Next(), &v);  // mostly NotFound: fine
-    }
-    EXPECT_TRUE(pool->FlushAll().ok());
+    BPlusTreePhase(pool);
     if (arbitrated) {
       // The arbiter must actually move memory, or the identity is vacuous.
       EXPECT_GT(ctx->arbiter()->pool_grows(), 0u);
@@ -628,7 +644,7 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         EXPECT_TRUE(arcs.AppendAll(e.data(), e.size()).ok());
         auto g = ctx != nullptr ? std::make_unique<ExtGraph>(ctx)
                                 : std::make_unique<ExtGraph>(dev, pool);
-        EXPECT_TRUE(g->Build(arcs, n, opts.memory_budget, true).ok());
+        EXPECT_TRUE(g->Build(arcs, n, opts, true).ok());
         std::vector<uint64_t> got;
         Rng probe(44);
         for (size_t i = 0; i < 3000; ++i) {
@@ -650,11 +666,10 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         EXPECT_TRUE(arcs.AppendAll(e.data(), e.size()).ok());
         auto g = ctx != nullptr ? std::make_unique<WeightedGraph>(ctx)
                                 : std::make_unique<WeightedGraph>(dev, pool);
-        EXPECT_TRUE(g->Build(arcs, n, opts.memory_budget).ok());
+        EXPECT_TRUE(g->Build(arcs, n, opts).ok());
         auto sssp = ctx != nullptr
                         ? std::make_unique<SemiExternalSssp>(ctx)
-                        : std::make_unique<SemiExternalSssp>(
-                              dev, pool, opts.memory_budget);
+                        : std::make_unique<SemiExternalSssp>(dev, pool, opts);
         ExtVector<uint64_t> dist(dev, pool);
         EXPECT_TRUE(sssp->Run(*g, 0, &dist).ok());
         std::vector<uint64_t> got;
@@ -670,9 +685,8 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         for (auto& x : v) x = rng.Next();
         ExtVector<uint64_t> in(dev), out(dev);
         EXPECT_TRUE(in.AppendAll(v.data(), v.size()).ok());
-        Status s = ctx != nullptr
-                       ? ExternalSort(ctx, in, &out)
-                       : ExternalSorter<uint64_t>(dev, opts).Sort(in, &out);
+        Status s =
+            ExternalSort(in, &out, ctx != nullptr ? ctx->options() : opts);
         EXPECT_TRUE(s.ok()) << s.ToString();
         std::vector<uint64_t> got;
         EXPECT_TRUE(out.ReadAll(&got).ok());
@@ -695,12 +709,9 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         auto combine = [](const KeyVal& l, const KeyVal& r) {
           return KeyVal{l.val, r.val};
         };
-        Status s =
-            ctx != nullptr
-                ? SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
-                      ctx, lv, rv, &out, key, key, combine)
-                : SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
-                      lv, rv, &out, opts, key, key, combine);
+        Status s = SortMergeJoin<KeyVal, KeyVal, KeyVal, uint64_t>(
+            lv, rv, &out, ctx != nullptr ? ctx->options() : opts, key, key,
+            combine);
         EXPECT_TRUE(s.ok()) << s.ToString();
         std::vector<KeyVal> got;
         EXPECT_TRUE(out.ReadAll(&got).ok());
@@ -722,12 +733,9 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         auto finish = [](const uint64_t& k, const uint64_t& acc) {
           return KeyVal{k, acc};
         };
-        Status s =
-            ctx != nullptr
-                ? GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
-                      ctx, in, &out, key, init, fold, finish)
-                : GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
-                      in, &out, opts, key, init, fold, finish);
+        Status s = GroupByAggregate<KeyVal, uint64_t, uint64_t, KeyVal>(
+            in, &out, ctx != nullptr ? ctx->options() : opts, key, init, fold,
+            finish);
         EXPECT_TRUE(s.ok()) << s.ToString();
         std::vector<KeyVal> got;
         EXPECT_TRUE(out.ReadAll(&got).ok());

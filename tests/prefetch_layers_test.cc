@@ -1,14 +1,15 @@
 // Stats-identity tests for prefetch armed across the scan-bound
 // algorithm layers: join, group-by, merge sort, distribution sort,
-// distribution sweep, BFS, connected components, list ranking, and the
-// external priority queue. Each case runs the same workload twice on
-// fresh file devices — the synchronous (device, M) form of the layer vs
-// the layer built from Options with depth K (with or without an
-// IoEngine, with or without an adaptive PrefetchGovernor) — and demands
-// identical outputs and bit-identical IoStats: overlap is a wall-clock
-// property, never a cost-model one, and the governor only ever moves
-// depth. In the rows whose Options carry a block size unlike the
-// device's, the same equality pins that B comes from the device. A
+// distribution sweep, BFS, connected components, list ranking, the
+// external priority queue, Euler tour, selection, SpMV, time-forward
+// processing, suffix array, string sort and dominance counting. Each
+// case runs the same workload twice on fresh file devices — the layer
+// built from Options at depth 0 vs the same layer at depth K (with or
+// without an IoEngine, with or without an adaptive PrefetchGovernor) —
+// and demands identical outputs and bit-identical IoStats: overlap is a
+// wall-clock property, never a cost-model one, and the governor only
+// ever moves depth. In the rows whose Options carry a block size unlike
+// the device's, the same equality pins that B comes from the device. A
 // striped-device case covers the forwarded uncounted plane on D-disk
 // configurations, and FaultyDevice cases check that armed layers
 // (including a striped device with a faulty child) still propagate
@@ -22,10 +23,13 @@
 #include <vector>
 
 #include "core/relational.h"
+#include "geometry/range_counting.h"
 #include "geometry/segment_intersection.h"
 #include "graph/bfs.h"
 #include "graph/connected_components.h"
+#include "graph/euler_tour.h"
 #include "graph/list_ranking.h"
+#include "graph/time_forward.h"
 #include "io/faulty_device.h"
 #include "io/file_block_device.h"
 #include "io/io_engine.h"
@@ -35,6 +39,10 @@
 #include "search/external_pq.h"
 #include "sort/distribution_sort.h"
 #include "sort/external_sort.h"
+#include "sort/selection.h"
+#include "sort/spmv.h"
+#include "string/string_sort.h"
+#include "string/suffix_array.h"
 #include "util/options.h"
 #include "util/random.h"
 
@@ -70,15 +78,6 @@ std::string CfgName(const Cfg& c) {
 }
 std::ostream& operator<<(std::ostream& os, const Cfg& c) {
   return os << CfgName(c);
-}
-
-/// The layer under test in the form the run calls for: the synchronous
-/// (device, M) form for the baseline, the (device, Options) form for the
-/// armed run.
-template <typename Layer, typename... Args>
-Layer Build(BlockDevice* dev, const Options& opts, bool armed, Args... args) {
-  if (!armed) return Layer(dev, opts.memory_budget, args...);
-  return Layer(dev, opts, args...);
 }
 
 PrefetchGovernor::Config SmallGovConfig() {
@@ -130,11 +129,46 @@ class PrefetchLayers : public ::testing::TestWithParam<Cfg> {
       IoProbe probe(dev);
       run(&dev, LayerOptions(true), /*armed=*/true);
       *armed_cost = probe.delta();
+      // The depth reached the layer: its streams asked for leases.
+      if (cfg.governor) {
+        EXPECT_GT(governor.arms_granted() + governor.arms_refused(), 0u)
+            << tag;
+      }
       dev.set_io_engine(nullptr);
       dev.set_prefetch_governor(nullptr);
     }
   }
+
+  /// RunBothConfigs for a layer whose whole result is the bytes
+  /// `layer(dev, opts)` returns: demands a non-empty result, equal
+  /// results and bit-identical IoStats.
+  template <typename Layer>
+  void ExpectIdentity(const char* tag, Layer layer) {
+    std::vector<char> out_sync, out_armed;
+    IoStats sync_cost, armed_cost;
+    RunBothConfigs(
+        tag,
+        [&](BlockDevice* dev, const Options& opts, bool armed) {
+          (armed ? out_armed : out_sync) = layer(dev, opts);
+        },
+        &sync_cost, &armed_cost);
+    EXPECT_FALSE(out_sync.empty());
+    EXPECT_TRUE(out_sync == out_armed) << tag;
+    EXPECT_TRUE(sync_cost == armed_cost)
+        << tag << " sync " << sync_cost.ToString() << " vs armed "
+        << armed_cost.ToString();
+  }
 };
+
+/// The bytes of `v`'s items, for byte-exact output comparison (item
+/// types here have no padding).
+template <typename T>
+std::vector<char> Bytes(const ExtVector<T>& v) {
+  std::vector<T> items;
+  EXPECT_TRUE(v.ReadAll(&items).ok());
+  const char* p = reinterpret_cast<const char*>(items.data());
+  return std::vector<char>(p, p + items.size() * sizeof(T));
+}
 
 // ------------------------------------------------------------------- join
 
@@ -254,7 +288,7 @@ TEST_P(PrefetchLayers, ExternalSortIdentity) {
   auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<uint64_t> input(dev);
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    auto sorter = Build<ExternalSorter<uint64_t>>(dev, opts, armed);
+    ExternalSorter<uint64_t> sorter(dev, opts);
     ExtVector<uint64_t> out(dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
@@ -281,7 +315,7 @@ TEST_P(PrefetchLayers, DistributionSortIdentity) {
   auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<uint64_t> input(dev);
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
-    auto sorter = Build<DistributionSorter<uint64_t>>(dev, opts, armed);
+    DistributionSorter<uint64_t> sorter(dev, opts);
     ExtVector<uint64_t> out(dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());
@@ -314,7 +348,7 @@ TEST_P(PrefetchLayers, SegmentSweepIdentity) {
     ExtVector<VSegment> vv(dev);
     ASSERT_TRUE(hv.AppendAll(hs.data(), hs.size()).ok());
     ASSERT_TRUE(vv.AppendAll(vs.data(), vs.size()).ok());
-    auto osi = Build<OrthogonalSegmentIntersection>(dev, opts, armed);
+    OrthogonalSegmentIntersection osi(dev, opts);
     ExtVector<IntersectionPair> out(dev);
     ASSERT_TRUE(osi.Run(hv, vv, &out).ok());
     std::vector<IntersectionPair>* sink = armed ? &out_armed : &out_sync;
@@ -346,8 +380,8 @@ TEST_P(PrefetchLayers, ExternalBfsIdentity) {
     ExtVector<Edge> edges(dev);
     ASSERT_TRUE(edges.AppendAll(edge_list.data(), edge_list.size()).ok());
     ExtGraph g(dev, &pool);
-    ASSERT_TRUE(g.Build(edges, v, kMem, /*symmetrize=*/true).ok());
-    auto bfs = Build<ExternalBfs>(dev, opts, armed);
+    ASSERT_TRUE(g.Build(edges, v, opts, /*symmetrize=*/true).ok());
+    ExternalBfs bfs(dev, opts);
     ExtVector<VertexDist> out(dev);
     ASSERT_TRUE(bfs.Run(g, 0, &out).ok());
     std::vector<VertexDist>* sink = armed ? &out_armed : &out_sync;
@@ -381,7 +415,7 @@ TEST_P(PrefetchLayers, ConnectedComponentsIdentity) {
   auto run = [&](BlockDevice* dev, const Options& opts, bool armed) {
     ExtVector<Edge> edges(dev);
     ASSERT_TRUE(edges.AppendAll(edge_list.data(), edge_list.size()).ok());
-    auto cc = Build<ConnectedComponents>(dev, opts, armed);
+    ConnectedComponents cc(dev, opts);
     ExtVector<VertexLabel> out(dev);
     ASSERT_TRUE(cc.Run(edges, n, &out).ok());
     std::vector<VertexLabel>* sink = armed ? &out_armed : &out_sync;
@@ -422,7 +456,7 @@ TEST_P(PrefetchLayers, ListRankingIdentity) {
     std::vector<ListNode> by_id(n);
     for (uint64_t i = 0; i < n; ++i) by_id[nodes[i].id] = nodes[i];
     ASSERT_TRUE(nv.AppendAll(by_id.data(), by_id.size()).ok());
-    auto ranker = Build<ListRanker>(dev, opts, armed);
+    ListRanker ranker(dev, opts);
     ExtVector<ListRank> out(dev);
     ASSERT_TRUE(ranker.Rank(nv, &out).ok());
     std::vector<ListRank>* sink = armed ? &out_armed : &out_sync;
@@ -457,7 +491,7 @@ TEST_P(PrefetchLayers, ExternalPqIdentity) {
   IoStats sync_cost, armed_cost;
   auto run = [&](BlockDevice* dev, Options opts, bool armed) {
     opts.memory_budget = kMem / 2;
-    auto pq = Build<ExternalPriorityQueue<uint64_t>>(dev, opts, armed);
+    ExternalPriorityQueue<uint64_t> pq(dev, opts);
     for (uint64_t v : data) ASSERT_TRUE(pq.Push(v).ok());
     std::vector<uint64_t>* sink = armed ? &out_armed : &out_sync;
     sink->reserve(data.size());
@@ -476,6 +510,133 @@ TEST_P(PrefetchLayers, ExternalPqIdentity) {
   EXPECT_TRUE(sync_cost == armed_cost)
       << "sync " << sync_cost.ToString() << " vs armed "
       << armed_cost.ToString();
+}
+
+// ------------------------------------------ Euler tour, selection, ...
+
+TEST_P(PrefetchLayers, EulerTourIdentity) {
+  Rng rng(80);
+  const uint64_t n = 3000;
+  std::vector<Edge> edges;
+  for (uint64_t v = 1; v < n; ++v) edges.push_back({rng.Uniform(v), v});
+  ExpectIdentity("euler", [&](BlockDevice* dev, const Options& opts) {
+    ExtVector<Edge> tree(dev);
+    EXPECT_TRUE(tree.AppendAll(edges.data(), edges.size()).ok());
+    EulerTour tour(dev, opts);
+    ExtVector<TourArc> arcs(dev);
+    ExtVector<Preorder> pre(dev);
+    EXPECT_TRUE(tour.Run(tree, n, 0, &arcs, &pre).ok());
+    std::vector<char> out = Bytes(arcs), pre_bytes = Bytes(pre);
+    out.insert(out.end(), pre_bytes.begin(), pre_bytes.end());
+    return out;
+  });
+}
+
+TEST_P(PrefetchLayers, SelectionIdentity) {
+  Rng rng(81);
+  std::vector<uint64_t> data(20000);
+  for (auto& v : data) v = rng.Uniform(1000000);
+  ExpectIdentity("select", [&](BlockDevice* dev, const Options& opts) {
+    ExtVector<uint64_t> input(dev);
+    EXPECT_TRUE(input.AppendAll(data.data(), data.size()).ok());
+    ExternalSelector<uint64_t> sel(dev, opts);
+    uint64_t v = 0;
+    EXPECT_TRUE(sel.Select(input, data.size() / 3, &v).ok());
+    EXPECT_GT(sel.rounds(), 1u);  // at least one external partition
+    return std::vector<char>(reinterpret_cast<char*>(&v),
+                             reinterpret_cast<char*>(&v + 1));
+  });
+}
+
+TEST_P(PrefetchLayers, SparseMatVecIdentity) {
+  Rng rng(82);
+  const uint64_t kRows = 700, kCols = 500;
+  std::vector<CooEntry> entries;
+  for (size_t i = 0; i < 6000; ++i) {
+    entries.push_back({rng.Uniform(kRows), rng.Uniform(kCols),
+                       rng.NextDouble()});
+  }
+  std::vector<double> xv(kCols);
+  for (auto& x : xv) x = rng.NextDouble();
+  ExpectIdentity("spmv", [&](BlockDevice* dev, const Options& opts) {
+    ExtVector<CooEntry> a(dev);
+    ExtVector<double> x(dev), y(dev);
+    EXPECT_TRUE(a.AppendAll(entries.data(), entries.size()).ok());
+    EXPECT_TRUE(x.AppendAll(xv.data(), xv.size()).ok());
+    EXPECT_TRUE(SparseMatVec(dev, opts).Multiply(a, x, kRows, &y).ok());
+    return Bytes(y);
+  });
+}
+
+TEST_P(PrefetchLayers, TimeForwardIdentity) {
+  Rng rng(83);
+  const uint64_t n = 3000;
+  std::vector<Edge> edges;
+  for (uint64_t v = 1; v < n; ++v) {
+    for (size_t i = 0; i < 3; ++i) edges.push_back({rng.Uniform(v), v});
+  }
+  using Tfp = TimeForwardProcessor<uint64_t>;
+  auto longest = [](uint64_t, const std::vector<uint64_t>& in) {
+    uint64_t best = 0;
+    for (uint64_t d : in) best = std::max(best, d + 1);
+    return best;
+  };
+  ExpectIdentity("tfp", [&](BlockDevice* dev, const Options& opts) {
+    ExtVector<Edge> ev(dev);
+    EXPECT_TRUE(ev.AppendAll(edges.data(), edges.size()).ok());
+    ExtVector<Tfp::VertexValue> out(dev);
+    EXPECT_TRUE(Tfp(dev, opts).Run(ev, n, longest, &out).ok());
+    return Bytes(out);
+  });
+}
+
+TEST_P(PrefetchLayers, SuffixArrayIdentity) {
+  Rng rng(84);
+  std::vector<uint8_t> text(6000);
+  for (auto& c : text) c = static_cast<uint8_t>('a' + rng.Uniform(4));
+  ExpectIdentity("sa", [&](BlockDevice* dev, const Options& opts) {
+    ExtVector<uint8_t> tv(dev);
+    EXPECT_TRUE(tv.AppendAll(text.data(), text.size()).ok());
+    ExtVector<uint64_t> sa(dev);
+    EXPECT_TRUE(SuffixArrayBuilder(dev, opts).Build(tv, &sa).ok());
+    return Bytes(sa);
+  });
+}
+
+TEST_P(PrefetchLayers, StringSortIdentity) {
+  Rng rng(85);
+  std::vector<std::string> strings(1500);
+  for (auto& str : strings) {
+    str.resize(1 + rng.Uniform(20));
+    for (auto& c : str) c = static_cast<char>('a' + rng.Uniform(3));
+  }
+  ExpectIdentity("strsort", [&](BlockDevice* dev, const Options& opts) {
+    StringCorpus corpus(dev);
+    for (const auto& str : strings) EXPECT_TRUE(corpus.Add(str).ok());
+    EXPECT_TRUE(corpus.Finalize().ok());
+    ExtVector<uint64_t> ids(dev);
+    EXPECT_TRUE(ExternalStringSort(dev, opts).Sort(corpus, &ids).ok());
+    return Bytes(ids);
+  });
+}
+
+TEST_P(PrefetchLayers, DominanceCountIdentity) {
+  Rng rng(86);
+  std::vector<Point2> points(3000);
+  for (auto& pt : points) pt = {rng.NextDouble(), rng.NextDouble()};
+  std::vector<DomQuery> queries;
+  for (uint64_t i = 0; i < 1500; ++i) {
+    queries.push_back({rng.NextDouble(), rng.NextDouble(), i, 0});
+  }
+  ExpectIdentity("dominance", [&](BlockDevice* dev, const Options& opts) {
+    ExtVector<Point2> pv(dev);
+    ExtVector<DomQuery> qv(dev);
+    EXPECT_TRUE(pv.AppendAll(points.data(), points.size()).ok());
+    EXPECT_TRUE(qv.AppendAll(queries.data(), queries.size()).ok());
+    ExtVector<DomCount> out(dev);
+    EXPECT_TRUE(DominanceCounter(dev, opts).Run(pv, qv, &out).ok());
+    return Bytes(out);
+  });
 }
 
 // -------------------------------------------------- armed empty-input edge
@@ -542,7 +703,7 @@ TEST_P(PrefetchLayers, StripedDeviceIdentity) {
     ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
     Options opts = LayerOptions(armed);
     opts.memory_budget = 4 * kMem;
-    auto sorter = Build<DistributionSorter<uint64_t>>(dev, opts, armed);
+    DistributionSorter<uint64_t> sorter(dev, opts);
     ExtVector<uint64_t> out(dev);
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
     ASSERT_TRUE(out.ReadAll(armed ? &out_armed : &out_sync).ok());

@@ -21,6 +21,9 @@
 namespace vem {
 namespace {
 
+/// Options with internal memory M = `bytes`, everything else default.
+Options Opts(size_t bytes) { return Options{.memory_budget = bytes}; }
+
 // ------------------------------------------------------------ fault injection
 
 // Sweep the fault position over the whole I/O schedule of an external
@@ -38,7 +41,7 @@ TEST(FaultInjection, ExternalSortPropagatesEveryReadFault) {
     for (int i = 0; i < 3000; ++i) ASSERT_TRUE(w.Append(rng.Next()));
     ASSERT_TRUE(w.Finish().ok());
     ExtVector<uint64_t> out(&dev);
-    ASSERT_TRUE(ExternalSort(input, &out, 1024).ok());
+    ASSERT_TRUE(ExternalSort(input, &out, Opts(1024)).ok());
     total_reads = dev.reads_seen();
   }
   ASSERT_GT(total_reads, 50u);
@@ -55,7 +58,7 @@ TEST(FaultInjection, ExternalSortPropagatesEveryReadFault) {
     for (int i = 0; i < 3000; ++i) ASSERT_TRUE(w.Append(rng.Next()));
     ASSERT_TRUE(w.Finish().ok());
     ExtVector<uint64_t> out(&dev);
-    Status s = ExternalSort(input, &out, 1024);
+    Status s = ExternalSort(input, &out, Opts(1024));
     // Loading consumed no reads, so the fault hits during the sort.
     EXPECT_TRUE(s.IsIOError()) << "pos=" << pos << " got " << s.ToString();
   }
@@ -81,7 +84,7 @@ TEST(FaultInjection, ExternalSortPropagatesWriteFaults) {
       continue;  // fault hit during load: also correctly reported
     }
     ExtVector<uint64_t> out(&dev);
-    Status s = ExternalSort(input, &out, 1024);
+    Status s = ExternalSort(input, &out, Opts(1024));
     EXPECT_TRUE(s.IsIOError()) << "pos=" << pos;
   }
 }
@@ -106,7 +109,7 @@ TEST(FaultInjection, BPlusTreeSurfacesPinFaults) {
 TEST(FaultInjection, BufferTreeSurfacesFlushFaults) {
   MemoryBlockDevice inner(256);
   FaultyBlockDevice dev(&inner, /*fail_read_at=*/30);
-  BufferTree<uint64_t, uint64_t> tree(&dev, 2048);
+  BufferTree<uint64_t, uint64_t> tree(&dev, Opts(2048));
   Status first_error;
   for (uint64_t i = 0; i < 50000 && first_error.ok(); ++i) {
     first_error = tree.Insert(i, i);
@@ -179,7 +182,7 @@ TEST(StripedIntegration, SortAndBTreeOnStripedDevice) {
   }
   std::sort(ref.begin(), ref.end());
   ExtVector<uint64_t> out(&dev);
-  ASSERT_TRUE(ExternalSort(input, &out, 4096).ok());
+  ASSERT_TRUE(ExternalSort(input, &out, Opts(4096)).ok());
   std::vector<uint64_t> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
   EXPECT_EQ(got, ref);
@@ -218,7 +221,7 @@ TEST(TimeForward, DagLongestPath) {
   }
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
-  TimeForwardProcessor<uint64_t> tfp(&dev, 2048);
+  TimeForwardProcessor<uint64_t> tfp(&dev, Opts(2048));
   ExtVector<TimeForwardProcessor<uint64_t>::VertexValue> out(&dev);
   ASSERT_TRUE(tfp.Run(edges, n,
                       [](uint64_t, const std::vector<uint64_t>& in) {
@@ -253,7 +256,7 @@ TEST(TimeForward, CircuitEvaluation) {
   for (uint64_t v = 2; v < n; ++v) ref[v] = !(ref[v - 2] && ref[v - 1]);
   ExtVector<Edge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
-  TimeForwardProcessor<uint8_t> tfp(&dev, 1024);
+  TimeForwardProcessor<uint8_t> tfp(&dev, Opts(1024));
   ExtVector<TimeForwardProcessor<uint8_t>::VertexValue> out(&dev);
   ASSERT_TRUE(tfp.Run(edges, n,
                       [](uint64_t v, const std::vector<uint8_t>& in) {
@@ -275,7 +278,7 @@ TEST(TimeForward, RejectsNonTopologicalEdges) {
   ExtVector<Edge> edges(&dev);
   std::vector<Edge> e = {{0, 1}, {2, 1}};  // 2 -> 1 goes backward
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
-  TimeForwardProcessor<uint64_t> tfp(&dev, 1024);
+  TimeForwardProcessor<uint64_t> tfp(&dev, Opts(1024));
   ExtVector<TimeForwardProcessor<uint64_t>::VertexValue> out(&dev);
   Status s = tfp.Run(edges, 3,
                      [](uint64_t, const std::vector<uint64_t>&) {
@@ -305,7 +308,7 @@ TEST(RectangleCount, MatchesBruteForce) {
   ASSERT_TRUE(pv.AppendAll(ps.data(), ps.size()).ok());
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
   ExtVector<RectCount> out(&dev);
-  ASSERT_TRUE(BatchedRectangleCount(pv, qv, &out, 4096).ok());
+  ASSERT_TRUE(BatchedRectangleCount(pv, qv, &out, Opts(4096)).ok());
   std::vector<RectCount> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
   ASSERT_EQ(got.size(), qs.size());
@@ -331,7 +334,7 @@ TEST(RectangleCount, BoundaryPointsInclusive) {
   ASSERT_TRUE(pv.AppendAll(ps.data(), ps.size()).ok());
   ASSERT_TRUE(qv.AppendAll(qs.data(), qs.size()).ok());
   ExtVector<RectCount> out(&dev);
-  ASSERT_TRUE(BatchedRectangleCount(pv, qv, &out, 4096).ok());
+  ASSERT_TRUE(BatchedRectangleCount(pv, qv, &out, Opts(4096)).ok());
   std::vector<RectCount> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
   std::map<uint64_t, uint64_t> by_id;

@@ -16,6 +16,9 @@
 namespace vem {
 namespace {
 
+/// Options with internal memory M = `bytes`, everything else default.
+Options Opts(size_t bytes) { return Options{.memory_budget = bytes}; }
+
 // ---------------------------------------------------------------- BPlusTree
 
 TEST(BPlusTree, InsertGetBasic) {
@@ -232,7 +235,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExternalPQ, PushPopSorted) {
   MemoryBlockDevice dev(256);
-  ExternalPriorityQueue<uint64_t> pq(&dev, 1024);
+  ExternalPriorityQueue<uint64_t> pq(&dev, Opts(1024));
   Rng rng(20);
   const size_t kN = 50000;
   std::vector<uint64_t> ref;
@@ -255,7 +258,7 @@ TEST(ExternalPQ, PushPopSorted) {
 
 TEST(ExternalPQ, InterleavedMatchesStdPq) {
   MemoryBlockDevice dev(128);
-  ExternalPriorityQueue<uint64_t> pq(&dev, 512);
+  ExternalPriorityQueue<uint64_t> pq(&dev, Opts(512));
   std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>> ref;
   Rng rng(21);
   for (int t = 0; t < 60000; ++t) {
@@ -275,7 +278,7 @@ TEST(ExternalPQ, InterleavedMatchesStdPq) {
 
 TEST(ExternalPQ, TopDoesNotConsume) {
   MemoryBlockDevice dev(128);
-  ExternalPriorityQueue<int> pq(&dev, 512);
+  ExternalPriorityQueue<int> pq(&dev, Opts(512));
   ASSERT_TRUE(pq.Push(5).ok());
   ASSERT_TRUE(pq.Push(3).ok());
   int v;
@@ -290,7 +293,7 @@ TEST(ExternalPQ, TopDoesNotConsume) {
 
 TEST(ExternalPQ, CustomComparatorMaxHeap) {
   MemoryBlockDevice dev(128);
-  ExternalPriorityQueue<int, std::greater<int>> pq(&dev, 512,
+  ExternalPriorityQueue<int, std::greater<int>> pq(&dev, Opts(512),
                                                    std::greater<int>());
   for (int v : {3, 9, 1, 7}) ASSERT_TRUE(pq.Push(v).ok());
   int out;
@@ -302,7 +305,7 @@ TEST(ExternalPQ, CustomComparatorMaxHeap) {
 
 TEST(BufferTree, InsertExtractSorted) {
   MemoryBlockDevice dev(256);
-  BufferTree<uint64_t, uint64_t> tree(&dev, 2048);
+  BufferTree<uint64_t, uint64_t> tree(&dev, Opts(2048));
   const size_t kN = 30000;
   Rng rng(30);
   std::map<uint64_t, uint64_t> ref;
@@ -325,7 +328,7 @@ TEST(BufferTree, InsertExtractSorted) {
 
 TEST(BufferTree, DeletesAndUpserts) {
   MemoryBlockDevice dev(256);
-  BufferTree<uint64_t, uint64_t> tree(&dev, 2048);
+  BufferTree<uint64_t, uint64_t> tree(&dev, Opts(2048));
   std::map<uint64_t, uint64_t> ref;
   Rng rng(31);
   for (int t = 0; t < 50000; ++t) {
@@ -353,7 +356,7 @@ TEST(BufferTree, DeletesAndUpserts) {
 
 TEST(BufferTree, QueryAfterFlush) {
   MemoryBlockDevice dev(256);
-  BufferTree<uint64_t, uint64_t> tree(&dev, 2048);
+  BufferTree<uint64_t, uint64_t> tree(&dev, Opts(2048));
   for (uint64_t i = 0; i < 10000; ++i) {
     ASSERT_TRUE(tree.Insert(i * 3, i).ok());
   }
@@ -378,7 +381,7 @@ TEST(BufferTree, AmortizedInsertIoBeatsBTree) {
   const size_t kN = 100000;
   const size_t kMem = 32768;  // m = 32 blocks of internal memory
 
-  BufferTree<uint64_t, uint64_t> btree(&dev, kMem);
+  BufferTree<uint64_t, uint64_t> btree(&dev, Opts(kMem));
   Rng rng(33);
   IoProbe probe(dev);
   for (size_t i = 0; i < kN; ++i) {
@@ -403,7 +406,7 @@ TEST(BufferTree, AmortizedInsertIoBeatsBTree) {
 
 TEST(BufferTree, DuplicateKeyLastWriteWins) {
   MemoryBlockDevice dev(256);
-  BufferTree<uint32_t, uint32_t> tree(&dev, 1024);
+  BufferTree<uint32_t, uint32_t> tree(&dev, Opts(1024));
   for (uint32_t round = 0; round < 200; ++round) {
     for (uint32_t k = 0; k < 50; ++k) {
       ASSERT_TRUE(tree.Insert(k, round * 100 + k).ok());

@@ -17,6 +17,7 @@ namespace {
 
 constexpr size_t kBlock = 256;
 constexpr size_t kMem = 2048;
+const Options kOpts{.memory_budget = kMem};
 
 // ---------------------------------------------------------------- selection
 
@@ -33,7 +34,7 @@ TEST_P(SelectionSweep, FindsEveryPercentile) {
   std::vector<uint64_t> sorted = data;
   std::sort(sorted.begin(), sorted.end());
 
-  ExternalSelector<uint64_t> sel(&dev, kMem);
+  ExternalSelector<uint64_t> sel(&dev, kOpts);
   for (double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99}) {
     uint64_t k = static_cast<uint64_t>(q * (n - 1));
     uint64_t got;
@@ -61,17 +62,17 @@ TEST(Selection, CheaperThanSorting) {
   }
   uint64_t median;
   IoProbe p1(dev);
-  ASSERT_TRUE(ExternalMedian(vec, &median, kMem).ok());
+  ASSERT_TRUE(ExternalMedian(vec, &median, kOpts).ok());
   uint64_t select_ios = p1.delta().block_ios();
 
   ExtVector<uint64_t> sorted(&dev);
   IoProbe p2(dev);
-  ASSERT_TRUE(ExternalSort(vec, &sorted, kMem).ok());
+  ASSERT_TRUE(ExternalSort(vec, &sorted, kOpts).ok());
   uint64_t sort_ios = p2.delta().block_ios();
   EXPECT_LT(select_ios, sort_ios)
       << "select=" << select_ios << " sort=" << sort_ios;
   // Geometric shrinkage: a handful of partition rounds.
-  ExternalSelector<uint64_t> sel(&dev, kMem);
+  ExternalSelector<uint64_t> sel(&dev, kOpts);
   uint64_t v;
   ASSERT_TRUE(sel.Select(vec, n / 2, &v).ok());
   EXPECT_LE(sel.rounds(), 30u);
@@ -85,7 +86,7 @@ TEST(Selection, AllEqualInput) {
     for (int i = 0; i < 10000; ++i) ASSERT_TRUE(w.Append(42));
     ASSERT_TRUE(w.Finish().ok());
   }
-  ExternalSelector<uint64_t> sel(&dev, kMem);
+  ExternalSelector<uint64_t> sel(&dev, kOpts);
   uint64_t got;
   ASSERT_TRUE(sel.Select(vec, 5000, &got).ok());
   EXPECT_EQ(got, 42u);
@@ -103,8 +104,8 @@ TEST(ReplacementSelection, RunsAreLongerOnRandomInput) {
     for (size_t i = 0; i < n; ++i) ASSERT_TRUE(w.Append(rng.Next()));
     ASSERT_TRUE(w.Finish().ok());
   }
-  ExternalSorter<uint64_t> plain(&dev, kMem);
-  ExternalSorter<uint64_t> snow(&dev, kMem);
+  ExternalSorter<uint64_t> plain(&dev, kOpts);
+  ExternalSorter<uint64_t> snow(&dev, kOpts);
   snow.set_replacement_selection(true);
   ExtVector<uint64_t> out1(&dev), out2(&dev);
   ASSERT_TRUE(plain.Sort(input, &out1).ok());
@@ -134,7 +135,7 @@ TEST(ReplacementSelection, NearlySortedInputGivesOneRun) {
     }
     ASSERT_TRUE(w.Finish().ok());
   }
-  ExternalSorter<uint64_t> snow(&dev, kMem);
+  ExternalSorter<uint64_t> snow(&dev, kOpts);
   snow.set_replacement_selection(true);
   ExtVector<uint64_t> out(&dev);
   ASSERT_TRUE(snow.Sort(input, &out).ok());
@@ -155,7 +156,7 @@ TEST(ReplacementSelection, ReverseSortedWorstCase) {
     for (size_t i = 0; i < n; ++i) ASSERT_TRUE(w.Append(n - i));
     ASSERT_TRUE(w.Finish().ok());
   }
-  ExternalSorter<uint64_t> snow(&dev, kMem);
+  ExternalSorter<uint64_t> snow(&dev, kOpts);
   snow.set_replacement_selection(true);
   ExtVector<uint64_t> out(&dev);
   ASSERT_TRUE(snow.Sort(input, &out).ok());

@@ -20,6 +20,9 @@
 namespace vem {
 namespace {
 
+/// Options with internal memory M = `bytes`, everything else default.
+Options Opts(size_t bytes) { return Options{.memory_budget = bytes}; }
+
 // ---------------------------------------------------------------- LoserTree
 
 TEST(LoserTree, MergesKSortedSequences) {
@@ -112,7 +115,7 @@ TEST_P(MergeSortSweep, SortsRandomInput) {
   }
   std::sort(ref.begin(), ref.end());
 
-  ExternalSorter<uint64_t> sorter(&dev, c.memory_bytes);
+  ExternalSorter<uint64_t> sorter(&dev, Opts(c.memory_bytes));
   ExtVector<uint64_t> output(&dev);
   ASSERT_TRUE(sorter.Sort(input, &output).ok());
   std::vector<uint64_t> got;
@@ -147,7 +150,7 @@ TEST(MergeSort, IoMatchesSortBound) {
     for (size_t i = 0; i < kN; ++i) ASSERT_TRUE(w.Append(rng.Next()));
     ASSERT_TRUE(w.Finish().ok());
   }
-  ExternalSorter<uint64_t> sorter(&dev, kMem);
+  ExternalSorter<uint64_t> sorter(&dev, Opts(kMem));
   ExtVector<uint64_t> output(&dev);
   IoProbe probe(dev);
   ASSERT_TRUE(sorter.Sort(input, &output).ok());
@@ -173,7 +176,7 @@ TEST(MergeSort, AlreadySortedAndReverse) {
     }
     ASSERT_TRUE(w.Finish().ok());
     ExtVector<uint32_t> output(&dev);
-    ASSERT_TRUE(ExternalSort(input, &output, 1024).ok());
+    ASSERT_TRUE(ExternalSort(input, &output, Opts(1024)).ok());
     std::vector<uint32_t> got;
     ASSERT_TRUE(output.ReadAll(&got).ok());
     ASSERT_EQ(got.size(), 10000u);
@@ -187,7 +190,8 @@ TEST(MergeSort, CustomComparatorDescending) {
   std::vector<int> data{5, -3, 8, 0, 8, -3, 100, 7};
   ASSERT_TRUE(input.AppendAll(data.data(), data.size()).ok());
   ExtVector<int> output(&dev);
-  ASSERT_TRUE(ExternalSort(input, &output, 512, std::greater<int>()).ok());
+  ASSERT_TRUE(
+      ExternalSort(input, &output, Opts(512), std::greater<int>()).ok());
   std::vector<int> got;
   ASSERT_TRUE(output.ReadAll(&got).ok());
   std::sort(data.begin(), data.end(), std::greater<int>());
@@ -206,7 +210,7 @@ TEST(MergeSort, TemporariesFreed) {
   uint64_t before = dev.num_allocated();
   {
     ExtVector<uint64_t> output(&dev);
-    ASSERT_TRUE(ExternalSort(input, &output, 1024).ok());
+    ASSERT_TRUE(ExternalSort(input, &output, Opts(1024)).ok());
     // Only input + output remain allocated.
     EXPECT_EQ(dev.num_allocated(), before + output.num_blocks());
   }
@@ -227,7 +231,7 @@ TEST(MergeSort, SingleRunOutputKeepsPool) {
   }
   for (size_t budget : {size_t{1} << 20, size_t{12} << 10}) {
     ExtVector<uint64_t> out(&dev, &pool);
-    ASSERT_TRUE(ExternalSort(input, &out, budget).ok()) << budget;
+    ASSERT_TRUE(ExternalSort(input, &out, Opts(budget)).ok()) << budget;
     EXPECT_EQ(out.pool(), &pool) << budget;
     uint64_t v = 0;
     ASSERT_TRUE(out.Get(5, &v).ok()) << budget;
@@ -292,7 +296,7 @@ void CheckSlicedSort(size_t n) {
   uint64_t in_sum = 0;
   WriteKeyed(n, &input, &in_sum);
 
-  Sorter sorter(&dev, kRun * sizeof(KeyedRec));
+  Sorter sorter(&dev, Opts(kRun * sizeof(KeyedRec)));
   ASSERT_EQ(sorter.run_length(), kRun);
   ExtVector<KeyedRec> out(&dev);
   IoProbe probe(dev);
@@ -328,7 +332,8 @@ void CheckSlicedSort(size_t n) {
 
   // A second sort writes byte-identical blocks: tie order is fixed.
   ExtVector<KeyedRec> again(&dev);
-  ASSERT_TRUE(Sorter(&dev, kRun * sizeof(KeyedRec)).Sort(input, &again).ok());
+  ASSERT_TRUE(
+      Sorter(&dev, Opts(kRun * sizeof(KeyedRec))).Sort(input, &again).ok());
   ASSERT_EQ(again.num_blocks(), out.num_blocks());
   std::vector<char> a(kBlock), b(kBlock);
   for (size_t i = 0; i < out.num_blocks(); ++i) {
@@ -357,7 +362,7 @@ TEST(SlicedRunFormation, ConcurrentSortersMatchSerialOutput) {
     ExtVector<KeyedRec> input(&dev), out(&dev);
     uint64_t sum = 0;
     WriteKeyed(n, &input, &sum);
-    ExternalSorter<KeyedRec, KeyLess> sorter(&dev, kMem);
+    ExternalSorter<KeyedRec, KeyLess> sorter(&dev, Opts(kMem));
     ASSERT_TRUE(sorter.Sort(input, &out).ok());
     ASSERT_TRUE(out.ReadAll(got).ok());
   };
@@ -391,7 +396,7 @@ TEST(SlicedRunFormation, HelperComparatorExceptionReachesCaller) {
     ASSERT_TRUE(w.Finish().ok());
   }
   ExternalSorter<KeyedRec, decltype(cmp)> sorter(
-      &dev, kSlicedRun * sizeof(KeyedRec), cmp);
+      &dev, Opts(kSlicedRun * sizeof(KeyedRec)), cmp);
   ExtVector<KeyedRec> out(&dev);
   EXPECT_THROW((void)sorter.Sort(input, &out), std::runtime_error);
 }
@@ -416,7 +421,7 @@ TEST_P(DistSortSweep, SortsRandomInput) {
     ASSERT_TRUE(w.Finish().ok());
   }
   std::sort(ref.begin(), ref.end());
-  DistributionSorter<uint64_t> sorter(&dev, c.memory_bytes);
+  DistributionSorter<uint64_t> sorter(&dev, Opts(c.memory_bytes));
   ExtVector<uint64_t> output(&dev);
   ASSERT_TRUE(sorter.Sort(input, &output).ok());
   std::vector<uint64_t> got;
@@ -439,7 +444,7 @@ TEST(DistributionSort, AllEqualKeysTerminates) {
     for (size_t i = 0; i < 20000; ++i) ASSERT_TRUE(w.Append(7));
     ASSERT_TRUE(w.Finish().ok());
   }
-  DistributionSorter<uint64_t> sorter(&dev, 1024);
+  DistributionSorter<uint64_t> sorter(&dev, Opts(1024));
   ExtVector<uint64_t> output(&dev);
   ASSERT_TRUE(sorter.Sort(input, &output).ok());
   EXPECT_EQ(output.size(), 20000u);
@@ -463,7 +468,7 @@ TEST(DistributionSort, ZipfSkewedKeys) {
     ASSERT_TRUE(w.Finish().ok());
   }
   std::sort(ref.begin(), ref.end());
-  DistributionSorter<uint64_t> sorter(&dev, 2048);
+  DistributionSorter<uint64_t> sorter(&dev, Opts(2048));
   ExtVector<uint64_t> output(&dev);
   ASSERT_TRUE(sorter.Sort(input, &output).ok());
   std::vector<uint64_t> got;
@@ -481,8 +486,8 @@ TEST(DistributionSort, AgreesWithMergeSort) {
     ASSERT_TRUE(w.Finish().ok());
   }
   ExtVector<uint64_t> a(&dev), b(&dev);
-  ASSERT_TRUE(ExternalSort(input, &a, 1024).ok());
-  DistributionSorter<uint64_t> ds(&dev, 1024);
+  ASSERT_TRUE(ExternalSort(input, &a, Opts(1024)).ok());
+  DistributionSorter<uint64_t> ds(&dev, Opts(1024));
   ASSERT_TRUE(ds.Sort(input, &b).ok());
   std::vector<uint64_t> va, vb;
   ASSERT_TRUE(a.ReadAll(&va).ok());
@@ -511,7 +516,7 @@ TEST(Permute, SortingStrategyReversesAndShuffles) {
     ASSERT_TRUE(dw.Finish().ok());
   }
   ExtVector<uint64_t> out(&dev);
-  ASSERT_TRUE(PermuteBySorting(values, dest, &out, 1024).ok());
+  ASSERT_TRUE(PermuteBySorting(values, dest, &out, Opts(1024)).ok());
   std::vector<uint64_t> got;
   ASSERT_TRUE(out.ReadAll(&got).ok());
   ASSERT_EQ(got.size(), kN);
@@ -539,8 +544,8 @@ TEST(Permute, DirectMatchesSorting) {
     ASSERT_TRUE(dw.Finish().ok());
   }
   ExtVector<uint32_t> by_sort(&dev), by_direct(&dev, &pool);
-  ASSERT_TRUE(PermuteBySorting(values, dest, &by_sort, 2048).ok());
-  ASSERT_TRUE(PermuteDirect(values, dest, &by_direct, 2048).ok());
+  ASSERT_TRUE(PermuteBySorting(values, dest, &by_sort, Opts(2048)).ok());
+  ASSERT_TRUE(PermuteDirect(values, dest, &by_direct).ok());
   ASSERT_TRUE(pool.FlushAll().ok());
   std::vector<uint32_t> a, b;
   ASSERT_TRUE(by_sort.ReadAll(&a).ok());
@@ -574,7 +579,7 @@ TEST(Matrix, TiledTransposeCorrect) {
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<double>(i);
   ASSERT_TRUE(a.Load(data.data()).ok());
   ExtMatrix at(&dev, kC, kR, &pool);
-  ASSERT_TRUE(TransposeTiled(a, &at, 4096).ok());
+  ASSERT_TRUE(TransposeTiled(a, &at, Opts(4096)).ok());
   std::vector<double> got;
   ASSERT_TRUE(at.data().ReadAll(&got).ok());
   for (size_t r = 0; r < kR; ++r) {
@@ -594,7 +599,7 @@ TEST(Matrix, TiledMatchesNaive) {
   for (auto& v : data) v = rng.NextDouble();
   ASSERT_TRUE(a.Load(data.data()).ok());
   ExtMatrix t1(&dev, kC, kR, &pool), t2(&dev, kC, kR, &pool);
-  ASSERT_TRUE(TransposeTiled(a, &t1, 2048).ok());
+  ASSERT_TRUE(TransposeTiled(a, &t1, Opts(2048)).ok());
   ASSERT_TRUE(TransposeNaive(a, &t2).ok());
   std::vector<double> v1, v2;
   ASSERT_TRUE(t1.data().ReadAll(&v1).ok());
@@ -613,7 +618,7 @@ TEST(Matrix, MultiplyMatchesReference) {
   ExtMatrix a(&dev, kN, kK), b(&dev, kK, kM), c(&dev, kN, kM, &pool);
   ASSERT_TRUE(a.Load(da.data()).ok());
   ASSERT_TRUE(b.Load(db.data()).ok());
-  ASSERT_TRUE(MultiplyTiled(a, b, &c, 2048).ok());
+  ASSERT_TRUE(MultiplyTiled(a, b, &c, Opts(2048)).ok());
   std::vector<double> got;
   ASSERT_TRUE(c.data().ReadAll(&got).ok());
   for (size_t i = 0; i < kN; ++i) {
@@ -636,7 +641,7 @@ TEST(Matrix, TiledTransposeBeatsNaiveOnIos) {
 
   ExtMatrix t1(&dev, kC, kR, &pool);
   IoProbe p1(dev);
-  ASSERT_TRUE(TransposeTiled(a, &t1, 4096).ok());
+  ASSERT_TRUE(TransposeTiled(a, &t1, Opts(4096)).ok());
   uint64_t tiled_ios = p1.delta().block_ios();
 
   ExtMatrix t2(&dev, kC, kR, &pool);

@@ -13,6 +13,7 @@ namespace {
 
 constexpr size_t kBlock = 512;
 constexpr size_t kMem = 8192;
+const Options kOpts{.memory_budget = kMem};
 
 std::vector<uint64_t> ReferenceDijkstra(
     uint64_t n, const std::vector<WeightedEdge>& edges, uint64_t source,
@@ -70,8 +71,8 @@ TEST_P(SsspSweep, MatchesReferenceDijkstra) {
   ExtVector<WeightedEdge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   WeightedGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, c.n, kMem, c.undirected).ok());
-  SemiExternalSssp sssp(&dev, &pool, kMem);
+  ASSERT_TRUE(g.Build(edges, c.n, kOpts, c.undirected).ok());
+  SemiExternalSssp sssp(&dev, &pool, kOpts);
   ExtVector<uint64_t> dist(&dev, &pool);
   ASSERT_TRUE(sssp.Run(g, 0, &dist).ok());
   std::vector<uint64_t> got;
@@ -97,8 +98,8 @@ TEST(Sssp, UnreachableVerticesStayInfinite) {
   ExtVector<WeightedEdge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   WeightedGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, 6, kMem, false).ok());
-  SemiExternalSssp sssp(&dev, &pool, kMem);
+  ASSERT_TRUE(g.Build(edges, 6, kOpts, false).ok());
+  SemiExternalSssp sssp(&dev, &pool, kOpts);
   ExtVector<uint64_t> dist(&dev, &pool);
   ASSERT_TRUE(sssp.Run(g, 0, &dist).ok());
   std::vector<uint64_t> got;
@@ -127,8 +128,8 @@ TEST(Sssp, GridMetricMatchesManhattanWhenUniform) {
   ExtVector<WeightedEdge> edges(&dev);
   ASSERT_TRUE(edges.AppendAll(e.data(), e.size()).ok());
   WeightedGraph g(&dev, &pool);
-  ASSERT_TRUE(g.Build(edges, side * side, kMem, true).ok());
-  SemiExternalSssp sssp(&dev, &pool, kMem);
+  ASSERT_TRUE(g.Build(edges, side * side, kOpts, true).ok());
+  SemiExternalSssp sssp(&dev, &pool, kOpts);
   ExtVector<uint64_t> dist(&dev, &pool);
   ASSERT_TRUE(sssp.Run(g, 0, &dist).ok());
   std::vector<uint64_t> got;

@@ -16,6 +16,7 @@ namespace {
 
 constexpr size_t kBlock = 256;
 constexpr size_t kMem = 4096;
+const Options kOpts{.memory_budget = kMem};
 
 Status BuildCorpus(const std::vector<std::string>& strings,
                    StringCorpus* corpus) {
@@ -30,7 +31,7 @@ void CheckSorted(const std::vector<std::string>& strings,
   StringCorpus corpus(dev);
   ASSERT_TRUE(BuildCorpus(strings, &corpus).ok());
   ASSERT_EQ(corpus.size(), strings.size());
-  ExternalStringSort sorter(dev, kMem);
+  ExternalStringSort sorter(dev, kOpts);
   ExtVector<uint64_t> ids(dev);
   ASSERT_TRUE(sorter.Sort(corpus, &ids).ok());
   std::vector<uint64_t> got;
@@ -67,7 +68,7 @@ TEST(StringSort, LongSharedPrefixesNeedManyRounds) {
   }
   StringCorpus corpus(&dev);
   ASSERT_TRUE(BuildCorpus(strings, &corpus).ok());
-  ExternalStringSort sorter(&dev, kMem);
+  ExternalStringSort sorter(&dev, kOpts);
   ExtVector<uint64_t> ids(&dev);
   ASSERT_TRUE(sorter.Sort(corpus, &ids).ok());
   EXPECT_GT(sorter.rounds(), 10u);  // 100-byte prefix / 8 bytes per round
@@ -127,7 +128,7 @@ void CheckSuffixArray(const std::string& text, MemoryBlockDevice* dev) {
   ASSERT_TRUE(tv.AppendAll(reinterpret_cast<const uint8_t*>(text.data()),
                            text.size())
                   .ok());
-  SuffixArrayBuilder builder(dev, kMem);
+  SuffixArrayBuilder builder(dev, kOpts);
   ExtVector<uint64_t> sa(dev);
   ASSERT_TRUE(builder.Build(tv, &sa).ok());
   std::vector<uint64_t> got;
@@ -187,7 +188,7 @@ TEST(SuffixArray, RoundsAreLogarithmic) {
   ASSERT_TRUE(tv.AppendAll(reinterpret_cast<const uint8_t*>(t.data()),
                            t.size())
                   .ok());
-  SuffixArrayBuilder builder(&dev, kMem);
+  SuffixArrayBuilder builder(&dev, kOpts);
   ExtVector<uint64_t> sa(&dev);
   ASSERT_TRUE(builder.Build(tv, &sa).ok());
   EXPECT_LE(builder.rounds(), 14u);  // ceil(log2 8192) = 13 (+1 slack)
