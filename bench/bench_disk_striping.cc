@@ -405,7 +405,7 @@ struct DegradedRun {
   RedundancyStats gauge;
 };
 
-/// External sort at D=4 with parity armed via Options::redundancy;
+/// External sort at D=4 with parity armed by SetRedundancy;
 /// `kill` fail-stops head 1 mid-run — after roughly half the input's
 /// blocks worth of transfer attempts on that head, so the death lands
 /// inside the sort whatever g_shift scaled the workload to.

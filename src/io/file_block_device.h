@@ -16,10 +16,10 @@
 //  - an executor moves the runs. The syscall executor issues
 //    preadv/pwritev per step (pread/pwrite for a linear O_DIRECT target);
 //    the ring executor, used by batch calls when the attached IoEngine
-//    runs the io_uring backend (Options::io_backend = kIoUring), submits
-//    every unfinished run's next step as one SQE in a single
-//    SubmitAndWait per round, and hands the rest to the syscall executor
-//    if submission fails. Every op result, from either executor, goes
+//    runs the io_uring backend (IoBackend::kIoUring), submits every
+//    unfinished run's next step as one SQE in a single SubmitAndWait per
+//    round, and hands the rest to the syscall executor if submission
+//    fails. Every op result, from either executor, goes
 //    through one result rule: it resumes short transfers, zero-fills
 //    reads past EOF (allocated-but-unwritten blocks read as zeros),
 //    fails a write that wrote nothing, resubmits EINTR silently, and

@@ -50,13 +50,10 @@ void IndependentDiskDevice::SetRedundancy(Redundancy mode, size_t group_width) {
     return;
   }
   redundancy_ = mode;
-  if (mode == Redundancy::kParity) {
+  group_data_ = 0;
+  if (RedundancyArmed()) {
     size_t g = group_width == 0 ? disks_.size() : group_width;
-    if (g < 2) g = 2;
-    if (g > disks_.size()) g = disks_.size();
-    group_data_ = g - 1;
-  } else {
-    group_data_ = 0;
+    group_data_ = std::clamp(g, size_t{2}, disks_.size()) - 1;
   }
 }
 
@@ -170,7 +167,7 @@ uint64_t IndependentDiskDevice::Allocate() {
         tried++;
       }
     }
-  } else if (redundancy_ == Redundancy::kParity) {
+  } else {
     // Group-disjoint placement: walk the cycle past heads the group
     // already occupies (live members + its parity block), so a single
     // head failure costs a group at most one block. Redundancy-armed
@@ -203,10 +200,9 @@ uint64_t IndependentDiskDevice::Allocate() {
     if (RedundancyArmed()) {
       written_.push_back(0);
       freed_.push_back(0);
-      if (redundancy_ == Redundancy::kMirror) mirror_.push_back(Loc{0, 0});
     }
   }
-  if (redundancy_ == Redundancy::kParity) {
+  if (RedundancyArmed()) {
     const uint64_t g = id / group_data_;
     auto it = parity_.find(g);
     if (it == parity_.end()) {
@@ -220,11 +216,6 @@ uint64_t IndependentDiskDevice::Allocate() {
       it = parity_.emplace(g, ParityLoc{pd, pchild, 0}).first;
     }
     it->second.live++;
-  } else if (redundancy_ == Redundancy::kMirror) {
-    // Copy head: deterministic offset from the primary, never equal.
-    const uint32_t md = uint32_t((disk + 1 + id % (D - 1)) % D);
-    const uint64_t mchild = disks_[md]->Allocate();
-    mirror_[id] = Loc{md, mchild};
   }
   allocated_++;
   return id;
@@ -244,6 +235,7 @@ void IndependentDiskDevice::Free(uint64_t id) {
   // Frees, Allocate reusing this id, a rebuild swap) can interleave
   // between the content fix-up and the placement update.
   std::lock_guard<std::mutex> plock(parity_mu_);
+  const uint64_t g = id / group_data_;
   Loc l{};
   ReconPlan plan;
   bool xor_out = false;
@@ -251,7 +243,10 @@ void IndependentDiskDevice::Free(uint64_t id) {
     std::unique_lock<std::shared_mutex> lock(loc_mu_);
     if (id >= loc_.size() || freed_[id]) return;
     l = loc_[id];
-    xor_out = redundancy_ == Redundancy::kParity && written_[id] &&
+    // The last live member skips the XOR-out: its group dissolves below
+    // and the parity block goes with it.
+    auto it = parity_.find(g);
+    xor_out = written_[id] && it != parity_.end() && it->second.live > 1 &&
               BuildReconPlan(id, /*loc_locked=*/true, &plan);
   }
   if (xor_out) {
@@ -262,8 +257,7 @@ void IndependentDiskDevice::Free(uint64_t id) {
     // failure) leaves the group parity stale; a rebuild recomputes it.
     std::vector<char> old(block_size_);
     if (ReadCurrentLocked(plan, old.data()).ok()) {
-      (void)ApplyParityLocked(id / group_data_, old.data(),
-                              /*absolute=*/false);
+      (void)ApplyParityLocked(g, old.data(), /*absolute=*/false);
     }
   }
   std::unique_lock<std::shared_mutex> lock(loc_mu_);
@@ -272,51 +266,69 @@ void IndependentDiskDevice::Free(uint64_t id) {
   freed_[id] = 1;
   free_list_.push_back(id);
   allocated_--;
-  if (redundancy_ == Redundancy::kParity) {
-    const uint64_t g = id / group_data_;
-    auto it = parity_.find(g);
-    if (it != parity_.end() && --it->second.live == 0) {
-      // Last member gone: the group dissolves and its parity block is
-      // returned to its head.
-      disks_[it->second.disk]->Free(it->second.child_id);
-      parity_.erase(it);
-      parity_written_.erase(g);
-    }
-  } else {
-    disks_[mirror_[id].disk]->Free(mirror_[id].child_id);
+  if (rebuilding_disk_ >= 0) rebuild_dirty_.insert(DataSlot(id));
+  auto it = parity_.find(g);
+  if (it != parity_.end() && --it->second.live == 0) {
+    // Last member gone: the group dissolves and its parity block is
+    // returned to its head.
+    disks_[it->second.disk]->Free(it->second.child_id);
+    parity_.erase(it);
+    parity_written_.erase(g);
+    if (rebuilding_disk_ >= 0) rebuild_dirty_.insert(ParitySlot(g));
   }
-  if (rebuilding_disk_ >= 0) rebuild_dirty_.insert(id);
+}
+
+void IndependentDiskDevice::AppendWrittenMembersLocked(
+    uint64_t g, uint64_t skip, std::vector<Loc>* out) const {
+  const uint64_t lo = g * group_data_;
+  const uint64_t hi = lo + group_data_;
+  for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
+    if (m != skip && !freed_[m] && written_[m]) out->push_back(loc_[m]);
+  }
 }
 
 bool IndependentDiskDevice::BuildReconPlan(uint64_t id, bool loc_locked,
                                            ReconPlan* out) const {
   auto build = [&]() -> bool {
     if (id >= loc_.size()) return false;
-    out->target = loc_[id];
-    out->written = id < written_.size() && written_[id] != 0;
-    if (redundancy_ == Redundancy::kMirror) {
-      out->use_parity = false;
-      out->mirror = mirror_[id];
-      return true;
-    }
-    out->use_parity = true;
     const uint64_t g = id / group_data_;
     auto it = parity_.find(g);
     if (it == parity_.end()) return false;  // no group: nothing to rebuild
-    out->parity = Loc{it->second.disk, it->second.child_id};
+    out->target = loc_[id];
+    out->written = written_[id] != 0;
     out->parity_written = parity_written_.count(g) != 0;  // parity_mu_ held
-    const uint64_t lo = g * group_data_;
-    const uint64_t hi = lo + group_data_;
-    out->peers.clear();
-    for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
-      if (m == id || freed_[m] || !written_[m]) continue;
-      out->peers.push_back(loc_[m]);
-    }
+    out->peers.assign(1, Loc{it->second.disk, it->second.child_id});
+    AppendWrittenMembersLocked(g, id, &out->peers);
     return true;
   };
   if (loc_locked) return build();
   std::shared_lock<std::shared_mutex> lock(loc_mu_);
   return build();
+}
+
+Status IndependentDiskDevice::XorBlocks(const std::vector<Loc>& locs,
+                                        void* out) {
+  const size_t B = block_size_;
+  char* acc = static_cast<char*>(out);
+  std::memset(acc, 0, B);
+  std::vector<char> tmp(B);
+  for (const Loc& l : locs) {
+    if (DiskDead(l.disk)) {
+      return Status::IOError(
+          "IndependentDiskDevice: double failure (surviving group block "
+          "on a dead head)");
+    }
+    // Reads ride the retry shim like any other transfer — a transient
+    // fault on a surviving block must not fail a reconstruction the
+    // healthy path would have retried through.
+    BlockDevice* d = disks_[l.disk].get();
+    VEM_RETURN_IF_ERROR(WithRetry(d, l.child_id, [&] {
+      return d->ReadUncounted(l.child_id, tmp.data());
+    }));
+    g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
+    for (size_t j = 0; j < B; ++j) acc[j] ^= tmp[j];
+  }
+  return Status::OK();
 }
 
 Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
@@ -328,27 +340,6 @@ Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
     return Status::Corruption(
         "IndependentDiskDevice: degraded read of never-written block");
   }
-  const size_t B = block_size_;
-  // Reconstruction reads ride the retry shim like any other transfer —
-  // a transient fault on a surviving member must not fail the rebuild
-  // of a block the healthy path would have retried through.
-  auto read_member = [&](const Loc& l, void* buf) -> Status {
-    if (DiskDead(l.disk)) {
-      return Status::IOError(
-          "IndependentDiskDevice: double failure (surviving group member "
-          "on a dead head)");
-    }
-    BlockDevice* d = disks_[l.disk].get();
-    Status s = WithRetry(d, l.child_id,
-                         [&] { return d->ReadUncounted(l.child_id, buf); });
-    if (s.ok()) g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-    return s;
-  };
-  if (!plan.use_parity) {
-    VEM_RETURN_IF_ERROR(read_member(plan.mirror, out));
-    g_degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
   if (!plan.parity_written) {
     // The target was written but its parity never landed: the parity
     // head was already dead when the write went through. Two lost
@@ -357,14 +348,7 @@ Status IndependentDiskDevice::ExecuteReconPlan(const ReconPlan& plan,
         "IndependentDiskDevice: double failure (parity lost while the "
         "home head was down)");
   }
-  std::vector<char> acc(B, 0);
-  std::vector<char> tmp(B);
-  VEM_RETURN_IF_ERROR(read_member(plan.parity, acc.data()));
-  for (const Loc& p : plan.peers) {
-    VEM_RETURN_IF_ERROR(read_member(p, tmp.data()));
-    for (size_t j = 0; j < B; ++j) acc[j] ^= tmp[j];
-  }
-  std::memcpy(out, acc.data(), B);
+  VEM_RETURN_IF_ERROR(XorBlocks(plan.peers, out));
   g_degraded_reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -398,6 +382,7 @@ Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
   if (!have) {
     return Status::InvalidArgument("IndependentDiskDevice: no parity group");
   }
+  if (rebuilding_disk_ >= 0) rebuild_dirty_.insert(ParitySlot(g));
   if (DiskDead(pl.disk)) {
     // Single-failure model: with the parity head itself dead the data
     // writes are the only copy. Skip silently (the gauge shows nothing
@@ -724,15 +709,10 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
   if (RedundancyArmed()) plock.lock();
   std::vector<Loc> locs(n);
   VEM_RETURN_IF_ERROR(Locate(ids, n, locs.data()));
-  std::vector<Loc> mls(redundancy_ == Redundancy::kMirror ? n : 0);
-  if (!mls.empty()) {
-    std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t i = 0; i < n; ++i) mls[i] = mirror_[ids[i]];
-  }
   // -------- phase A (parity): per-group deltas against old contents.
   std::unordered_map<uint64_t, std::vector<char>> delta;
   std::unordered_map<uint64_t, uint8_t> full;
-  if (redundancy_ == Redundancy::kParity) {
+  if (RedundancyArmed()) {
     std::unordered_map<uint64_t, std::vector<size_t>> by_group;
     for (size_t i = 0; i < n; ++i) {
       by_group[ids[i] / group_data_].push_back(i);
@@ -793,7 +773,7 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
     if (st[d].ok()) continue;
     if (RedundancyArmed() && st[d].IsIOError()) {
       // Died mid-batch (latched and charged by RunPerDisk): phase C's
-      // redundancy copies carry these blocks.
+      // parity carries these blocks.
       g_degraded_writes_.fetch_add((*batches)[d].child_ids.size(),
                                    std::memory_order_relaxed);
     } else if (first_err.ok()) {
@@ -801,36 +781,19 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
     }
   }
   if (!RedundancyArmed()) return first_err;
-  // -------- phase C: land the redundancy copies — even when a head died
-  // mid-batch. Parity reflects the ATTEMPTED contents, which is exactly
-  // what reconstruction must return for the blocks that never landed.
-  if (redundancy_ == Redundancy::kParity) {
-    for (auto& [g, dl] : delta) {
-      Status s = ApplyParityLocked(g, dl.data(), full[g] != 0);
-      if (!s.ok() && first_err.ok()) first_err = s;
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (DiskDead(mls[i].disk)) continue;  // copy lost; primary carries it
-      Status s = disks_[mls[i].disk]->WriteUncounted(mls[i].child_id, bufs[i]);
-      if (s.ok()) {
-        g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
-        g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-      } else if (s.IsIOError()) {
-        MarkDiskDead(mls[i].disk);
-      } else if (first_err.ok()) {
-        first_err = s;
-      }
-    }
+  // -------- phase C: land the parity — even when a head died mid-batch.
+  // Parity reflects the ATTEMPTED contents, which is exactly what
+  // reconstruction must return for the blocks that never landed.
+  for (auto& [g, dl] : delta) {
+    Status s = ApplyParityLocked(g, dl.data(), full[g] != 0);
+    if (!s.ok() && first_err.ok()) first_err = s;
   }
   // -------- phase D: flags + rebuild dirty tracking.
   MarkWrittenShared(ids, n);
   if (rebuilding_disk_ >= 0) {
     for (size_t i = 0; i < n; ++i) {
-      if (int(locs[i].disk) == rebuilding_disk_ ||
-          (redundancy_ == Redundancy::kMirror &&
-           int(mls[i].disk) == rebuilding_disk_)) {
-        rebuild_dirty_.insert(ids[i]);
+      if (int(locs[i].disk) == rebuilding_disk_) {
+        rebuild_dirty_.insert(DataSlot(ids[i]));
       }
     }
   }
@@ -948,20 +911,13 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     rebuilding_disk_ = int(d);
     rebuild_dirty_.clear();
   }
-  // Two drain lists: 0 = data blocks homed on d, 1 = mirror copies homed
-  // on d. Drained so far: logical id (or parity group) -> spare child
-  // block.
-  std::unordered_map<uint64_t, uint64_t> drained[2];
-  std::unordered_map<uint64_t, uint64_t> parity_map;
-  std::unordered_map<uint64_t, uint8_t> parity_has;
+  // Slots drained so far -> their spare child block.
+  std::unordered_map<uint64_t, uint64_t> drained;
   std::vector<char> buf(B);
 
   // Undo everything and re-park the spare (cancel or failure).
   auto park = [&](Status why) -> Status {
-    for (const auto& map : drained) {
-      for (auto& [id, sc] : map) spare->Free(sc);
-    }
-    for (auto& [g, sc] : parity_map) spare->Free(sc);
+    for (auto& [slot, sc] : drained) spare->Free(sc);
     {
       std::lock_guard<std::mutex> plock(parity_mu_);
       rebuilding_disk_ = -1;
@@ -975,67 +931,59 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     return why;
   };
 
-  // Whether `id` is live with its `list` copy on head d (loc_mu_ held).
-  auto homed = [&](size_t list, uint64_t id) {
-    if (id >= loc_.size() || freed_[id]) return false;
-    if (list == 0) return loc_[id].disk == d;
-    return redundancy_ == Redundancy::kMirror && mirror_[id].disk == d;
+  // Whether `slot` is live and homed on head d (loc_mu_ held).
+  auto homed = [&](uint64_t slot) {
+    const uint64_t n = slot >> 1;
+    if (slot & 1) {
+      auto it = parity_.find(n);
+      return it != parity_.end() && it->second.disk == d;
+    }
+    return n < loc_.size() && !freed_[n] && loc_[n].disk == d;
+  };
+  // Every slot homed on d that `want` accepts, in slot order (loc_mu_
+  // held).
+  auto homed_slots = [&](auto&& want) {
+    std::vector<uint64_t> out;
+    auto add = [&](uint64_t slot) {
+      if (homed(slot) && want(slot)) out.push_back(slot);
+    };
+    for (uint64_t id = 0; id < loc_.size(); ++id) add(DataSlot(id));
+    for (const auto& [g, pl] : parity_) add(ParitySlot(g));
+    std::sort(out.begin(), out.end());
+    return out;
   };
 
-  // Copy logical block `id` onto spare child `sc` (parity_mu_ held):
-  // direct read while the head still answers (a quarantined-but-alive
-  // head is current — writes keep landing on it), group reconstruction
-  // when it is dead. Unwritten blocks only claim the slot.
-  auto copy_data = [&](uint64_t id, uint64_t sc) -> Status {
-    ReconPlan plan;
-    if (!BuildReconPlan(id, /*loc_locked=*/false, &plan)) {
-      return Status::InvalidArgument("IndependentDiskDevice: lost block");
+  // Copy `slot` into its spare block (parity_mu_ held), claiming the
+  // block on first touch; the final pass re-copies a drained slot into
+  // the block the drain claimed. A data block is read as it stands (a
+  // quarantined-but-alive head is current — writes keep landing on it)
+  // or reconstructed when d is dead; an unwritten one only claims its
+  // block. A parity block is recomputed from the group's written live
+  // members: the old copy may be stale, since updates skip a dead
+  // parity head.
+  auto copy_one = [&](uint64_t slot) -> Status {
+    auto [it, fresh] = drained.try_emplace(slot, 0);
+    if (fresh) it->second = spare->Allocate();
+    const uint64_t n = slot >> 1;
+    if (slot & 1) {
+      std::vector<Loc> members;
+      {
+        std::shared_lock<std::shared_mutex> lock(loc_mu_);
+        AppendWrittenMembersLocked(n, /*skip=*/UINT64_MAX, &members);
+      }
+      VEM_RETURN_IF_ERROR(XorBlocks(members, buf.data()));
+    } else {
+      ReconPlan plan;
+      if (!BuildReconPlan(n, /*loc_locked=*/false, &plan)) {
+        return Status::InvalidArgument("IndependentDiskDevice: lost block");
+      }
+      if (!plan.written) return Status::OK();
+      VEM_RETURN_IF_ERROR(ReadCurrentLocked(plan, buf.data()));
     }
-    if (!plan.written) return Status::OK();
-    VEM_RETURN_IF_ERROR(ReadCurrentLocked(plan, buf.data()));
-    VEM_RETURN_IF_ERROR(spare->WriteUncounted(sc, buf.data()));
+    VEM_RETURN_IF_ERROR(spare->WriteUncounted(it->second, buf.data()));
     g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
     g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
     return Status::OK();
-  };
-
-  // Copy the MIRROR copy of `id` (homed on d) onto the spare: prefer
-  // reading the copy itself (head d merely sick), else the primary.
-  auto copy_mirror = [&](uint64_t id, uint64_t sc) -> Status {
-    Loc ml{}, pl{};
-    bool w = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(loc_mu_);
-      if (id >= loc_.size() || freed_[id]) return Status::OK();
-      ml = mirror_[id];
-      pl = loc_[id];
-      w = written_[id] != 0;
-    }
-    if (!w) return Status::OK();
-    Status s;
-    if (!DiskDead(ml.disk)) {
-      s = disks_[ml.disk]->ReadUncounted(ml.child_id, buf.data());
-    } else if (!DiskDead(pl.disk)) {
-      s = disks_[pl.disk]->ReadUncounted(pl.child_id, buf.data());
-    } else {
-      s = Status::IOError(
-          "IndependentDiskDevice: double failure (primary and copy dead)");
-    }
-    VEM_RETURN_IF_ERROR(s);
-    VEM_RETURN_IF_ERROR(spare->WriteUncounted(sc, buf.data()));
-    g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
-    g_parity_bytes_.fetch_add(2 * B, std::memory_order_relaxed);
-    return Status::OK();
-  };
-
-  // Copy `id` of `list` into its spare slot (parity_mu_ held), claiming
-  // the slot on first touch; the final pass re-copies a drained block
-  // into the slot the drain claimed.
-  auto copy_one = [&](size_t list, uint64_t id) -> Status {
-    auto [it, fresh] = drained[list].try_emplace(id, 0);
-    if (fresh) it->second = spare->Allocate();
-    return list == 0 ? copy_data(id, it->second)
-                     : copy_mirror(id, it->second);
   };
 
   // Depth-gauge politeness between batches: back off while demand
@@ -1048,150 +996,62 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     }
   };
 
-  // Snapshot the work: data blocks homed on d, plus mirror copies homed
-  // on d. Parity blocks homed on d are NOT drained here — their content
-  // may go stale while the workload keeps writing (a dead parity head's
-  // updates are skipped), so the final quiesced pass recomputes every
-  // one of them from its members instead.
-  std::vector<uint64_t> work[2];
+  // Background drain of every slot homed on d, in throttled batches.
+  std::vector<uint64_t> work;
   {
     std::shared_lock<std::shared_mutex> lock(loc_mu_);
-    for (size_t list = 0; list < 2; ++list) {
-      for (uint64_t id = 0; id < loc_.size(); ++id) {
-        if (homed(list, id)) work[list].push_back(id);
-      }
-    }
+    work = homed_slots([](uint64_t) { return true; });
   }
   Status err = Status::OK();
-  bool cancelled = false;
-  for (size_t list = 0; list < 2 && err.ok() && !cancelled; ++list) {
-    const std::vector<uint64_t>& ids = work[list];
-    size_t pos = 0;
-    while (pos < ids.size()) {
-      if (cancel && cancel()) {
-        cancelled = true;
-        break;
-      }
-      throttle();
-      std::lock_guard<std::mutex> plock(parity_mu_);
-      for (size_t k = 0; k < batch_blocks && pos < ids.size(); ++k, ++pos) {
-        const uint64_t id = ids[pos];
-        {
-          // The workload may have freed or re-homed the block since the
-          // snapshot; the final pass handles anything that changes
-          // AFTER this drain touches it (rebuild_dirty_).
-          std::shared_lock<std::shared_mutex> lock(loc_mu_);
-          if (!homed(list, id)) continue;
-        }
-        err = copy_one(list, id);
-        if (!err.ok()) break;
-      }
-      if (!err.ok()) break;
+  for (size_t pos = 0; pos < work.size() && err.ok();) {
+    if (cancel && cancel()) {
+      return park(Status::Busy(
+          "IndependentDiskDevice: rebuild cancelled (head recovered)"));
     }
-  }
-  if (cancelled) {
-    return park(Status::Busy(
-        "IndependentDiskDevice: rebuild cancelled (head recovered)"));
+    throttle();
+    std::lock_guard<std::mutex> plock(parity_mu_);
+    for (size_t k = 0; k < batch_blocks && pos < work.size() && err.ok();
+         ++k, ++pos) {
+      {
+        // The workload may have freed or re-homed the slot since the
+        // snapshot; the final pass handles anything that changes AFTER
+        // this drain touches it (rebuild_dirty_).
+        std::shared_lock<std::shared_mutex> lock(loc_mu_);
+        if (!homed(work[pos])) continue;
+      }
+      err = copy_one(work[pos]);
+    }
   }
   if (!err.ok()) return park(err);
 
   // Final quiesced pass. parity_mu_ blocks every mutator (Allocate,
   // Free, and all writes take it first), so the placement maps are
-  // frozen; the copies below still drop loc_mu_ around physical I/O.
+  // frozen; it re-copies only the slots the drain never reached or that
+  // went dirty since. The copies still drop loc_mu_ around physical I/O.
   {
     std::lock_guard<std::mutex> plock(parity_mu_);
-    std::vector<uint64_t> fix[2];
-    std::vector<uint64_t> groups;
+    std::vector<uint64_t> fix;
     {
-      std::unique_lock<std::shared_mutex> lock(loc_mu_);
-      for (size_t list = 0; list < 2; ++list) {
-        for (uint64_t id = 0; id < loc_.size(); ++id) {
-          if (homed(list, id) && (drained[list].count(id) == 0 ||
-                                  rebuild_dirty_.count(id) != 0)) {
-            fix[list].push_back(id);
-          }
-        }
-      }
-      if (redundancy_ == Redundancy::kParity) {
-        for (const auto& [g, pl] : parity_) {
-          if (pl.disk == d) groups.push_back(g);
-        }
-        std::sort(groups.begin(), groups.end());
-      }
+      std::shared_lock<std::shared_mutex> lock(loc_mu_);
+      fix = homed_slots([&](uint64_t slot) {
+        return drained.count(slot) == 0 || rebuild_dirty_.count(slot) != 0;
+      });
     }
-    for (size_t list = 0; list < 2 && err.ok(); ++list) {
-      for (uint64_t id : fix[list]) {
-        err = copy_one(list, id);
-        if (!err.ok()) break;
-      }
-    }
-    if (err.ok() && redundancy_ == Redundancy::kParity) {
-      // Recompute every parity block homed on d fresh from its members:
-      // a drained copy of the old parity could be stale (updates were
-      // silently skipped while d was dead), so XOR-from-members is the
-      // only safe content.
-      for (uint64_t g : groups) {
-        std::vector<Loc> members;
-        {
-          std::shared_lock<std::shared_mutex> lock(loc_mu_);
-          const uint64_t lo = g * group_data_;
-          const uint64_t hi = lo + group_data_;
-          for (uint64_t m = lo; m < hi && m < loc_.size(); ++m) {
-            if (!freed_[m] && written_[m]) members.push_back(loc_[m]);
-          }
-        }
-        const uint64_t sc = spare->Allocate();
-        parity_map[g] = sc;
-        if (members.empty()) {
-          parity_has[g] = 0;
-          continue;
-        }
-        std::vector<char> acc(B, 0);
-        for (const Loc& m : members) {
-          if (DiskDead(m.disk)) {
-            err = Status::IOError(
-                "IndependentDiskDevice: double failure (group member dead "
-                "during parity recompute)");
-            break;
-          }
-          err = disks_[m.disk]->ReadUncounted(m.child_id, buf.data());
-          if (!err.ok()) break;
-          g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-          for (size_t j = 0; j < B; ++j) acc[j] ^= buf[j];
-        }
-        if (!err.ok()) break;
-        err = spare->WriteUncounted(sc, acc.data());
-        if (!err.ok()) break;
-        parity_has[g] = 1;
-        g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
-        g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-      }
-    }
+    for (size_t i = 0; i < fix.size() && err.ok(); ++i) err = copy_one(fix[i]);
     if (err.ok()) {
       // SWAP: placement flips to the spare, the dead latch clears. The
       // retired head stays alive for the device's lifetime — engine
       // queues and health records key on its pointer.
       std::unique_lock<std::shared_mutex> lock(loc_mu_);
-      for (size_t list = 0; list < 2; ++list) {
-        for (auto& [id, sc] : drained[list]) {
-          if (homed(list, id)) {
-            (list == 0 ? loc_ : mirror_)[id] = Loc{uint32_t(d), sc};
-          } else {
-            spare->Free(sc);  // freed or re-homed while draining
-          }
-        }
-      }
-      for (auto& [g, sc] : parity_map) {
-        auto it = parity_.find(g);
-        if (it != parity_.end() && it->second.disk == d) {
-          it->second.child_id = sc;
-          if (parity_has[g]) {
-            parity_written_.insert(g);
-          } else {
-            parity_written_.erase(g);
-          }
+      for (auto& [slot, sc] : drained) {
+        const uint64_t n = slot >> 1;
+        if (!homed(slot)) {
+          spare->Free(sc);  // freed, re-homed or dissolved while draining
+        } else if (slot & 1) {
+          parity_[n].child_id = sc;
+          parity_written_.insert(n);
         } else {
-          spare->Free(sc);  // group dissolved while draining
+          loc_[n] = Loc{uint32_t(d), sc};
         }
       }
       retired_.push_back(std::move(disks_[d]));

@@ -44,27 +44,27 @@
 //
 // ---------------------------------------------------- redundancy plane
 //
-// SetRedundancy(mode, group_width) arms single-head fault tolerance:
-//
-//  - PARITY: logical ids are grouped G-1 at a time (group of id = id /
-//    (G-1), G = group_width clamped to [2, D], 0 meaning D); each
-//    group lazily owns one PARITY block = XOR of its members, placed on
-//    a head distinct from every member (rotation rides the cycling
-//    allocator: the parity head scans from group % D, and member
-//    placement skips heads the group already occupies). Writes maintain
-//    parity read-modify-write — or full-stripe, skipping the old-data
-//    reads, when one batch covers every live member of a group.
-//  - MIRROR: every block keeps a full copy on a second head.
+// SetRedundancy(kParity, group_width) arms single-head fault tolerance:
+// logical ids are grouped G-1 at a time (group of id = id / (G-1), G =
+// group_width clamped to [2, D], 0 meaning D); each group lazily owns
+// one PARITY block = XOR of its members, placed on a head distinct from
+// every member (rotation rides the cycling allocator: the parity head
+// scans from group % D, and member placement skips heads the group
+// already occupies). Writes maintain parity read-modify-write — or
+// full-stripe, skipping the old-data reads, when one batch covers every
+// live member of a group. At G = 2 a group holds one data block, so its
+// parity IS a mirror copy: width 2 is mirroring, and a degraded read
+// costs one transfer.
 //
 // DEGRADED MODE: when a block's home head is quarantined by the engine's
 // health monitor, or a transfer on it fails with a permanent Status
 // after the retry plane is exhausted (the device then latches the head
 // dead and RunWithDiskRetry escalates fail-stop evidence to the
-// engine), reads reconstruct the block from the G-1 surviving group
-// members (or the mirror copy) as one uncounted wave. Writes divert
-// only for DEAD heads — a quarantined-but-alive head still receives
-// writes so its contents stay current if it recovers — landing the
-// content in the parity/mirror plane alone.
+// engine), reads reconstruct the block from its group's parity block and
+// surviving members as one uncounted wave. Writes divert only for DEAD
+// heads — a quarantined-but-alive head still receives writes so its
+// contents stay current if it recovers — landing the content in the
+// parity block alone.
 //
 // ACCOUNTING CONTRACT: logical IoStats (parent and children) stay
 // bit-identical healthy vs degraded. Placement with redundancy armed
@@ -72,18 +72,18 @@
 // the allocation sequence — and thus every wave count — cannot depend
 // on when a head died; degraded paths charge the home child through
 // its Account* plane exactly as the healthy transfer would have. All
-// physical redundancy traffic (parity RMW, mirror copies,
-// reconstruction reads, rebuild drains) rides RedundancyStats, a gauge
-// as separate from IoStats as the retry plane's.
+// physical redundancy traffic (parity RMW, reconstruction reads,
+// rebuild drains) rides RedundancyStats, a gauge as separate from
+// IoStats as the retry plane's.
 //
-// REBUILD: AttachSpare parks hot spares; RebuildDisk(d) drains head d's
-// blocks onto a spare (reconstructing content when d is dead, copying
-// when merely sick), throttled by the engine's depth gauge, then
-// atomically swaps the spare in — placement flips back, the engine
-// forgets the dead head's health record, and reads are non-degraded
-// again. RebuildManager (io/rebuild_manager.h) runs this as a
-// background policy loop. Redundancy supports up to 64 heads (the dead
-// set is one atomic word).
+// REBUILD: AttachSpare parks hot spares; RebuildDisk(d) drains every
+// slot homed on head d — data blocks and parity blocks alike — onto a
+// spare, throttled by the engine's depth gauge, then atomically swaps
+// the spare in — placement flips back, the engine forgets the dead
+// head's health record, and reads are non-degraded again.
+// RebuildManager (io/rebuild_manager.h) runs this as a background
+// policy loop. Redundancy supports up to 64 heads (the dead set is one
+// atomic word).
 #pragma once
 
 #include <atomic>
@@ -102,8 +102,8 @@
 
 namespace vem {
 
-/// Redundancy scheme for IndependentDiskDevice (see the "Redundancy
-/// plane" section of the file comment), armed by SetRedundancy.
+/// Redundancy scheme for IndependentDiskDevice (see the redundancy
+/// section of the file comment), armed by SetRedundancy.
 ///  - kNone:   no redundancy — a permanently failed head loses its
 ///             blocks (the historical behavior).
 ///  - kParity: RAID-5-style rotated parity groups of width G (the
@@ -111,13 +111,11 @@ namespace vem {
 ///             block, all on distinct heads). Survives any single-head
 ///             failure; small writes pay a physical read-modify-write on
 ///             the parity block, charged to the redundancy gauge only.
-///  - kMirror: every block keeps a full copy on a second head (G = 2
-///             parity degenerates to mirroring of the XOR; kMirror
-///             stores the plain copy and skips the RMW).
+///             G = 2 is mirroring.
 /// Redundancy never changes the LOGICAL IoStats planes: degraded reads
 /// and diverted writes charge exactly what the healthy path would have,
 /// and all reconstruction traffic rides RedundancyStats.
-enum class Redundancy { kNone, kParity, kMirror };
+enum class Redundancy { kNone, kParity };
 
 /// Logical device of block size B over D independent child disks with
 /// randomized cycling placement. Stats on this device count PDM parallel
@@ -246,12 +244,12 @@ class IndependentDiskDevice final : public BlockDevice {
   /// Arm a redundancy scheme (see file comment). Must be called before
   /// the first Allocate and with at most 64 heads; otherwise it is
   /// ignored and the device stays at kNone. `group_width` is G for
-  /// kParity (0 = D), clamped to [2, D]; ignored for kMirror.
+  /// kParity (0 = D), clamped to [2, D]; G = 2 mirrors every block.
   void SetRedundancy(Redundancy mode, size_t group_width = 0);
   Redundancy redundancy() const { return redundancy_; }
   /// Parity group width G in force (0 when parity is not armed).
   size_t parity_group_width() const {
-    return redundancy_ == Redundancy::kParity ? group_data_ + 1 : 0;
+    return RedundancyArmed() ? group_data_ + 1 : 0;
   }
 
   /// Physical redundancy gauge (never part of IoStats).
@@ -282,16 +280,18 @@ class IndependentDiskDevice final : public BlockDevice {
   Status AttachSpare(std::unique_ptr<BlockDevice> spare);
   size_t spares_available() const;
 
-  /// Drain head `d` onto an attached spare and swap it in: every live
-  /// block (and parity block / mirror copy) homed on `d` is copied —
-  /// reconstructed from the group when `d` is dead — in batches of
-  /// `batch_blocks` uncounted transfers, throttled by the engine's
-  /// depth gauge so demand traffic keeps priority. Blocks written while
-  /// the drain runs are re-copied in the final (quiesced) pass, then
-  /// placement flips to the spare, the dead latch clears, and the
-  /// engine forgets the old head's health record. `cancel` is polled
-  /// between batches (RebuildManager passes "head recovered"); a
-  /// cancelled rebuild returns Status::Busy and re-parks the spare.
+  /// Drain head `d` onto an attached spare and swap it in: every slot
+  /// homed on `d` — a live data block, read as it stands or
+  /// reconstructed when `d` is dead, or a group's parity block,
+  /// recomputed from the group's written members — is copied in
+  /// batches of `batch_blocks` uncounted transfers, throttled by the
+  /// engine's depth gauge so demand traffic keeps priority. Slots
+  /// written or freed while the drain runs are re-copied in the final
+  /// (quiesced) pass, then placement flips to the spare, the dead latch
+  /// clears, and the engine forgets the old head's health record.
+  /// `cancel` is polled between batches (RebuildManager passes "head
+  /// recovered"); a cancelled rebuild returns Status::Busy and re-parks
+  /// the spare.
   /// Requires redundancy armed; the drain itself rides the redundancy
   /// gauge (rebuilt_blocks / parity_bytes), never IoStats.
   Status RebuildDisk(size_t d, const std::function<bool()>& cancel = nullptr,
@@ -312,13 +312,10 @@ class IndependentDiskDevice final : public BlockDevice {
   /// Everything a reconstruction needs, copied out of the placement map
   /// so the physical reads run lock-free (see BuildReconPlan).
   struct ReconPlan {
-    bool written = false;       // target ever written? (else Corruption)
-    Loc target{};               // home of the block being reconstructed
-    std::vector<Loc> peers;     // written live members to XOR (parity)
-    bool use_parity = false;    // parity mode (else mirror)
-    bool parity_written = false;
-    Loc parity{};               // parity block (parity mode)
-    Loc mirror{};               // copy (mirror mode)
+    bool written = false;         // target ever written? (else Corruption)
+    bool parity_written = false;  // group parity ever landed?
+    Loc target{};                 // home of the block being reconstructed
+    std::vector<Loc> peers;       // parity block + written live members
   };
 
   /// One disk's share of a batch, in batch order (so contiguous child
@@ -351,9 +348,9 @@ class IndependentDiskDevice final : public BlockDevice {
   /// Batch transfers: group by disk, dispatch, return the first error.
   /// With redundancy armed, reads reconstruct degraded heads' blocks in
   /// the caller thread (and those of a head that dies mid-batch);
-  /// writes maintain parity read-modify-write (or full-stripe) or the
-  /// mirror copy under parity_mu_, and a dead head's content lands in
-  /// the redundancy plane alone.
+  /// writes maintain parity read-modify-write (or full-stripe) under
+  /// parity_mu_, and a dead head's content lands in the parity block
+  /// alone.
   Status ReadMany(const uint64_t* ids, void* const* bufs, size_t n,
                   bool counted);
   Status WriteMany(const uint64_t* ids, const void* const* bufs, size_t n,
@@ -388,12 +385,19 @@ class IndependentDiskDevice final : public BlockDevice {
   /// Member/parity disks group `g` already occupies (loc_mu_ held).
   uint64_t GroupDiskMaskLocked(uint64_t g) const;
 
+  /// Append the placement of every written live member of group `g`
+  /// except `skip` (loc_mu_ held).
+  void AppendWrittenMembersLocked(uint64_t g, uint64_t skip,
+                                  std::vector<Loc>* out) const;
   /// Copy every fact a reconstruction of `id` needs (loc_locked = the
   /// caller already holds loc_mu_). False when `id` is unknown.
   bool BuildReconPlan(uint64_t id, bool loc_locked, ReconPlan* out) const;
-  /// Run a plan: XOR the parity block and written peers (or read the
-  /// mirror copy) into `out`. Physical reads are uncounted and ride the
-  /// gauge. parity_mu_ must be held; loc_mu_ must NOT be needed.
+  /// `out` = XOR of the blocks at `locs` (zeros when empty). Physical
+  /// reads are uncounted, retried and ride the gauge; a block on a dead
+  /// head is a double failure. loc_mu_ must NOT be held.
+  Status XorBlocks(const std::vector<Loc>& locs, void* out);
+  /// Run a plan: XOR the parity block and written peers into `out`.
+  /// parity_mu_ must be held; loc_mu_ must NOT be needed.
   Status ExecuteReconPlan(const ReconPlan& plan, void* out);
   /// Read the plan's target block as it stands: directly while its head
   /// answers (the read rides the gauge), by reconstruction when the head
@@ -439,15 +443,14 @@ class IndependentDiskDevice final : public BlockDevice {
   // ------------------------------------------------- redundancy state
   Redundancy redundancy_ = Redundancy::kNone;
   size_t group_data_ = 0;  // data blocks per parity group = G - 1
-  // Guarded by loc_mu_ like loc_: parity placement, mirror placement,
-  // and the per-id written/freed flags (single-byte slots are mutated
-  // under the SHARED lock — distinct ids never race, and growth happens
-  // only under the exclusive lock).
+  // Guarded by loc_mu_ like loc_: parity placement and the per-id
+  // written/freed flags (single-byte slots are mutated under the SHARED
+  // lock — distinct ids never race, and growth happens only under the
+  // exclusive lock).
   std::unordered_map<uint64_t, ParityLoc> parity_;  // group -> parity
-  std::vector<Loc> mirror_;                         // id -> copy (kMirror)
   std::vector<uint8_t> written_;                    // id -> payload landed
   std::vector<uint8_t> freed_;                      // id -> on free_list_
-  // Serializes every parity/mirror CONTENT operation (RMW, full-stripe,
+  // Serializes every parity CONTENT operation (RMW, full-stripe,
   // reconstruction, free-time XOR-out, rebuild batches) so concurrent
   // writers cannot interleave a read-modify-write. Ordering: parity_mu_
   // is taken BEFORE loc_mu_; no code path takes them the other way
@@ -457,8 +460,12 @@ class IndependentDiskDevice final : public BlockDevice {
   // Heads latched dead (bit per disk index, up to 64 heads).
   std::atomic<uint64_t> dead_mask_{0};
   // Rebuild coordination (guarded by parity_mu_): while a drain of
-  // rebuilding_disk_ runs, write paths log the ids they touch on it so
-  // the final pass re-copies exactly the blocks that went stale.
+  // rebuilding_disk_ runs, write and free paths log the slots they touch
+  // so the final pass re-copies exactly the slots that went stale. A
+  // slot is a data block (DataSlot) or a group's parity block
+  // (ParitySlot).
+  static uint64_t DataSlot(uint64_t id) { return id << 1; }
+  static uint64_t ParitySlot(uint64_t g) { return (g << 1) | 1; }
   int rebuilding_disk_ = -1;
   std::unordered_set<uint64_t> rebuild_dirty_;
   // Hot spares (guarded by loc_mu_) and swapped-out heads. Retired

@@ -24,7 +24,7 @@
 // Workers drain the untagged queue first, then round-robin across disk
 // queues with spare head capacity, so D tagged streams progress evenly.
 //
-// Submission backends (Options::io_backend): the worker pool above is the
+// Submission backends (the constructor's `backend`): the worker pool is the
 // compiled-in default. With IoBackend::kIoUring the pool still executes
 // jobs — the Submit/Wait/self-steal contract, per-disk caps, and both
 // accounting planes are untouched — but FileBlockDevice transfers inside
@@ -119,11 +119,11 @@ class IoEngine : public DepthGauge {
       : IoEngine(num_threads, disk_inflight_cap, backend,
                  /*deadline_ms=*/0) {}
 
-  /// Thread count, backend and watchdog deadline from Options, at the
-  /// PDM's one-transfer-per-head cap of 1 per disk.
+  /// Thread count and watchdog deadline from Options, on the worker pool
+  /// at the PDM's one-transfer-per-head cap of 1 per disk.
   explicit IoEngine(const Options& opts)
-      : IoEngine(opts.io_threads, /*disk_inflight_cap=*/1, opts.io_backend,
-                 opts.io_deadline_ms) {}
+      : IoEngine(opts.io_threads, /*disk_inflight_cap=*/1,
+                 IoBackend::kWorkerPool, opts.io_deadline_ms) {}
 
   /// Drains the queues (waits for every submitted job) and joins workers.
   ~IoEngine() override;

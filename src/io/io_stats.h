@@ -49,16 +49,16 @@ struct IoStats {
   }
 };
 
-/// Physical gauge for the redundancy plane (IndependentDiskDevice with
-/// Options::redundancy != kNone). Strictly SEPARATE from IoStats: the
-/// logical planes stay bit-identical healthy vs degraded, and every
-/// byte the redundancy machinery moves — parity read-modify-writes,
-/// mirror copies, reconstruction waves, rebuild drains — lands here
-/// instead. Same philosophy as RetryPolicy's retry gauge.
+/// Physical gauge for the redundancy plane (an IndependentDiskDevice
+/// armed by SetRedundancy). Strictly SEPARATE from IoStats: the logical
+/// planes stay bit-identical healthy vs degraded, and every byte the
+/// redundancy machinery moves — parity read-modify-writes,
+/// reconstruction waves, rebuild drains — lands here instead. Same
+/// philosophy as RetryPolicy's retry gauge.
 struct RedundancyStats {
   uint64_t degraded_reads = 0;   ///< blocks served by reconstruction
-  uint64_t degraded_writes = 0;  ///< writes landed via parity/mirror only
-  uint64_t parity_writes = 0;    ///< parity/mirror block writes
+  uint64_t degraded_writes = 0;  ///< writes landed via parity only
+  uint64_t parity_writes = 0;    ///< parity block writes
   uint64_t parity_bytes = 0;     ///< physical redundancy bytes moved
   uint64_t rebuilt_blocks = 0;   ///< blocks drained onto a spare
 

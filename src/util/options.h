@@ -61,11 +61,6 @@ struct Options {
   /// pread/pwrite rather than compute.
   size_t io_threads = 2;
 
-  /// Submission backend for IoEngines built from these Options. The
-  /// worker pool stays the default; kIoUring opts into the ring transport
-  /// where compiled in and kernel-supported (runtime fallback otherwise).
-  IoBackend io_backend = IoBackend::kWorkerPool;
-
   /// Seed for randomized block placement, for callers that build an
   /// IndependentDiskDevice from Options (its constructor takes the seed;
   /// no library code reads this field). Randomized cycling: each cycle

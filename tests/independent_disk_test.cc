@@ -25,8 +25,8 @@
 //    (governor depth grows and arbiter staging grows both refuse while
 //    every worker is busy with a backlog).
 //
-// The redundancy plane (parity/mirror degraded mode, kill-a-disk-
-// mid-sort stats identity, rebuild onto spares) is pinned in
+// The redundancy plane (parity degraded mode, kill-a-disk-mid-sort
+// stats identity, rebuild onto spares) is pinned in
 // tests/redundancy_test.cc; its engine-on vs engine-off identity on
 // this file's workload is pinned here.
 #include <gtest/gtest.h>
@@ -192,7 +192,7 @@ struct WorkloadCost {
   IoStats parent;
   std::vector<IoStats> children;
   std::vector<uint64_t> output;
-  uint64_t parity_writes = 0;  // RedundancyStats: parity or mirror copies
+  uint64_t parity_writes = 0;  // RedundancyStats: parity block writes
 };
 
 /// Streamed write + scan + forecast-merged external sort on 4 file
@@ -201,7 +201,8 @@ struct WorkloadCost {
 WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
                          bool governed,
                          IoBackend backend = IoBackend::kWorkerPool,
-                         Redundancy redundancy = Redundancy::kNone) {
+                         Redundancy redundancy = Redundancy::kNone,
+                         size_t group_width = 0) {
   std::vector<std::unique_ptr<BlockDevice>> disks;
   for (int d = 0; d < 4; ++d) {
     auto child = std::make_unique<FileBlockDevice>(
@@ -213,7 +214,7 @@ WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
   EXPECT_TRUE(dev.valid());
   EXPECT_TRUE(dev.SupportsUncounted());
   EXPECT_TRUE(dev.SupportsAsync());
-  dev.SetRedundancy(redundancy);
+  dev.SetRedundancy(redundancy, group_width);
   EXPECT_EQ(dev.redundancy(), redundancy);
   IoEngine engine(3, /*disk_inflight_cap=*/1, backend);
   PrefetchGovernor::Config gov_cfg;
@@ -315,18 +316,20 @@ TEST(IndependentDiskIdentity, IoUringBackendBitIdenticalToWorkerPool) {
   }
 }
 
-// The redundancy plane's engine branch: with parity or mirroring armed,
-// the engine-on run (disk-tagged per-disk jobs on both planes) must
-// reproduce the engine-off run bit for bit — output, parent and child
-// IoStats, and the physical parity-write count.
+// The redundancy plane's engine branch: with parity armed at width D or
+// at width 2 (mirroring), the engine-on run (disk-tagged per-disk jobs
+// on both planes) must reproduce the engine-off run bit for bit —
+// output, parent and child IoStats, and the physical parity-write count.
 TEST(IndependentDiskIdentity, RedundantEngineOnMatchesEngineOff) {
-  for (Redundancy mode : {Redundancy::kParity, Redundancy::kMirror}) {
-    const std::string name = mode == Redundancy::kParity ? "par" : "mir";
+  for (size_t width : {size_t{0}, size_t{2}}) {
+    const std::string name = width == 0 ? "par" : "mir";
     SCOPED_TRACE(name);
     WorkloadCost off = RunWorkload(name + "_off", 8, false, false,
-                                   IoBackend::kWorkerPool, mode);
+                                   IoBackend::kWorkerPool,
+                                   Redundancy::kParity, width);
     WorkloadCost on = RunWorkload(name + "_on", 8, true, false,
-                                  IoBackend::kWorkerPool, mode);
+                                  IoBackend::kWorkerPool, Redundancy::kParity,
+                                  width);
     EXPECT_TRUE(std::is_sorted(off.output.begin(), off.output.end()));
     EXPECT_EQ(off.output, on.output);
     EXPECT_EQ(off.parent, on.parent);

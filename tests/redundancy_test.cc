@@ -1,5 +1,6 @@
-// Redundancy-plane tests: RAID-5-style rotated parity and mirroring on
-// IndependentDiskDevice, degraded mode, and rebuild-onto-spare.
+// Redundancy-plane tests: RAID-5-style rotated parity on
+// IndependentDiskDevice (group width 2 is mirroring), degraded mode, and
+// rebuild-onto-spare.
 //
 // The acceptance bar (ISSUE PR 10): with redundancy armed at D=4 and one
 // child fail-stopped MID-workload, an external sort and a batched
@@ -48,7 +49,8 @@ void PatternBlock(char* buf, uint64_t id, uint64_t version) {
   }
 }
 
-/// D=4 device of Faulty(Memory) children with a redundancy mode armed.
+/// D=4 device of Faulty(Memory) children with a redundancy mode armed
+/// (`group_width` 2 mirrors every block).
 struct RedundantRig {
   std::vector<std::unique_ptr<MemoryBlockDevice>> inners;
   std::vector<FaultyBlockDevice*> wrappers;
@@ -129,10 +131,10 @@ TEST(FailStop, EscalatesToLatchedQuarantine) {
 // abandoned job, finishing after the call returned, must touch only
 // what it owns. Disk 0's share is the batch's inline job, slowed well
 // past a thread wake-up so the lone worker has picked up disk 1's share
-// before the wait could steal it; disk 1's share stalls.
+// before the wait could steal it; disk 1's share stalls. At D=2 parity
+// groups have width 2, so kParity is the mirrored case.
 TEST(RedundancyWatchdog, TimedOutHeadFailsTheBatch) {
-  for (Redundancy mode :
-       {Redundancy::kNone, Redundancy::kParity, Redundancy::kMirror}) {
+  for (Redundancy mode : {Redundancy::kNone, Redundancy::kParity}) {
     SCOPED_TRACE(int(mode));
     Options opts;
     opts.io_threads = 1;
@@ -265,8 +267,10 @@ TEST(RedundancyConsistency, ParityConsistentAfterRandomWritesAnyDiskDead) {
   }
 }
 
+// Width 2: every group is one data block plus its copy.
 TEST(RedundancyConsistency, MirrorServesCopyWhenPrimaryDead) {
-  RedundantRig rig(Redundancy::kMirror);
+  RedundantRig rig(Redundancy::kParity, /*group_width=*/2);
+  ASSERT_EQ(rig.dev->parity_group_width(), 2u);
   std::map<uint64_t, std::vector<char>> shadow;
   std::vector<uint64_t> ids;
   for (int i = 0; i < 48; ++i) {
@@ -305,11 +309,12 @@ struct RedundantWorkloadResult {
 };
 
 /// External sort (forecast merge, write-behind depth 8) over a D=4
-/// redundant device; when `kill_mid_run`, head 1 fail-stops after its
-/// 300th transfer attempt — mid-sort, past the first run formation.
-RedundantWorkloadResult RunRedundantSortWorkload(Redundancy mode,
+/// parity device of group width `group_width` (0 = D, 2 = mirroring);
+/// when `kill_mid_run`, head 1 fail-stops after its 300th transfer
+/// attempt — mid-sort, past the first run formation.
+RedundantWorkloadResult RunRedundantSortWorkload(size_t group_width,
                                                  bool kill_mid_run) {
-  RedundantRig rig(mode);
+  RedundantRig rig(Redundancy::kParity, group_width);
   if (kill_mid_run) rig.wrappers[1]->SetDeadAfter(300);
   RedundantWorkloadResult res;
   Rng rng(41);
@@ -352,10 +357,8 @@ void ExpectBitIdentical(const RedundantWorkloadResult& a,
 // parity — the sort completes by reconstruction, and the logical cost
 // model cannot tell the runs apart. Only the physical gauge can.
 TEST(RedundancyDegraded, KillOneDiskMidSortParityStatsIdentical) {
-  RedundantWorkloadResult healthy =
-      RunRedundantSortWorkload(Redundancy::kParity, false);
-  RedundantWorkloadResult degraded =
-      RunRedundantSortWorkload(Redundancy::kParity, true);
+  RedundantWorkloadResult healthy = RunRedundantSortWorkload(0, false);
+  RedundantWorkloadResult degraded = RunRedundantSortWorkload(0, true);
   EXPECT_TRUE(std::is_sorted(healthy.output.begin(), healthy.output.end()));
   ExpectBitIdentical(healthy, degraded, "parity");
   EXPECT_EQ(healthy.gauge.degraded_reads, 0u);
@@ -365,17 +368,14 @@ TEST(RedundancyDegraded, KillOneDiskMidSortParityStatsIdentical) {
 }
 
 TEST(RedundancyDegraded, KillOneDiskMidSortMirrorStatsIdentical) {
-  RedundantWorkloadResult healthy =
-      RunRedundantSortWorkload(Redundancy::kMirror, false);
-  RedundantWorkloadResult degraded =
-      RunRedundantSortWorkload(Redundancy::kMirror, true);
+  RedundantWorkloadResult healthy = RunRedundantSortWorkload(2, false);
+  RedundantWorkloadResult degraded = RunRedundantSortWorkload(2, true);
   ExpectBitIdentical(healthy, degraded, "mirror");
   EXPECT_GT(degraded.gauge.degraded_reads, 0u);
-  // Satellite: mirror and parity are interchangeable at the data level —
+  // Mirroring and wider parity are interchangeable at the data level —
   // the sorted output is the same; only the physical redundancy traffic
-  // (and, placement being scheme-dependent, the wave counts) differs.
-  RedundantWorkloadResult parity =
-      RunRedundantSortWorkload(Redundancy::kParity, true);
+  // (and, placement being width-dependent, the wave counts) differs.
+  RedundantWorkloadResult parity = RunRedundantSortWorkload(0, true);
   EXPECT_EQ(healthy.output, parity.output);
 }
 
@@ -525,8 +525,80 @@ TEST(RedundancyRebuild, CancelledRebuildReParksSpareAndStaysDegraded) {
   }
 }
 
+// The workload keeps running while the drain does: between drain
+// batches (the `cancel` poll, which answers "keep going") three blocks
+// are overwritten, and every few batches one block is freed and one is
+// allocated. Writes that hit an already drained block, or the group
+// parity of one, must reach the spare through the final pass. After the
+// swap every live block reads back its last-written bytes without
+// reconstruction, and a second dead head is still survivable. Widths
+// D, 3 and 2 (mirroring), each head killed in turn.
+TEST(RedundancyRebuild, WritesAndFreesDuringRebuildLandOnTheSpare) {
+  for (size_t width : {size_t{0}, size_t{3}, size_t{2}}) {
+    for (size_t kill = 0; kill < 4; ++kill) {
+      SCOPED_TRACE("width " + std::to_string(width) + " kill " +
+                   std::to_string(kill));
+      RedundantRig rig(Redundancy::kParity, width);
+      std::map<uint64_t, std::vector<char>> shadow;
+      std::vector<uint64_t> live;
+      uint64_t version = 0;
+      auto write = [&](uint64_t id) {
+        std::vector<char> buf(kBlock);
+        PatternBlock(buf.data(), id, ++version);
+        ASSERT_TRUE(rig.dev->Write(id, buf.data()).ok()) << "id " << id;
+        shadow[id] = std::move(buf);
+      };
+      for (int i = 0; i < 96; ++i) {
+        live.push_back(rig.dev->Allocate());
+        write(live.back());
+      }
+      rig.dev->MarkDiskDead(kill);
+      ASSERT_TRUE(
+          rig.dev->AttachSpare(std::make_unique<MemoryBlockDevice>(kBlock))
+              .ok());
+      Rng rng(kSeed + kill);
+      size_t polls = 0;
+      auto mutate = [&] {
+        polls++;
+        for (int k = 0; k < 3; ++k) write(live[rng.Next() % live.size()]);
+        if (polls % 3 == 0) {
+          const size_t at = rng.Next() % live.size();
+          rig.dev->Free(live[at]);
+          shadow.erase(live[at]);
+          live.erase(live.begin() + at);
+        }
+        if (polls % 4 == 0) {
+          live.push_back(rig.dev->Allocate());
+          write(live.back());
+        }
+        return false;
+      };
+      Status s = rig.dev->RebuildDisk(kill, mutate, /*batch_blocks=*/2);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_GT(polls, 4u) << "the drain ran in too few batches";
+      ASSERT_FALSE(rig.dev->DiskDead(kill));
+      const uint64_t degraded = rig.dev->redundancy_stats().degraded_reads;
+      for (uint64_t id : live) {
+        std::vector<char> out(kBlock);
+        ASSERT_TRUE(rig.dev->Read(id, out.data()).ok()) << "id " << id;
+        EXPECT_EQ(std::memcmp(out.data(), shadow[id].data(), kBlock), 0)
+            << "id " << id << " on disk " << rig.dev->disk_of(id);
+      }
+      EXPECT_EQ(rig.dev->redundancy_stats().degraded_reads, degraded);
+      rig.dev->MarkDiskDead((kill + 1) % 4);
+      for (uint64_t id : live) {
+        std::vector<char> out(kBlock);
+        ASSERT_TRUE(rig.dev->Read(id, out.data()).ok())
+            << "second death, id " << id;
+        EXPECT_EQ(std::memcmp(out.data(), shadow[id].data(), kBlock), 0)
+            << "second death, id " << id;
+      }
+    }
+  }
+}
+
 TEST(RedundancyRebuild, RebuildManagerDrainsDeadHead) {
-  RedundantRig rig(Redundancy::kMirror);
+  RedundantRig rig(Redundancy::kParity, /*group_width=*/2);
   std::map<uint64_t, std::vector<char>> shadow;
   for (int i = 0; i < 40; ++i) {
     uint64_t id = rig.dev->Allocate();
