@@ -27,11 +27,6 @@ using namespace vem::bench;
 
 namespace {
 
-double Secs(std::chrono::steady_clock::time_point a,
-            std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 struct Run {
   double seconds = 0;
   IoStats cost;
@@ -229,15 +224,16 @@ int main(int argc, char** argv) {
     bool identical =
         r.sync.cost == r.batched.cost && r.sync.cost == r.async.cost;
     all_identical = all_identical && identical;
-    double best = std::min(r.batched.seconds, r.async.seconds);
+    double speedup =
+        Ratio(r.sync.seconds, std::min(r.batched.seconds, r.async.seconds));
     t.AddRow({r.name, Fmt(r.sync.seconds, 3), Fmt(r.batched.seconds, 3),
-              Fmt(r.async.seconds, 3), Fmt(r.sync.seconds / best, 2) + "x",
+              Fmt(r.async.seconds, 3), Fmt(speedup, 2) + "x",
               FmtInt(r.sync.cost.block_ios()),
               identical ? "yes" : "NO (BUG)"});
     report.Add(r.name, "sync_seconds", r.sync.seconds);
     report.Add(r.name, "batched_seconds", r.batched.seconds);
     report.Add(r.name, "async_seconds", r.async.seconds);
-    report.Add(r.name, "speedup", r.sync.seconds / best);
+    report.Add(r.name, "speedup", speedup);
     report.Add(r.name, "block_ios", double(r.sync.cost.block_ios()));
     report.Add(r.name, "parallel_ios", double(r.sync.cost.parallel_ios()));
     report.Add(r.name, "stats_identical", identical ? 1.0 : 0.0);
@@ -284,7 +280,7 @@ int main(int argc, char** argv) {
       Run ur = RunRandRead(b.direct, b.qdepth, &ur_engine);
       bool identical = wp.cost == ur.cost;
       all_identical = all_identical && identical;
-      double speedup = wp.seconds / ur.seconds;
+      double speedup = Ratio(wp.seconds, ur.seconds);
       bt.AddRow({b.name, Fmt(wp.seconds, 3), Fmt(ur.seconds, 3),
                  Fmt(speedup, 2) + "x", identical ? "yes" : "NO (BUG)"});
       report.Add(b.name, "worker_pool_seconds", wp.seconds);
@@ -305,13 +301,5 @@ int main(int argc, char** argv) {
   if (!all_identical) {
     std::printf("ERROR: async path changed IoStats — cost model violated\n");
   }
-  if (report.WriteRepoFile("BENCH_async_io.json")) {
-    std::printf("\nwrote BENCH_async_io.json\n");
-  } else {
-    std::printf("\ncould not write BENCH_async_io.json\n");
-  }
-  if (HasFlag(argc, argv, "--json")) {
-    std::printf("%s", report.Render().c_str());
-  }
-  return all_identical ? 0 : 1;
+  return report.Finish(argc, argv, all_identical ? 0 : 1);
 }

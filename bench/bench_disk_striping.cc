@@ -25,8 +25,8 @@
 // only on the RedundancyStats gauge. Exit code 3 when violated.
 //
 // Emits BENCH_independent_disks.json at the repo root. --smoke runs a
-// reduced sweep and exits non-zero unless every row keeps
-// stats_identical == 1 and armed speedup >= 0.95 — the CI gate.
+// reduced sweep as the CI gate: bench_util.h's GateRow on sync/armed
+// (exit 1 = IoStats differ, 2 = < 0.95x above the 5 ms floor).
 // --verbose additionally dumps the engine's per-disk health snapshot
 // (error/latency EWMAs, quarantine/fail-stop/rebuild flags) after the
 // file-backed rows.
@@ -62,11 +62,6 @@ constexpr size_t kDepth = 8;                   // armed stream depth
 
 size_t g_shift = 0;  // --smoke shrinks workloads
 size_t SortItems() { return (48 * kMemBytes / sizeof(uint64_t)) >> g_shift; }
-
-double Secs(std::chrono::steady_clock::time_point a,
-            std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 struct Cell {
   double seconds = 0;
@@ -251,73 +246,46 @@ Cell StripedRandomReads(size_t d, bool direct, IoEngine* engine) {
   return cell;
 }
 
+/// One gated row: independent sync vs armed, then striped (ungated).
 struct Row {
-  std::string name;
   Cell sync, armed, striped;
+
+  /// Sync-vs-armed identity under the write-wave contract. Reads and
+  /// every byte/block counter must match bit-for-bit — arming never
+  /// changes what moves. parallel_writes is depth-DEPENDENT by design:
+  /// grouped write-behind charges one step per wave of distinct disks,
+  /// and the flush-group boundaries set the wave packing, so the armed
+  /// run may charge FEWER write steps than the per-block sync run (never
+  /// more). Children stay fully identical either way — waves are a
+  /// parent-level charge; each child still counts its own blocks.
+  bool identical() const {
+    const IoStats& s = sync.cost;
+    const IoStats& a = armed.cost;
+    return s.block_reads == a.block_reads &&
+           s.block_writes == a.block_writes &&
+           s.bytes_read == a.bytes_read &&
+           s.bytes_written == a.bytes_written &&
+           s.parallel_reads == a.parallel_reads &&
+           a.parallel_writes <= s.parallel_writes &&
+           sync.child_cost == armed.child_cost;
+  }
+  std::pair<double, double> timed() const {
+    return {sync.seconds, armed.seconds};
+  }
 };
 
-bool ChildStatsIdentical(const Cell& a, const Cell& b) {
-  if (a.child_cost.size() != b.child_cost.size()) return false;
-  for (size_t i = 0; i < a.child_cost.size(); ++i) {
-    if (!(a.child_cost[i] == b.child_cost[i])) return false;
+/// Worker-pool vs io_uring transport on the same armed cell.
+struct Transports {
+  Cell worker_pool, io_uring;
+
+  bool identical() const {
+    return worker_pool.cost == io_uring.cost &&
+           worker_pool.child_cost == io_uring.child_cost;
   }
-  return true;
-}
-
-/// Sync-vs-armed identity under the write-wave contract. Reads and every
-/// byte/block counter must match bit-for-bit — arming never changes what
-/// moves. parallel_writes is depth-DEPENDENT by design: grouped
-/// write-behind charges one step per wave of distinct disks, and the
-/// flush-group boundaries set the wave packing, so the armed run may
-/// charge FEWER write steps than the per-block sync run (never more).
-/// Children stay fully identical either way — waves are a parent-level
-/// charge; each child still counts its own blocks one at a time.
-bool RowIdentical(const Row& r) {
-  const IoStats& s = r.sync.cost;
-  const IoStats& a = r.armed.cost;
-  return s.block_reads == a.block_reads && s.block_writes == a.block_writes &&
-         s.bytes_read == a.bytes_read && s.bytes_written == a.bytes_written &&
-         s.parallel_reads == a.parallel_reads &&
-         a.parallel_writes <= s.parallel_writes &&
-         ChildStatsIdentical(r.sync, r.armed);
-}
-
-enum class Kind { kSort, kRandomReads };
-
-/// Paired best-of-N: all three cells measured back-to-back per repeat so
-/// machine-phase noise cancels; keeps the repeat with the best armed
-/// speedup (see bench_prefetch_layers for the rationale).
-Row MeasureRow(const std::string& name, Kind kind, size_t d, bool direct,
-               IoEngine* engine, int repeats) {
-  Row row;
-  row.name = name;
-  double best = -1;
-  for (int r = 0; r < repeats; ++r) {
-    Cell sync, armed, striped;
-    if (kind == Kind::kSort) {
-      sync = IndependentSort(d, direct, /*armed=*/false, engine);
-      armed = IndependentSort(d, direct, /*armed=*/true, engine);
-      striped = StripedSort(d, direct, engine);
-    } else {
-      sync = IndependentRandomReads(d, direct, /*armed=*/false, engine);
-      armed = IndependentRandomReads(d, direct, /*armed=*/true, engine);
-      striped = StripedRandomReads(d, direct, engine);
-    }
-    double ratio = sync.seconds / std::max(armed.seconds, 1e-9);
-    if (ratio > best) {
-      best = ratio;
-      row.sync = sync;
-      row.armed = armed;
-      row.striped = striped;
-    }
-    // A repeat that breaks stats identity is the cost-model violation
-    // this harness exists to catch: surface it immediately instead of
-    // letting a cleaner repeat win the best-of selection.
-    Row violation{name, sync, armed, striped};
-    if (!RowIdentical(violation)) return violation;
+  std::pair<double, double> timed() const {
+    return {worker_pool.seconds, io_uring.seconds};
   }
-  return row;
-}
+};
 
 /// Part 1: deterministic counted comparison on in-memory children.
 void CountedComparison() {
@@ -461,12 +429,7 @@ bool DegradedSmoke(JsonReport* report) {
   bool identical = healthy.completed && degraded.completed &&
                    healthy.output == degraded.output &&
                    healthy.parent == degraded.parent &&
-                   healthy.children.size() == degraded.children.size();
-  if (identical) {
-    for (size_t d = 0; d < healthy.children.size(); ++d) {
-      identical = identical && healthy.children[d] == degraded.children[d];
-    }
-  }
+                   healthy.children == degraded.children;
   bool reconstructed = degraded.gauge.degraded_reads > 0;
   std::printf(
       "\n## Degraded mode, D=4 parity, head 1 fail-stopped mid-sort\n"
@@ -521,7 +484,12 @@ int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
   const bool verbose = HasFlag(argc, argv, "--verbose");
   if (smoke) g_shift = 2;  // quarter workload: rows stay in the tens of ms
-  const int repeats = smoke ? 4 : 3;
+  // Paired best-of-N on every row. Rows faster than 5 ms on both sides
+  // sit below timer/scheduler noise (warm-cache random reads finish in
+  // ~1 ms): their ratio measures the OS, not the engine, so they pass on
+  // identity alone.
+  const Gate gate{.repeats = smoke ? 4 : 3, .retries = smoke ? 2 : 0,
+                  .min_timed = 0.005};
 
   CountedComparison();
 
@@ -533,97 +501,63 @@ int main(int argc, char** argv) {
       kDepth, kMemBytes / 1024, SortItems(), smoke ? " [smoke]" : "");
 
   struct Spec {
-    std::string name;
-    Kind kind;
+    const char* name;
+    Cell (*independent)(size_t d, bool direct, bool armed, IoEngine* engine);
+    Cell (*striped)(size_t d, bool direct, IoEngine* engine);
     size_t d;
     bool direct;
   };
-  std::vector<Spec> specs = {
-      {"sort D=2 buffered", Kind::kSort, 2, false},
-      {"sort D=4 buffered", Kind::kSort, 4, false},
-      {"sort D=2 O_DIRECT", Kind::kSort, 2, true},
-      {"sort D=4 O_DIRECT", Kind::kSort, 4, true},
-      {"random reads D=4 buffered", Kind::kRandomReads, 4, false},
-      {"random reads D=2 O_DIRECT", Kind::kRandomReads, 2, true},
-      {"random reads D=4 O_DIRECT", Kind::kRandomReads, 4, true},
+  const Spec specs[] = {
+      {"sort D=2 buffered", IndependentSort, StripedSort, 2, false},
+      {"sort D=4 buffered", IndependentSort, StripedSort, 4, false},
+      {"sort D=2 O_DIRECT", IndependentSort, StripedSort, 2, true},
+      {"sort D=4 O_DIRECT", IndependentSort, StripedSort, 4, true},
+      {"random reads D=4 buffered", IndependentRandomReads,
+       StripedRandomReads, 4, false},
+      {"random reads D=2 O_DIRECT", IndependentRandomReads,
+       StripedRandomReads, 2, true},
+      {"random reads D=4 O_DIRECT", IndependentRandomReads,
+       StripedRandomReads, 4, true},
   };
-  constexpr double kMinSpeedup = 0.95;
-  // Rows faster than this on both sides sit below timer/scheduler noise
-  // (warm-cache random reads finish in ~1 ms); the speedup gate would
-  // measure the OS, not the engine, so such rows pass on identity alone.
-  constexpr double kGateFloorSeconds = 0.005;
-  std::vector<Row> rows;
-  for (const Spec& spec : specs) {
-    Row row =
-        MeasureRow(spec.name, spec.kind, spec.d, spec.direct, &engine,
-                   repeats);
-    // Smoke flake guard, speedup only. A stats mismatch is NEVER
-    // retried away — whichever measurement exhibits it, it is the
-    // cost-model violation this gate exists to catch, so a mismatching
-    // retry replaces the row outright (and fails the gate) instead of
-    // being quietly dropped.
-    if (smoke && RowIdentical(row)) {
-      double speedup = row.sync.seconds / std::max(row.armed.seconds, 1e-9);
-      for (int attempt = 0;
-           attempt < 2 && speedup < kMinSpeedup &&
-           std::max(row.sync.seconds, row.armed.seconds) >= kGateFloorSeconds;
-           ++attempt) {
-        Row retry = MeasureRow(spec.name, spec.kind, spec.d, spec.direct,
-                               &engine, repeats);
-        if (!RowIdentical(retry)) {
-          row = retry;  // surface the violation; identity gate fails
-          break;
-        }
-        double retry_speedup =
-            retry.sync.seconds / std::max(retry.armed.seconds, 1e-9);
-        if (retry_speedup > speedup) {
-          row = retry;
-          speedup = retry_speedup;
-        }
-      }
-    }
-    rows.push_back(row);
-  }
-
   Table t({"configuration", "indep sync s", "indep armed s", "striped s",
            "vs striped", "indep passes", "striped passes", "indep par I/Os",
            "striped par I/Os", "stats identical"});
   JsonReport report("independent_disks");
-  bool all_identical = true;
-  bool all_fast_enough = true;
-  for (const Row& r : rows) {
-    bool identical = RowIdentical(r);
-    all_identical = all_identical && identical;
-    double speedup = r.sync.seconds / std::max(r.armed.seconds, 1e-9);
-    double vs_striped = r.striped.seconds / std::max(r.armed.seconds, 1e-9);
-    bool above_floor =
-        std::max(r.sync.seconds, r.armed.seconds) >= kGateFloorSeconds;
-    all_fast_enough =
-        all_fast_enough && (!above_floor || speedup >= kMinSpeedup);
-    t.AddRow({r.name, Fmt(r.sync.seconds, 3), Fmt(r.armed.seconds, 3),
+  GateVerdict verdict;
+  for (const Spec& spec : specs) {
+    auto row = GateRow(gate, [&] {
+      return Row{spec.independent(spec.d, spec.direct, false, &engine),
+                 spec.independent(spec.d, spec.direct, true, &engine),
+                 spec.striped(spec.d, spec.direct, &engine)};
+    });
+    verdict.Add(row);
+    const Row& r = row.pair;
+    double vs_striped = Ratio(r.striped.seconds, r.armed.seconds);
+    t.AddRow({spec.name, Fmt(r.sync.seconds, 3), Fmt(r.armed.seconds, 3),
               Fmt(r.striped.seconds, 3), Fmt(vs_striped, 2) + "x",
               FmtInt(r.armed.merge_passes), FmtInt(r.striped.merge_passes),
               FmtInt(r.armed.cost.parallel_ios()),
               FmtInt(r.striped.cost.parallel_ios()),
-              identical ? "yes" : "NO (BUG)"});
-    report.Add(r.name, "sync_seconds", r.sync.seconds);
-    report.Add(r.name, "armed_seconds", r.armed.seconds);
-    report.Add(r.name, "striped_seconds", r.striped.seconds);
-    report.Add(r.name, "speedup", speedup);
-    report.Add(r.name, "vs_striped", vs_striped);
-    report.Add(r.name, "indep_merge_passes", double(r.armed.merge_passes));
-    report.Add(r.name, "striped_merge_passes",
+              row.identical ? "yes" : "NO (BUG)"});
+    report.Add(spec.name, "sync_seconds", r.sync.seconds);
+    report.Add(spec.name, "armed_seconds", r.armed.seconds);
+    report.Add(spec.name, "striped_seconds", r.striped.seconds);
+    report.Add(spec.name, "speedup", row.ratio);
+    report.Add(spec.name, "vs_striped", vs_striped);
+    report.Add(spec.name, "indep_merge_passes", double(r.armed.merge_passes));
+    report.Add(spec.name, "striped_merge_passes",
                double(r.striped.merge_passes));
-    report.Add(r.name, "indep_parallel_ios",
+    report.Add(spec.name, "indep_parallel_ios",
                double(r.armed.cost.parallel_ios()));
-    report.Add(r.name, "striped_parallel_ios",
+    report.Add(spec.name, "striped_parallel_ios",
                double(r.striped.cost.parallel_ios()));
-    report.Add(r.name, "indep_block_ios", double(r.armed.cost.block_ios()));
-    report.Add(r.name, "striped_block_ios",
+    report.Add(spec.name, "indep_block_ios", double(r.armed.cost.block_ios()));
+    report.Add(spec.name, "striped_block_ios",
                double(r.striped.cost.block_ios()));
-    report.Add(r.name, "stats_identical", identical ? 1.0 : 0.0);
-    report.Add(r.name, "direct_io_active",
+    report.Add(spec.name, "stats_identical", row.identical ? 1.0 : 0.0);
+    report.Add(spec.name, "direct_io_active",
                r.armed.direct_active ? 1.0 : 0.0);
+    AddRatios(&report, spec.name, row);
   }
   t.Print();
   std::printf(
@@ -649,38 +583,23 @@ int main(int argc, char** argv) {
     Table bt({"configuration", "worker-pool s", "io_uring s",
               "io_uring speedup", "stats identical"});
     for (bool direct : {false, true}) {
-      // Paired best-of-N like MeasureRow: both transports measured
-      // back-to-back per repeat; an identity violation always wins.
-      Cell wp, ur;
-      bool identical = true;
-      double best = -1;
-      for (int rep = 0; rep < repeats; ++rep) {
-        Cell w = IndependentRandomReads(4, direct, /*armed=*/true, &engine);
-        Cell u = IndependentRandomReads(4, direct, /*armed=*/true, &ur_engine);
-        if (!(w.cost == u.cost && ChildStatsIdentical(w, u))) {
-          wp = w;
-          ur = u;
-          identical = false;
-          break;
-        }
-        double sp = w.seconds / std::max(u.seconds, 1e-9);
-        if (sp > best) {
-          best = sp;
-          wp = w;
-          ur = u;
-        }
-      }
-      all_identical = all_identical && identical;
-      double speedup = wp.seconds / std::max(ur.seconds, 1e-9);
+      // Both transports back to back per repeat; no speed gate.
+      auto row = PairedRun(gate.repeats, [&] {
+        return Transports{IndependentRandomReads(4, direct, true, &engine),
+                          IndependentRandomReads(4, direct, true, &ur_engine)};
+      });
+      verdict.Add(row);
+      const auto& [wp, ur] = row.pair;
       std::string name = std::string("backend random reads D=4 ") +
                          (direct ? "O_DIRECT" : "buffered");
       bt.AddRow({name, Fmt(wp.seconds, 3), Fmt(ur.seconds, 3),
-                 Fmt(speedup, 2) + "x", identical ? "yes" : "NO (BUG)"});
+                 Fmt(row.ratio, 2) + "x", row.identical ? "yes" : "NO (BUG)"});
       report.Add(name, "worker_pool_seconds", wp.seconds);
       report.Add(name, "io_uring_seconds", ur.seconds);
-      report.Add(name, "io_uring_speedup", speedup);
-      report.Add(name, "stats_identical", identical ? 1.0 : 0.0);
+      report.Add(name, "io_uring_speedup", row.ratio);
+      report.Add(name, "stats_identical", row.identical ? 1.0 : 0.0);
       report.Add(name, "direct_io_active", ur.direct_active ? 1.0 : 0.0);
+      AddRatios(&report, name, row);
     }
     bt.Print();
   } else {
@@ -691,28 +610,11 @@ int main(int argc, char** argv) {
   const bool degraded_ok = DegradedSmoke(&report);
   if (verbose) PrintHealthSnapshot(engine);
 
-  if (!all_identical) {
-    std::printf("ERROR: armed path changed IoStats — cost model violated\n");
-  }
-  if (smoke && !all_fast_enough) {
-    std::printf("ERROR: an armed row fell below %.2fx sync\n", kMinSpeedup);
-  }
+  int code = verdict.ExitCode(smoke);
   if (!degraded_ok) {
     std::printf(
         "ERROR: degraded-mode sort broke completion or stats identity\n");
+    if (code == 0) code = 3;
   }
-  if (smoke) {
-    (void)report.WriteFile("BENCH_independent_disks.smoke.json");
-  } else if (report.WriteRepoFile("BENCH_independent_disks.json")) {
-    std::printf("\nwrote BENCH_independent_disks.json\n");
-  } else {
-    std::printf("\ncould not write BENCH_independent_disks.json\n");
-  }
-  if (HasFlag(argc, argv, "--json")) {
-    std::printf("%s", report.Render().c_str());
-  }
-  if (!all_identical) return 1;
-  if (smoke && !all_fast_enough) return 2;
-  if (!degraded_ok) return 3;
-  return 0;
+  return report.Finish(argc, argv, code);
 }

@@ -16,13 +16,10 @@
 // The PDM contract is asserted, not hoped for: IoStats must be
 // BIT-IDENTICAL between the columns (ghost charging in the pool,
 // charge-at-consumption in the streams) — arbitration moves memory,
-// never I/O charging. Emits BENCH_memory_arbiter.json at the repo root;
-// --smoke runs a reduced sweep, writes BENCH_memory_arbiter.smoke.json
-// to the working directory (CI uploads it as an artifact), and exits
-// non-zero unless every row keeps stats_identical == 1 and
-// speedup >= 0.95 — wired into CI beside bench_prefetch_layers --smoke.
+// never I/O charging. Emits BENCH_memory_arbiter.json at the repo root.
+// Every row goes through bench_util.h's GateRow (A = fixed, B =
+// arbitrated); --smoke runs a reduced sweep as a CI gate.
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -154,7 +151,7 @@ Run RunMixed(bool arbitrated, IoEngine* engine, bool direct,
   if (!st.ok()) {
     std::fprintf(stderr, "bench body failed: %s\n", st.ToString().c_str());
   }
-  run.seconds = std::chrono::duration<double>(t1 - t0).count();
+  run.seconds = Secs(t0, t1);
   run.cost = probe.delta();
   run.peak_pool_frames = std::max(run.peak_pool_frames, pool->num_frames());
   dev.set_io_engine(nullptr);
@@ -162,39 +159,20 @@ Run RunMixed(bool arbitrated, IoEngine* engine, bool direct,
   return run;
 }
 
-struct Row {
-  const char* name;
+struct Pair {
   Run fixed, arbitrated;
-};
-
-/// Paired best-of-N, as in bench_prefetch_layers: both columns measured
-/// back-to-back per repeat so machine phases cancel in the ratio, and a
-/// repeat whose stats differ is returned at once.
-template <typename Fn>
-Row MeasurePaired(const char* name, Fn cell, int repeats) {
-  Row row;
-  row.name = name;
-  double best_ratio = -1;
-  for (int r = 0; r < repeats; ++r) {
-    Run f = cell(/*arbitrated=*/false);
-    Run a = cell(/*arbitrated=*/true);
-    if (!(f.cost == a.cost)) return Row{name, f, a};
-    double ratio = f.seconds / std::max(a.seconds, 1e-9);
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      row.fixed = f;
-      row.arbitrated = a;
-    }
+  bool identical() const { return fixed.cost == arbitrated.cost; }
+  std::pair<double, double> timed() const {
+    return {fixed.seconds, arbitrated.seconds};
   }
-  return row;
-}
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
   if (smoke) g_shift = 2;  // quarter workloads: CI-sized rows
-  const int repeats = 3;
+  const Gate gate{.repeats = 3, .retries = smoke ? 2 : 0};
   Options opts;
   IoEngine engine(opts.io_threads);
 
@@ -214,62 +192,31 @@ int main(int argc, char** argv) {
       {"mixed probe+scan (buffered)", "buf", false},
       {"mixed probe+scan (O_DIRECT)", "direct", true},
   };
-  constexpr double kMinSpeedup = 0.95;
-  std::vector<Row> rows;
-  for (const RowSpec& spec : specs) {
-    auto cell = [&](bool arbitrated) {
-      return RunMixed(arbitrated, &engine, spec.direct, spec.tag);
-    };
-    Row row = MeasurePaired(spec.name, cell, repeats);
-    // Smoke flake guard, speedup only (see bench_prefetch_layers): a
-    // stats-identity mismatch is the cost-model violation this harness
-    // exists to catch and is NEVER retried away; a mismatching retry
-    // replaces the row and fails the gate.
-    if (smoke && row.fixed.cost == row.arbitrated.cost) {
-      double speedup =
-          row.fixed.seconds / std::max(row.arbitrated.seconds, 1e-9);
-      for (int attempt = 0; attempt < 2 && speedup < kMinSpeedup;
-           ++attempt) {
-        Row retry = MeasurePaired(spec.name, cell, repeats);
-        if (!(retry.fixed.cost == retry.arbitrated.cost)) {
-          row = retry;
-          break;
-        }
-        double retry_speedup =
-            retry.fixed.seconds / std::max(retry.arbitrated.seconds, 1e-9);
-        if (retry_speedup > speedup) {
-          row = retry;
-          speedup = retry_speedup;
-        }
-      }
-    }
-    rows.push_back(row);
-  }
-
   Table t({"workload", "fixed s", "arbitrated s", "speedup", "I/Os",
            "peak frames", "stats identical"});
   JsonReport report("memory_arbiter");
-  bool all_identical = true;
-  bool all_fast_enough = true;
-  for (const Row& r : rows) {
-    bool identical = r.fixed.cost == r.arbitrated.cost;
-    all_identical = all_identical && identical;
-    double speedup =
-        r.fixed.seconds / std::max(r.arbitrated.seconds, 1e-9);
-    all_fast_enough = all_fast_enough && speedup >= kMinSpeedup;
-    t.AddRow({r.name, Fmt(r.fixed.seconds, 3), Fmt(r.arbitrated.seconds, 3),
-              Fmt(speedup, 2) + "x", FmtInt(r.fixed.cost.block_ios()),
+  GateVerdict verdict;
+  for (const RowSpec& spec : specs) {
+    auto row = GateRow(gate, [&] {
+      return Pair{RunMixed(false, &engine, spec.direct, spec.tag),
+                  RunMixed(true, &engine, spec.direct, spec.tag)};
+    });
+    verdict.Add(row);
+    const Pair& r = row.pair;
+    t.AddRow({spec.name, Fmt(r.fixed.seconds, 3), Fmt(r.arbitrated.seconds, 3),
+              Fmt(row.ratio, 2) + "x", FmtInt(r.fixed.cost.block_ios()),
               FmtInt(r.arbitrated.peak_pool_frames),
-              identical ? "yes" : "NO (BUG)"});
-    report.Add(r.name, "fixed_seconds", r.fixed.seconds);
-    report.Add(r.name, "arbitrated_seconds", r.arbitrated.seconds);
-    report.Add(r.name, "speedup", speedup);
-    report.Add(r.name, "block_ios", double(r.fixed.cost.block_ios()));
-    report.Add(r.name, "stats_identical", identical ? 1.0 : 0.0);
-    report.Add(r.name, "peak_pool_frames",
+              row.identical ? "yes" : "NO (BUG)"});
+    report.Add(spec.name, "fixed_seconds", r.fixed.seconds);
+    report.Add(spec.name, "arbitrated_seconds", r.arbitrated.seconds);
+    report.Add(spec.name, "speedup", row.ratio);
+    report.Add(spec.name, "block_ios", double(r.fixed.cost.block_ios()));
+    report.Add(spec.name, "stats_identical", row.identical ? 1.0 : 0.0);
+    report.Add(spec.name, "peak_pool_frames",
                double(r.arbitrated.peak_pool_frames));
-    report.Add(r.name, "baseline_pool_frames",
+    report.Add(spec.name, "baseline_pool_frames",
                double(kMemBytes / 2 / kBlockBytes));
+    AddRatios(&report, spec.name, row);
   }
   t.Print();
   std::printf(
@@ -278,26 +225,5 @@ int main(int argc, char** argv) {
       "budget back as staging. I/O counts identical in every row — the\n"
       "arbiter moves memory, never the cost model.\n",
       kMemBytes / 2 / kBlockBytes);
-  if (!all_identical) {
-    std::printf("ERROR: arbitrated path changed IoStats — cost model "
-                "violated\n");
-  }
-  if (smoke && !all_fast_enough) {
-    std::printf("ERROR: an arbitrated row fell below %.2fx fixed\n",
-                kMinSpeedup);
-  }
-  if (smoke) {
-    // CI artifact: smoke-sized numbers, kept out of the tracked JSON.
-    (void)report.WriteFile("BENCH_memory_arbiter.smoke.json");
-  } else if (report.WriteRepoFile("BENCH_memory_arbiter.json")) {
-    std::printf("\nwrote BENCH_memory_arbiter.json\n");
-  } else {
-    std::printf("\ncould not write BENCH_memory_arbiter.json\n");
-  }
-  if (HasFlag(argc, argv, "--json")) {
-    std::printf("%s", report.Render().c_str());
-  }
-  if (!all_identical) return 1;
-  if (smoke && !all_fast_enough) return 2;
-  return 0;
+  return report.Finish(argc, argv, verdict.ExitCode(smoke));
 }

@@ -15,11 +15,9 @@
 // striped row exercises the forwarded uncounted plane on a D=4 device.
 //
 // Emits BENCH_prefetch_layers.json at the repo root (and prints it with
-// --json). Every row is a paired best-of-3: sync and armed measured
-// back-to-back per repeat so machine-phase noise cancels in the ratio.
-// --smoke runs a reduced-size sweep and exits non-zero unless every
-// armed scenario keeps stats_identical == 1 and speedup >= 0.95 — the
-// CI guard against prefetch regressions.
+// --json). Every row goes through bench_util.h's GateRow (A = sync,
+// B = armed); --smoke runs a reduced-size sweep and is the CI guard
+// against prefetch regressions (exit 1 = IoStats differ, 2 = < 0.95x).
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -50,11 +48,6 @@ constexpr size_t kMemBytes = 2 * 1024 * 1024;
 size_t g_shift = 0;
 
 size_t Scaled(size_t n) { return n >> g_shift; }
-
-double Secs(std::chrono::steady_clock::time_point a,
-            std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 struct Run {
   double seconds = 0;
@@ -124,8 +117,9 @@ void TimeBody(BlockDevice* dev, Run* run,
   run->cost = probe.delta();
 }
 
-Run RunDistSort(size_t depth, IoEngine* engine, bool direct) {
-  return Measure("distsort", depth, engine, direct,
+template <bool kDirect>
+Run RunDistSort(size_t depth, IoEngine* engine) {
+  return Measure("distsort", depth, engine, kDirect,
                  [&](FileBlockDevice* dev, size_t k, Run* run) {
     const size_t kItems = Scaled(1u << 21);  // 16 MiB of u64
     Rng rng(41);
@@ -318,38 +312,13 @@ Run RunStripedSort(size_t depth, IoEngine* engine) {
   return run;
 }
 
-struct Row {
-  const char* name;
+struct Pair {
   Run sync, armed;
-};
-
-/// Paired best-of-N: each repeat measures the sync and armed cells
-/// back-to-back and the best-ratio pair is reported. Pairing keeps both
-/// cells inside the same machine phase — a run-long slowdown (thermal
-/// throttle, noisy CI neighbor) inflates both sides of the ratio
-/// instead of corrupting it — and the best observed equal-conditions
-/// ratio is the stable statistic on shared hardware: a real regression
-/// holds every repeat under the bar, a scheduler hiccup does not. A
-/// repeat whose stats differ is returned at once: the best-of selection
-/// never hides an identity violation behind a cleaner repeat.
-template <typename Fn>
-Row MeasurePaired(const char* name, Fn cell, int repeats) {
-  Row row;
-  row.name = name;
-  double best_ratio = -1;
-  for (int r = 0; r < repeats; ++r) {
-    Run s = cell(/*armed=*/false);
-    Run a = cell(/*armed=*/true);
-    if (!(s.cost == a.cost)) return Row{name, s, a};
-    double ratio = s.seconds / std::max(a.seconds, 1e-9);
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      row.sync = s;
-      row.armed = a;
-    }
+  bool identical() const { return sync.cost == armed.cost; }
+  std::pair<double, double> timed() const {
+    return {sync.seconds, armed.seconds};
   }
-  return row;
-}
+};
 
 }  // namespace
 
@@ -359,10 +328,9 @@ int main(int argc, char** argv) {
   const size_t depth = opts.prefetch_depth;
   const bool smoke = HasFlag(argc, argv, "--smoke");
   if (smoke) g_shift = 1;  // halved workloads: rows stay in the tens of ms
-  // Best-of-N on every cell (same treatment for sync and armed): warm
-  // rows sit near 1.0x, where scheduler noise would otherwise dominate
-  // the verdict.
-  const int repeats = smoke ? 4 : 3;
+  // Paired best-of-N on every row: warm rows sit near 1.0x, where
+  // scheduler noise would otherwise dominate the verdict.
+  const Gate gate{.repeats = smoke ? 4 : 3, .retries = smoke ? 2 : 0};
   IoEngine engine(opts.io_threads);
 
   std::printf(
@@ -375,80 +343,39 @@ int main(int argc, char** argv) {
 
   struct RowSpec {
     const char* name;
-    std::function<Run(bool)> cell;
+    Run (*run)(size_t depth, IoEngine* engine);  // depth 0 = sync
   };
-  RowSpec specs[] = {
-      {"distribution sort",
-       [&](bool armed) {
-         return RunDistSort(armed ? depth : 0, &engine, false);
-       }},
-      {"sort-merge join",
-       [&](bool armed) { return RunJoin(armed ? depth : 0, &engine); }},
-      {"group-by",
-       [&](bool armed) { return RunGroupBy(armed ? depth : 0, &engine); }},
-      {"MR-BFS",
-       [&](bool armed) { return RunBfs(armed ? depth : 0, &engine); }},
-      {"external PQ",
-       [&](bool armed) { return RunPq(armed ? depth : 0, &engine); }},
-      {"distribution sweep",
-       [&](bool armed) { return RunSweep(armed ? depth : 0, &engine); }},
-      {"distribution sort (O_DIRECT)",
-       [&](bool armed) {
-         return RunDistSort(armed ? depth : 0, &engine, true);
-       }},
-      {"distribution sort (striped D=4)",
-       [&](bool armed) { return RunStripedSort(armed ? depth : 0, &engine); }},
+  const RowSpec specs[] = {
+      {"distribution sort", RunDistSort<false>},
+      {"sort-merge join", RunJoin},
+      {"group-by", RunGroupBy},
+      {"MR-BFS", RunBfs},
+      {"external PQ", RunPq},
+      {"distribution sweep", RunSweep},
+      {"distribution sort (O_DIRECT)", RunDistSort<true>},
+      {"distribution sort (striped D=4)", RunStripedSort},
   };
-  constexpr double kMinSpeedup = 0.95;
-  std::vector<Row> rows;
-  for (const RowSpec& spec : specs) {
-    Row row = MeasurePaired(spec.name, spec.cell, repeats);
-    // Smoke flake guard, speedup only: a row under the wall-clock bar
-    // gets up to two fresh re-measures and keeps the best clean
-    // outcome. A real regression fails every round; a scheduler hiccup
-    // on a shared CI runner does not. A stats-identity mismatch is
-    // NEVER retried away — that is the cost-model violation this
-    // harness exists to catch, so a mismatching row stands, and a
-    // mismatching retry replaces the row and fails the gate.
-    if (smoke && row.sync.cost == row.armed.cost) {
-      double speedup = row.sync.seconds / std::max(row.armed.seconds, 1e-9);
-      for (int attempt = 0; attempt < 2 && speedup < kMinSpeedup;
-           ++attempt) {
-        Row retry = MeasurePaired(spec.name, spec.cell, repeats);
-        if (!(retry.sync.cost == retry.armed.cost)) {
-          row = retry;
-          break;
-        }
-        double retry_speedup =
-            retry.sync.seconds / std::max(retry.armed.seconds, 1e-9);
-        if (retry_speedup > speedup) {
-          row = retry;
-          speedup = retry_speedup;
-        }
-      }
-    }
-    rows.push_back(row);
-  }
-
   Table t({"layer", "sync s", "armed s", "speedup", "I/Os",
            "stats identical"});
   JsonReport report("prefetch_layers");
-  bool all_identical = true;
-  bool all_fast_enough = true;
-  for (const Row& r : rows) {
-    bool identical = r.sync.cost == r.armed.cost;
-    all_identical = all_identical && identical;
-    double speedup = r.sync.seconds / std::max(r.armed.seconds, 1e-9);
-    all_fast_enough = all_fast_enough && speedup >= kMinSpeedup;
-    t.AddRow({r.name, Fmt(r.sync.seconds, 3), Fmt(r.armed.seconds, 3),
-              Fmt(speedup, 2) + "x", FmtInt(r.sync.cost.block_ios()),
-              identical ? "yes" : "NO (BUG)"});
-    report.Add(r.name, "sync_seconds", r.sync.seconds);
-    report.Add(r.name, "armed_seconds", r.armed.seconds);
-    report.Add(r.name, "speedup", speedup);
-    report.Add(r.name, "block_ios", double(r.sync.cost.block_ios()));
-    report.Add(r.name, "stats_identical", identical ? 1.0 : 0.0);
-    report.Add(r.name, "direct_io_active", r.armed.direct_active ? 1.0 : 0.0);
+  GateVerdict verdict;
+  for (const RowSpec& spec : specs) {
+    auto row = GateRow(gate, [&] {
+      return Pair{spec.run(0, &engine), spec.run(depth, &engine)};
+    });
+    verdict.Add(row);
+    const Pair& r = row.pair;
+    t.AddRow({spec.name, Fmt(r.sync.seconds, 3), Fmt(r.armed.seconds, 3),
+              Fmt(row.ratio, 2) + "x", FmtInt(r.sync.cost.block_ios()),
+              row.identical ? "yes" : "NO (BUG)"});
+    report.Add(spec.name, "sync_seconds", r.sync.seconds);
+    report.Add(spec.name, "armed_seconds", r.armed.seconds);
+    report.Add(spec.name, "speedup", row.ratio);
+    report.Add(spec.name, "block_ios", double(r.sync.cost.block_ios()));
+    report.Add(spec.name, "stats_identical", row.identical ? 1.0 : 0.0);
+    report.Add(spec.name, "direct_io_active",
+               r.armed.direct_active ? 1.0 : 0.0);
+    AddRatios(&report, spec.name, row);
   }
   t.Print();
   std::printf(
@@ -457,25 +384,5 @@ int main(int argc, char** argv) {
       "governor disarms streams that cannot benefit instead of letting\n"
       "them regress. I/O counts identical everywhere: the PDM charge is\n"
       "invariant, only the clock moves.\n");
-  if (!all_identical) {
-    std::printf("ERROR: armed path changed IoStats — cost model violated\n");
-  }
-  if (smoke && !all_fast_enough) {
-    std::printf("ERROR: an armed scenario fell below %.2fx sync\n",
-                kMinSpeedup);
-  }
-  if (smoke) {
-    // CI artifact: smoke-sized numbers, kept out of the tracked JSON.
-    (void)report.WriteFile("BENCH_prefetch_layers.smoke.json");
-  } else if (report.WriteRepoFile("BENCH_prefetch_layers.json")) {
-    std::printf("\nwrote BENCH_prefetch_layers.json\n");
-  } else {
-    std::printf("\ncould not write BENCH_prefetch_layers.json\n");
-  }
-  if (HasFlag(argc, argv, "--json")) {
-    std::printf("%s", report.Render().c_str());
-  }
-  if (!all_identical) return 1;
-  if (smoke && !all_fast_enough) return 2;
-  return 0;
+  return report.Finish(argc, argv, verdict.ExitCode(smoke));
 }

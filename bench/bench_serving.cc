@@ -27,14 +27,12 @@
 // on vs off, plus budget/floor conservation sampled mid-churn.
 //
 // Emits BENCH_serving.json at the repo root; --smoke runs a reduced
-// sweep, writes BENCH_serving.smoke.json to the working directory (CI
-// artifact), and exits non-zero on: stats-identity mismatch (1, never
-// retried away), arbitrated p99 above 1/0.95 of fixed (2, one retry),
-// admission gauge violations (3).
+// sweep as a CI gate: bench_util.h's GateRow on the p99 ratio (exit 1 =
+// per-tenant IoStats differ, 2 = < 0.95x after one retry), and exit 3
+// on admission gauge violations.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -232,34 +230,19 @@ ColumnRun RunColumn(bool arbitrated, IoEngine* engine, const char* tag) {
 
 struct Paired {
   ColumnRun fixed, arbitrated;
+
+  bool identical() const {  // per tenant: its op sequence is its own
+    for (size_t t = 0; t < kTenants; ++t) {
+      if (!(fixed.tenants[t].stats == arbitrated.tenants[t].stats)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  std::pair<double, double> timed() const {
+    return {fixed.p99_ms, arbitrated.p99_ms};
+  }
 };
-
-bool StatsIdentical(const Paired& p) {
-  for (size_t t = 0; t < kTenants; ++t) {
-    if (!(p.fixed.tenants[t].stats == p.arbitrated.tenants[t].stats)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Paired best-of-N on the p99 ratio: both columns measured
-/// back-to-back per repeat so machine phases cancel. A repeat whose
-/// per-tenant stats differ is returned at once.
-Paired MeasurePaired(IoEngine* engine, int repeats) {
-  Paired best;
-  double best_ratio = -1;
-  for (int r = 0; r < repeats; ++r) {
-    Paired p{RunColumn(false, engine, "fix"), RunColumn(true, engine, "arb")};
-    if (!StatsIdentical(p)) return p;
-    double ratio = p.fixed.p99_ms / std::max(p.arbitrated.p99_ms, 1e-9);
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      best = std::move(p);
-    }
-  }
-  return best;
-}
 
 struct AdmissionRun {
   uint64_t attempts = 0, admitted = 0, shed = 0;
@@ -344,7 +327,8 @@ AdmissionRun RunAdmission(bool use_controller) {
 int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
   if (smoke) g_shift = 2;  // quarter workloads: CI-sized
-  const int repeats = smoke ? 2 : 3;
+  // Paired best-of-N on the fixed over arbitrated p99 ratio.
+  const Gate gate{.repeats = smoke ? 2 : 3, .retries = smoke ? 1 : 0};
   Options opts;
   IoEngine engine(opts.io_threads);
 
@@ -358,29 +342,16 @@ int main(int argc, char** argv) {
       smoke ? " [smoke]" : "");
 
   // ------------------------------------------------------- latency phase
-  constexpr double kMinP99Ratio = 0.95;
-  Paired paired = MeasurePaired(&engine, repeats);
-  bool identical = StatsIdentical(paired);
-  double p99_ratio =
-      paired.fixed.p99_ms / std::max(paired.arbitrated.p99_ms, 1e-9);
-  // Smoke flake guard, tail latency only: a stats-identity mismatch is
-  // the cost-model violation this harness exists to catch and is NEVER
-  // retried away; a mismatching retry replaces the pair and fails the
-  // gate.
-  if (smoke && identical && p99_ratio < kMinP99Ratio) {
-    Paired retry = MeasurePaired(&engine, repeats);
-    double retry_ratio =
-        retry.fixed.p99_ms / std::max(retry.arbitrated.p99_ms, 1e-9);
-    if (!StatsIdentical(retry)) {
-      paired = std::move(retry);
-      p99_ratio = retry_ratio;
-      identical = false;
-    } else if (retry_ratio > p99_ratio) {
-      paired = std::move(retry);
-      p99_ratio = retry_ratio;
-    }
-  }
-  bool columns_ok = paired.fixed.ok && paired.arbitrated.ok;
+  auto row = GateRow(gate, [&] {
+    return Paired{RunColumn(false, &engine, "fix"),
+                  RunColumn(true, &engine, "arb")};
+  });
+  const Paired& paired = row.pair;
+  GateVerdict verdict;
+  verdict.Add(row);
+  // A column whose tenants failed cannot vouch for its stats: exit 1 too.
+  verdict.identical =
+      verdict.identical && paired.fixed.ok && paired.arbitrated.ok;
 
   // ----------------------------------------------------- admission phase
   AdmissionRun adm_on = RunAdmission(/*use_controller=*/true);
@@ -394,7 +365,7 @@ int main(int argc, char** argv) {
             Fmt(paired.fixed.p50_ms, 2) + " / " + Fmt(paired.fixed.p99_ms, 2),
             Fmt(paired.arbitrated.p50_ms, 2) + " / " +
                 Fmt(paired.arbitrated.p99_ms, 2),
-            Fmt(p99_ratio, 2) + "x", identical ? "yes" : "NO (BUG)"});
+            Fmt(row.ratio, 2) + "x", row.identical ? "yes" : "NO (BUG)"});
   t.Print();
   std::printf(
       "admission overload: ON  shed %.1f%% (%llu/%llu admitted)\n"
@@ -420,8 +391,9 @@ int main(int argc, char** argv) {
   report.Add("mixed serving", "fixed_p99_ms", paired.fixed.p99_ms);
   report.Add("mixed serving", "arbitrated_p50_ms", paired.arbitrated.p50_ms);
   report.Add("mixed serving", "arbitrated_p99_ms", paired.arbitrated.p99_ms);
-  report.Add("mixed serving", "p99_ratio", p99_ratio);
-  report.Add("mixed serving", "stats_identical", identical ? 1.0 : 0.0);
+  report.Add("mixed serving", "p99_ratio", row.ratio);
+  report.Add("mixed serving", "stats_identical", row.identical ? 1.0 : 0.0);
+  AddRatios(&report, "mixed serving", row);
   report.Add("admission overload", "attempts", double(adm_on.attempts));
   report.Add("admission overload", "shed_rate_on", shed_on);
   report.Add("admission overload", "shed_rate_off", shed_off);
@@ -430,33 +402,12 @@ int main(int argc, char** argv) {
   report.Add("admission overload", "conservation_ok",
              adm_on.conservation_ok && adm_off.conservation_ok ? 1.0 : 0.0);
 
-  if (smoke) {
-    // CI artifact: smoke-sized numbers, kept out of the tracked JSON.
-    (void)report.WriteFile("BENCH_serving.smoke.json");
-  } else if (report.WriteRepoFile("BENCH_serving.json")) {
-    std::printf("\nwrote BENCH_serving.json\n");
-  } else {
-    std::printf("\ncould not write BENCH_serving.json\n");
-  }
-  if (HasFlag(argc, argv, "--json")) {
-    std::printf("%s", report.Render().c_str());
-  }
-
-  if (!identical || !columns_ok) {
-    std::printf("ERROR: serving changed per-tenant IoStats — cost model "
-                "violated\n");
-    return 1;
-  }
-  if (smoke && p99_ratio < kMinP99Ratio) {
-    std::printf("ERROR: arbitrated p99 fell below %.2fx of fixed\n",
-                kMinP99Ratio);
-    return 2;
-  }
-  if (!adm_on.conservation_ok || !adm_off.conservation_ok ||
-      adm_on.shed + adm_off.shed == 0) {
+  int code = verdict.ExitCode(smoke);
+  if (code == 0 && (!adm_on.conservation_ok || !adm_off.conservation_ok ||
+                    adm_on.shed + adm_off.shed == 0)) {
     std::printf("ERROR: admission gauge violated (conservation or no shed "
                 "exercised)\n");
-    return 3;
+    code = 3;
   }
-  return 0;
+  return report.Finish(argc, argv, code);
 }

@@ -1,12 +1,16 @@
 // Shared helpers for the wall-clock benches and perfbench: markdown table
-// printing, JSON reports, and the Sort(N) bound formula.
+// printing, JSON reports, the Sort(N) bound formula, and the one paired-run
+// gate of the gated benches (PairedRun, GateRow, GateVerdict).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vem::bench {
@@ -31,8 +35,7 @@ inline bool HasFlag(int argc, char** argv, const char* flag) {
 /// Machine-readable benchmark output: collects (scenario, metric, value)
 /// measurements and renders them as one JSON document, so perf runs can
 /// be diffed across commits. Benches keep their human-readable tables on
-/// stdout and add `--json` to also print/emit the JSON form (see
-/// bench_async_io, which writes BENCH_async_io.json).
+/// stdout and add `--json` to also print the JSON form.
 class JsonReport {
  public:
   explicit JsonReport(std::string bench_name)
@@ -57,26 +60,31 @@ class JsonReport {
     return out;
   }
 
-  /// Write the JSON document to the repo root (VEM_SOURCE_ROOT, injected
-  /// by CMake) so results are tracked in git rather than lost in the
-  /// build tree; falls back to the working directory when built without
-  /// the define. Returns false on I/O failure.
-  bool WriteRepoFile(const std::string& filename) const {
+  /// The shared tail of every bench: writes the document, prints it under
+  /// --json, and returns `exit_code`. Under --smoke the file is
+  /// BENCH_<name>.smoke.json in the working directory (a CI artifact,
+  /// never tracked); otherwise BENCH_<name>.json at the repo root
+  /// (VEM_SOURCE_ROOT, injected by CMake; the working directory without
+  /// it), so results are tracked in git rather than lost in the build tree.
+  int Finish(int argc, char** argv, int exit_code) const {
+    const bool smoke = HasFlag(argc, argv, "--smoke");
+    const std::string file =
+        "BENCH_" + name_ + (smoke ? ".smoke.json" : ".json");
+    std::string path = file;
 #ifdef VEM_SOURCE_ROOT
-    return WriteFile(std::string(VEM_SOURCE_ROOT) + "/" + filename);
-#else
-    return WriteFile(filename);
+    if (!smoke) path = std::string(VEM_SOURCE_ROOT) + "/" + file;
 #endif
-  }
-
-  /// Write the JSON document to `path`; returns false on I/O failure.
-  bool WriteFile(const std::string& path) const {
+    const std::string doc = Render();
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::string doc = Render();
-    size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return n == doc.size();
+    bool ok = f != nullptr;
+    if (ok) ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+    if (!smoke) {
+      std::printf(ok ? "\nwrote %s\n" : "\ncould not write %s\n",
+                  file.c_str());
+    }
+    if (HasFlag(argc, argv, "--json")) std::printf("%s", doc.c_str());
+    return exit_code;
   }
 
  private:
@@ -155,5 +163,123 @@ inline double SortBound(double n_items, double items_per_block,
   double fan_in = std::max(2.0, mem_items / items_per_block - 1);
   return 2.0 * blocks * (1.0 + Passes(runs, fan_in));
 }
+
+/// Seconds between two std::chrono readings; a template, so this header
+/// (perfbench includes it too) need not include <chrono>.
+template <typename TimePoint>
+double Secs(TimePoint a, TimePoint b) {
+  using Period = typename TimePoint::period;
+  return double((b - a).count()) * Period::num / Period::den;
+}
+
+/// `a` over `b`, with `b` clamped away from zero: every paired ratio the
+/// benches report (sync over armed seconds, fixed over arbitrated p99).
+inline double Ratio(double a, double b) { return a / std::max(b, 1e-9); }
+
+// ------------------------------------------------------- paired-run gate
+// The PDM charges I/Os, never time, so each gated bench asserts one split:
+// a row's columns A and B (sync vs armed, fixed vs arbitrated) charge
+// identical IoStats, and A over B stays at or above kGateFloor. The bench
+// supplies a measure step returning one pair P, A then B back to back (a
+// machine-phase slowdown then inflates both sides of the ratio instead of
+// corrupting it). P provides `bool identical() const` and
+// `std::pair<double, double> timed() const` (A's and B's timed quantity).
+
+inline constexpr double kGateFloor = 0.95;
+
+struct Gate {
+  int repeats = 3;       // pairs per PairedRun
+  int retries = 0;       // fresh PairedRuns for a clean row below the floor
+  double min_timed = 0;  // a row whose slower side is under this passes
+};
+
+template <typename P>
+struct GatedRow {
+  P pair{};                    // best-ratio pair, or the mismatching one
+  bool identical = true;       // pair.identical()
+  double ratio = -1;           // A over B on `pair`
+  bool fast_enough = true;     // set by GateRow
+  std::vector<double> ratios;  // every pair's ratio, retries included
+};
+
+/// Runs `repeats` measure steps and keeps the best-ratio pair: a real
+/// regression holds every repeat under the bar, a scheduler hiccup does
+/// not. The first pair that is not identical ends the run and is kept,
+/// so no cleaner repeat can hide a cost-model violation.
+template <typename Measure>
+auto PairedRun(int repeats, Measure measure) {
+  GatedRow<std::invoke_result_t<Measure&>> row;
+  for (int r = 0; r < repeats && row.identical; ++r) {
+    auto pair = measure();
+    const auto [a, b] = pair.timed();
+    row.ratios.push_back(Ratio(a, b));
+    if (!pair.identical() || row.ratios.back() > row.ratio) {
+      row.identical = pair.identical();
+      row.ratio = row.ratios.back();
+      row.pair = std::move(pair);
+    }
+  }
+  return row;
+}
+
+/// PairedRun plus the smoke retry rule: a clean row that fails the floor
+/// gets up to `gate.retries` fresh PairedRuns and keeps the best clean
+/// one. A mismatch is never retried away: a mismatching retry replaces
+/// the row and fails it. A row whose slower side is under
+/// `gate.min_timed` passes on identity alone (its ratio measures the OS).
+template <typename Measure>
+auto GateRow(const Gate& gate, Measure measure) {
+  auto passes = [&](const auto& row) {
+    const auto [a, b] = row.pair.timed();
+    return row.ratio >= kGateFloor || std::max(a, b) < gate.min_timed;
+  };
+  auto row = PairedRun(gate.repeats, measure);
+  for (int i = 0; i < gate.retries && row.identical && !passes(row); ++i) {
+    auto retry = PairedRun(gate.repeats, measure);
+    std::vector<double> ratios = std::move(row.ratios);
+    ratios.insert(ratios.end(), retry.ratios.begin(), retry.ratios.end());
+    if (!retry.identical || retry.ratio > row.ratio) row = std::move(retry);
+    row.ratios = std::move(ratios);
+  }
+  row.fast_enough = passes(row);
+  return row;
+}
+
+/// Records a row's `ratio_median` and `ratio_spread` (max - min over
+/// every pair it ran): noise data only, no gate reads them.
+template <typename P>
+void AddRatios(JsonReport* report, const std::string& scenario,
+               const GatedRow<P>& row) {
+  std::vector<double> r = row.ratios;
+  if (r.empty()) return;
+  std::sort(r.begin(), r.end());
+  const size_t n = r.size();
+  report->Add(scenario, "ratio_median", (r[(n - 1) / 2] + r[n / 2]) / 2);
+  report->Add(scenario, "ratio_spread", r.back() - r.front());
+}
+
+/// The exit rule of every gated bench: 1 = a row's columns charged
+/// different IoStats; 2 = under --smoke, a row failed its floor after its
+/// retries; else 0. Each failure prints one ERROR line.
+struct GateVerdict {
+  bool identical = true, fast_enough = true;
+
+  template <typename P>
+  void Add(const GatedRow<P>& row) {
+    identical = identical && row.identical;
+    fast_enough = fast_enough && row.fast_enough;
+  }
+
+  int ExitCode(bool smoke) const {
+    if (!identical) {
+      std::printf("ERROR: IoStats differ between columns — cost model "
+                  "violated\n");
+    }
+    if (smoke && !fast_enough) {
+      std::printf("ERROR: a gated row fell below %.2fx\n", kGateFloor);
+    }
+    return !identical ? 1 : smoke && !fast_enough ? 2 : 0;
+  }
+};
 
 }  // namespace vem::bench
