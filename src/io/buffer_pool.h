@@ -1,33 +1,32 @@
 // BufferPool: the internal-memory half of the PDM.
 //
 // A set of m = M/B frames caches device blocks with CLOCK (second
-// chance) replacement. Online structures (B+-tree, buffer tree, ExtVector
-// random access) pin and unpin pages here; a pool miss costs exactly one
-// device read (plus a write if the victim is dirty) — which is how the
-// model charges them.
+// chance) replacement, kept by a ClockDirectory (io/clock_directory.h).
+// Online structures (B+-tree, buffer tree, ExtVector random access) pin
+// and unpin pages here; a pool miss costs exactly one device read (plus
+// a write if the victim is dirty) — which is how the model charges them.
 //
 // Arbitrated mode: constructed with a MemoryArbiter, the pool becomes
 // resizable — its frame count is a revocable lease on the shared M. It
 // can grow past its baseline while scans idle and shed clean unpinned
 // frames under staging pressure (never below its pinned set). So that
 // arbitration moves memory without ever moving the cost model, the pool
-// then charges IoStats by GHOST accounting: a directory of the pool's
-// *baseline* capacity replays every access with baseline CLOCK
-// replacement, and AccountReads/AccountWrites are issued exactly when
-// that fixed-size pool would have read or written — while the physical
-// transfers (which follow the resized pool's actual hits and misses)
-// ride the device's uncounted plane. IoStats are bit-identical with the
-// arbiter on or off, for any access sequence; only wall-clock changes.
+// then charges IoStats by GHOST accounting: a second, payload-less
+// ClockDirectory of the *baseline* capacity replays every access, and
+// the pool charges reads and writes exactly when that fixed-size pool
+// would have made them, while the physical transfers (which follow the
+// resized pool's actual hits and misses) ride the uncounted plane. Both
+// directories run the same replacement code, so IoStats are
+// bit-identical with the arbiter on or off, for any access sequence.
 // Requires a device with an uncounted plane; otherwise the arbiter is
 // ignored and the pool stays fixed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "io/block_device.h"
+#include "io/clock_directory.h"
 #include "util/status.h"
 
 namespace vem {
@@ -110,81 +109,45 @@ class BufferPool {
   /// Valid, unpinned frames whose CLOCK reference bit is clear — the
   /// reclaim-candidate set the arbiter weighs.
   size_t cold_frames() const;
-  size_t pinned_frames() const;
+  size_t pinned_frames() const { return frames_.pinned(); }
   size_t dirty_frames() const;
   BlockDevice* device() const { return dev_; }
 
  private:
-  struct Frame {
-    uint64_t block_id = 0;
-    IoBuffer data;
-    int pin_count = 0;
-    bool dirty = false;
-    bool valid = false;
-    bool referenced = false;
-  };
+  using FrameDirectory = ClockDirectory<IoBuffer>;
+  using GhostDirectory = ClockDirectory<NoPayload>;
 
-  /// Ghost directory entry: the baseline pool's bookkeeping without the
-  /// payload bytes. Replays the same CLOCK policy over the same access
-  /// sequence to decide what a fixed pool would have charged.
-  struct GhostFrame {
-    uint64_t block_id = 0;
-    int pin_count = 0;
-    bool dirty = false;
-    bool valid = false;
-    bool referenced = false;
-  };
-
-  /// Find a victim frame via CLOCK; writes back if dirty. Returns frame
-  /// index, or Busy (deterministically, after one bounded sweep) when
-  /// every frame is pinned.
-  Status FindVictim(size_t* out);
-
-  /// Ghost mirror of Pin: charge what the baseline pool would have
-  /// (1 write per dirty ghost eviction now; *charge_read reports
-  /// whether a ghost miss owes 1 read, charged by the caller only once
-  /// the physical transfer can no longer fail — the baseline, too,
-  /// charges nothing for a failed read). Returns Busy when the
+  /// Admit `id` to the ghost as the baseline pool would on a miss,
+  /// charging the write-back of a dirty baseline victim. Busy when the
   /// baseline pool would have had every frame pinned.
-  Status GhostPin(uint64_t id, bool* charge_read);
-  /// Charge-and-clear one ghost page's dirty bit (1 write) if set;
-  /// used by FlushAll to mirror the baseline's per-segment charging.
-  void GhostFlushId(uint64_t id);
-  Status GhostPinNew(uint64_t id);
-  void GhostUnpin(uint64_t id, bool dirty);
-  void GhostEvict(uint64_t id);
-  Status GhostVictim(size_t* out);
-
+  Status AdmitToGhost(uint64_t id, bool dirty);
   /// Physical write-back of one frame, on the plane the mode dictates.
-  Status WriteBack(Frame* f);
+  Status WriteBack(const FrameDirectory::Slot& f);
+  /// Physical victim for a miss. In arbitrated mode an all-pinned pool
+  /// yields *idx == num_frames(): append an emergency frame there.
+  Status FrameVictim(size_t* idx);
   /// Best shrink victim: invalid first, then cold clean unpinned, then
   /// warm clean unpinned, then (when allowed) dirty unpinned. False
   /// when nothing eligible remains.
   bool FindShedVictim(bool allow_dirty, size_t* out) const;
-  /// Remove frame `idx` (must be unpinned) via swap-with-last.
-  void RemoveFrame(size_t idx);
   void AppendFrames(size_t n);
-  /// Shed toward `target` without I/O (clean unpinned frames only).
-  void ShedTo(size_t target);
+  /// Grow to, or shrink toward, `target` (>= 1) frames and confirm the
+  /// lease. Shrinking stops at the pinned set, and at dirty frames
+  /// unless `allow_dirty` (then written back; only that can fail).
+  Status SizeTo(size_t target, bool allow_dirty);
   /// Window bookkeeping + arbiter report in arbitrated mode.
   void NoteAccess(bool hit);
 
   BlockDevice* dev_;
-  std::vector<Frame> frames_;
-  std::unordered_map<uint64_t, size_t> table_;  // block id -> frame
-  size_t clock_hand_ = 0;
+  FrameDirectory frames_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t writebacks_ = 0;
   size_t baseline_frames_;
-  size_t pinned_count_ = 0;  // frames with pin_count > 0 (O(1) census)
 
   // Arbitrated mode (null lease_ = classic fixed pool).
   std::unique_ptr<PoolLease> lease_;
-  std::vector<GhostFrame> ghost_frames_;
-  std::unordered_map<uint64_t, size_t> ghost_table_;
-  size_t ghost_hand_ = 0;
-  size_t ghost_pinned_count_ = 0;
+  GhostDirectory ghost_;  // the baseline pool's directory, no payload
   size_t report_every_ = 0;
   size_t window_accesses_ = 0;
   size_t window_hits_ = 0;

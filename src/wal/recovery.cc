@@ -162,10 +162,16 @@ std::vector<char> EncodeBlockDelta(const char* base, const char* img,
   std::vector<char> out;
   size_t i = 0;
   while (i < n) {
-    if (base[i] == img[i]) {
-      ++i;
-      continue;
+    // Skip equal stretches a word at a time (pages mostly match), then
+    // byte by byte to the first change.
+    uint64_t a = 0, b = 0;
+    for (; i + sizeof(a) <= n; i += sizeof(a)) {
+      std::memcpy(&a, base + i, sizeof(a));
+      std::memcpy(&b, img + i, sizeof(b));
+      if (a != b) break;
     }
+    while (i < n && base[i] == img[i]) ++i;
+    if (i == n) break;
     // Extend the run over every change less than kDeltaMergeGap past
     // the last changed byte seen.
     size_t last = i;

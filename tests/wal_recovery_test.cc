@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -513,6 +514,70 @@ TEST(WalFormat, BlockDeltaRoundTripAndMergeRule) {
   out = base;
   ASSERT_TRUE(wal::ApplyBlockDelta(d.data(), d.size(), out.data(), kB));
   EXPECT_EQ(out, img);
+}
+
+/// Byte-at-a-time delta encoder: the format's definition. The library
+/// encoder may scan faster but must emit exactly these bytes.
+std::vector<char> BytewiseBlockDelta(const char* base, const char* img,
+                                     size_t n) {
+  std::vector<char> out;
+  size_t i = 0;
+  while (i < n) {
+    if (base[i] == img[i]) {
+      ++i;
+      continue;
+    }
+    size_t last = i;
+    for (size_t j = i + 1; j < n && j - last <= wal::kDeltaMergeGap; ++j) {
+      if (base[j] != img[j]) last = j;
+    }
+    const uint32_t off = static_cast<uint32_t>(i);
+    const uint32_t len = static_cast<uint32_t>(last + 1 - i);
+    out.insert(out.end(), reinterpret_cast<const char*>(&off),
+               reinterpret_cast<const char*>(&off) + sizeof(off));
+    out.insert(out.end(), reinterpret_cast<const char*>(&len),
+               reinterpret_cast<const char*>(&len) + sizeof(len));
+    out.insert(out.end(), img + i, img + last + 1);
+    i = last + 1;
+  }
+  return out;
+}
+
+// Random images against the byte-wise encoder, with sizes that leave a
+// tail shorter than a word and changes clustered at 8-byte word edges
+// (the last byte of one word, the first of the next) and in the tail.
+TEST(WalFormat, BlockDeltaMatchesBytewiseReference) {
+  std::mt19937_64 rng(0x5EEDDE17A);
+  for (size_t n : {1, 5, 8, 9, 15, 16, 23, 63, 64, 65, 509, 512, 4093}) {
+    std::vector<char> base(n), img, out;
+    for (int trial = 0; trial < 300; ++trial) {
+      FillBytes(base.data(), n, rng());
+      img = base;
+      const int changes = static_cast<int>(rng() % 7);
+      for (int k = 0; k < changes; ++k) {
+        size_t at = 0;
+        switch (rng() % 3) {
+          case 0:
+            at = rng() % n;
+            break;
+          case 1:  // either side of a word edge
+            at = (rng() % (n / 8 + 1)) * 8 + (rng() % 2 == 0 ? 0 : 7);
+            break;
+          default:  // inside the sub-word tail (or the last byte)
+            at = n - 1 - rng() % (n % 8 == 0 ? 1 : n % 8);
+            break;
+        }
+        at %= n;
+        img[at] = static_cast<char>(img[at] ^ (1 + rng() % 255));
+      }
+      std::vector<char> d = wal::EncodeBlockDelta(base.data(), img.data(), n);
+      ASSERT_EQ(d, BytewiseBlockDelta(base.data(), img.data(), n))
+          << "n=" << n << " trial=" << trial;
+      out = base;
+      ASSERT_TRUE(wal::ApplyBlockDelta(d.data(), d.size(), out.data(), n));
+      ASSERT_EQ(out, img);
+    }
+  }
 }
 
 /// Every valid record in `log`, in log order.
