@@ -373,7 +373,7 @@ struct DegradedRun {
   RedundancyStats gauge;
 };
 
-/// External sort at D=4 with parity armed by SetRedundancy;
+/// External sort at D=4 with parity armed by SetParity;
 /// `kill` fail-stops head 1 mid-run — after roughly half the input's
 /// blocks worth of transfer attempts on that head, so the death lands
 /// inside the sort whatever g_shift scaled the workload to.
@@ -390,7 +390,7 @@ DegradedRun RedundantSortRun(bool kill) {
     disks.push_back(std::move(w));
   }
   IndependentDiskDevice dev(std::move(disks), kPlacementSeed);
-  dev.SetRedundancy(Redundancy::kParity);
+  dev.SetParity();
 
   DegradedRun run;
   Rng rng(404);

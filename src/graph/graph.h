@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "core/ext_vector.h"
-#include "serve/execution_context.h"
 #include "sort/external_sort.h"
 #include "util/options.h"
 #include "util/status.h"
@@ -35,11 +34,6 @@ class ExtGraph {
  public:
   ExtGraph(BlockDevice* dev, BufferPool* pool)
       : num_vertices_(0), offsets_(dev, pool), neighbors_(dev, pool) {}
-
-  /// Serving-plane wiring: offsets paged through an ExecutionContext
-  /// (one tenant of a possibly shared M; serve/execution_context.h).
-  explicit ExtGraph(ExecutionContext* ctx)
-      : ExtGraph(ctx->device(), ctx->pool()) {}
 
   /// Build from an arc list. For an undirected graph pass both (u,v) and
   /// (v,u), or set `symmetrize` to add reverses automatically.

@@ -16,7 +16,6 @@
 #include "core/ext_vector.h"
 #include "graph/graph.h"
 #include "search/external_pq.h"
-#include "serve/execution_context.h"
 #include "sort/external_sort.h"
 #include "util/options.h"
 #include "util/status.h"
@@ -44,11 +43,6 @@ class WeightedGraph {
   WeightedGraph(BlockDevice* dev, BufferPool* pool)
       : num_vertices_(0), offsets_(dev, pool), targets_(dev, pool),
         weights_(dev, pool) {}
-
-  /// Serving-plane wiring: adjacency paged through an ExecutionContext
-  /// (one tenant of a possibly shared M; serve/execution_context.h).
-  explicit WeightedGraph(ExecutionContext* ctx)
-      : WeightedGraph(ctx->device(), ctx->pool()) {}
 
   /// Build from arcs; set `symmetrize` for undirected graphs.
   Status Build(const ExtVector<WeightedEdge>& arcs, uint64_t n,
@@ -136,11 +130,6 @@ class SemiExternalSssp {
   /// IoStats.
   SemiExternalSssp(BlockDevice* dev, BufferPool* pool, const Options& opts)
       : dev_(dev), pool_(pool), opts_(opts) {}
-
-  /// Serving-plane wiring: distances and PQ run streams charge the
-  /// context tenant's slice of M (serve/execution_context.h).
-  explicit SemiExternalSssp(ExecutionContext* ctx)
-      : SemiExternalSssp(ctx->device(), ctx->pool(), ctx->options()) {}
 
   /// Shortest distances from `source`; out[v] = kInfDist if unreachable.
   /// `out` is a dense pooled vector of num_vertices entries.

@@ -4,24 +4,85 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <thread>
 
 #include "io/io_engine.h"
 
 namespace vem {
 
+namespace {
+
+std::vector<std::unique_ptr<BlockDevice>> MemoryDisks(size_t n,
+                                                      size_t block_size) {
+  std::vector<std::unique_ptr<BlockDevice>> disks;
+  for (size_t d = 0; d < std::max<size_t>(n, 1); ++d) {
+    disks.push_back(std::make_unique<MemoryBlockDevice>(block_size));
+  }
+  return disks;
+}
+
+// One child batch on the counted or uncounted plane.
+Status Transfer(BlockDevice* head, const uint64_t* ids, void* const* bufs,
+                size_t n, bool write, bool counted) {
+  if (write) {
+    return counted ? head->WriteBatch(ids, bufs, n)
+                   : head->WriteBatchUncounted(ids, bufs, n);
+  }
+  return counted ? head->ReadBatch(ids, bufs, n)
+                 : head->ReadBatchUncounted(ids, bufs, n);
+}
+
+// A request-sized array: on the stack for a one-block request (every
+// Read/Write), on the heap beyond.
+template <typename T>
+class Scratch {
+ public:
+  explicit Scratch(size_t n) : heap_(n > 1 ? new T[n] : nullptr) {}
+  T* data() { return heap_ ? heap_.get() : &one_; }
+  T& operator[](size_t i) { return data()[i]; }
+
+ private:
+  T one_{};
+  std::unique_ptr<T[]> heap_;
+};
+
+}  // namespace
+
+// One disk's share of a request: entries [begin, end) of the request,
+// the head that serves them as of the placement lookup, whether the
+// caller serves them from the redundancy plane instead of the head
+// (skip), and what the dispatch left — the child's Status and its
+// counted blocks before the transfer.
+struct IndependentDiskDevice::DiskBatch {
+  uint32_t disk = 0;
+  BlockDevice* head = nullptr;
+  size_t begin = 0, end = 0;
+  bool skip = false;
+  Status st{};
+  uint64_t before = 0;
+};
+
+// One transfer request as Locate groups it: entries sorted by (disk,
+// request index), so each disk's batch keeps request order and
+// contiguous child ids still coalesce in file-backed children.
+struct IndependentDiskDevice::Request {
+  explicit Request(size_t n)
+      : n(n), key(n), child_ids(n), bufs(n), batch(n) {}
+  size_t index(size_t k) { return uint32_t(key[k]); }  // of entry k
+  std::span<DiskBatch> batches() { return {batch.data(), num_batches}; }
+
+  size_t n;
+  Scratch<uint64_t> key;  // disk << 32 | request index
+  Scratch<uint64_t> child_ids;
+  Scratch<void*> bufs;
+  Scratch<DiskBatch> batch;
+  size_t num_batches = 0;
+};
+
 IndependentDiskDevice::IndependentDiskDevice(size_t num_disks,
                                              size_t block_size, uint64_t seed)
-    : block_size_(block_size), rng_(seed) {
-  if (num_disks == 0) num_disks = 1;
-  disks_.reserve(num_disks);
-  for (size_t d = 0; d < num_disks; ++d) {
-    disks_.push_back(std::make_unique<MemoryBlockDevice>(block_size));
-  }
-  cycle_.resize(num_disks);
-  for (size_t d = 0; d < num_disks; ++d) cycle_[d] = uint32_t(d);
-  cycle_pos_ = cycle_.size();  // first Allocate reshuffles
-}
+    : IndependentDiskDevice(MemoryDisks(num_disks, block_size), seed) {}
 
 IndependentDiskDevice::IndependentDiskDevice(
     std::vector<std::unique_ptr<BlockDevice>> disks, uint64_t seed)
@@ -38,10 +99,10 @@ IndependentDiskDevice::IndependentDiskDevice(
   }
   cycle_.resize(disks_.size());
   for (size_t d = 0; d < disks_.size(); ++d) cycle_[d] = uint32_t(d);
-  cycle_pos_ = cycle_.size();
+  cycle_pos_ = cycle_.size();  // first Allocate reshuffles
 }
 
-void IndependentDiskDevice::SetRedundancy(Redundancy mode, size_t group_width) {
+void IndependentDiskDevice::SetParity(size_t group_width) {
   std::unique_lock<std::shared_mutex> lock(loc_mu_);
   // Arming after blocks exist is ignored: placement history cannot be
   // re-grouped. So is arming over more than 64 heads (the dead set is
@@ -49,12 +110,8 @@ void IndependentDiskDevice::SetRedundancy(Redundancy mode, size_t group_width) {
   if (!valid_ || !loc_.empty() || disks_.size() > 64 || disks_.size() < 2) {
     return;
   }
-  redundancy_ = mode;
-  group_data_ = 0;
-  if (RedundancyArmed()) {
-    size_t g = group_width == 0 ? disks_.size() : group_width;
-    group_data_ = std::clamp(g, size_t{2}, disks_.size()) - 1;
-  }
+  const size_t g = group_width == 0 ? disks_.size() : group_width;
+  group_data_ = std::clamp(g, size_t{2}, disks_.size()) - 1;
 }
 
 RedundancyStats IndependentDiskDevice::redundancy_stats() const {
@@ -74,14 +131,14 @@ void IndependentDiskDevice::MarkDiskDead(size_t d) {
   // head leaves scheduling consideration and stays quarantined until a
   // rebuild swap calls ForgetDisk.
   if (engine_ != nullptr) {
-    engine_->ReportDiskFailStop(reinterpret_cast<uintptr_t>(disks_[d].get()));
+    engine_->ReportDiskFailStop(DiskTag(d));
   }
 }
 
 bool IndependentDiskDevice::DiskDegraded(size_t d) const {
   if (DiskDead(d)) return true;
   return engine_ != nullptr &&
-         engine_->DiskQuarantined(reinterpret_cast<uintptr_t>(disks_[d].get()));
+         engine_->DiskQuarantined(DiskTag(d));
 }
 
 bool IndependentDiskDevice::Lookup(uint64_t id, Loc* out) const {
@@ -100,18 +157,18 @@ uint32_t IndependentDiskDevice::NextCycleDisk() {
   if (cycle_pos_ >= cycle_.size()) {
     rng_.Shuffle(&cycle_);
     cycle_pos_ = 0;
-    // One quarantine view per cycle (kNone diversion only): a head
+    // One quarantine view per cycle (parity-off diversion only): a head
     // flapping between sick and healthy mid-cycle used to split one
     // cycle's placement decisions across two views — the divert check
     // raced per allocation. Snapshotting at the boundary makes every
     // cycle's placement a function of a single consistent health state.
     // Heads beyond index 63 are never diverted (mask is one word).
     cycle_quarantine_mask_ = 0;
-    if (redundancy_ == Redundancy::kNone && engine_ != nullptr &&
+    if (!RedundancyArmed() && engine_ != nullptr &&
         engine_->AnyQuarantined()) {
       for (uint64_t tag : engine_->QuarantinedTagsSnapshot()) {
         for (size_t d = 0; d < disks_.size() && d < 64; ++d) {
-          if (reinterpret_cast<uintptr_t>(disks_[d].get()) == tag) {
+          if (DiskTag(d) == tag) {
             cycle_quarantine_mask_ |= uint64_t{1} << d;
           }
         }
@@ -151,7 +208,7 @@ uint64_t IndependentDiskDevice::Allocate() {
   const uint64_t id = free_list_.empty() ? loc_.size() : free_list_.back();
   uint32_t disk = NextCycleDisk();
   const size_t D = disks_.size();
-  if (redundancy_ == Redundancy::kNone) {
+  if (!RedundancyArmed()) {
     // Quarantine-aware placement: while the cycle-boundary snapshot has
     // a disk quarantined, new blocks avoid it (its existing blocks stay
     // readable — retry still serves them) by walking further along the
@@ -188,20 +245,16 @@ uint64_t IndependentDiskDevice::Allocate() {
     while ((used >> disk) & 1) disk = uint32_t((disk + 1) % D);
   }
   const uint64_t child = disks_[disk]->Allocate();
-  if (!free_list_.empty()) {
-    free_list_.pop_back();
-    loc_[id] = Loc{disk, child};
-    if (RedundancyArmed()) {
-      written_[id] = 0;
-      freed_[id] = 0;
-    }
+  if (id == loc_.size()) {
+    loc_.emplace_back();
+    written_.emplace_back();
+    freed_.emplace_back();
   } else {
-    loc_.push_back(Loc{disk, child});
-    if (RedundancyArmed()) {
-      written_.push_back(0);
-      freed_.push_back(0);
-    }
+    free_list_.pop_back();
   }
+  loc_[id] = Loc{disk, child};
+  written_[id] = 0;
+  freed_[id] = 0;
   if (RedundancyArmed()) {
     const uint64_t g = id / group_data_;
     auto it = parity_.find(g);
@@ -223,51 +276,41 @@ uint64_t IndependentDiskDevice::Allocate() {
 
 void IndependentDiskDevice::Free(uint64_t id) {
   if (!valid_) return;
-  if (!RedundancyArmed()) {
-    std::unique_lock<std::shared_mutex> lock(loc_mu_);
-    if (id >= loc_.size()) return;
-    disks_[loc_[id].disk]->Free(loc_[id].child_id);
-    free_list_.push_back(id);
-    allocated_--;
-    return;
-  }
-  // parity_mu_ held for the whole Free: no other mutator (writes, other
-  // Frees, Allocate reusing this id, a rebuild swap) can interleave
-  // between the content fix-up and the placement update.
-  std::lock_guard<std::mutex> plock(parity_mu_);
-  const uint64_t g = id / group_data_;
-  Loc l{};
+  // With parity armed, parity_mu_ is held for the whole Free: no other
+  // mutator (writes, other Frees, Allocate reusing this id, a rebuild
+  // swap) can interleave between the content fix-up and the placement
+  // update.
+  std::unique_lock<std::mutex> plock(parity_mu_, std::defer_lock);
+  if (RedundancyArmed()) plock.lock();
+  const uint64_t g = RedundancyArmed() ? id / group_data_ : 0;
+  std::unique_lock<std::shared_mutex> lock(loc_mu_);
+  if (id >= loc_.size() || freed_[id]) return;
+  const Loc l = loc_[id];
+  auto it = parity_.find(g);  // parity off: no groups
+  // The last live member skips the XOR-out: its group dissolves below
+  // and the parity block goes with it.
   ReconPlan plan;
-  bool xor_out = false;
-  {
-    std::unique_lock<std::shared_mutex> lock(loc_mu_);
-    if (id >= loc_.size() || freed_[id]) return;
-    l = loc_[id];
-    // The last live member skips the XOR-out: its group dissolves below
-    // and the parity block goes with it.
-    auto it = parity_.find(g);
-    xor_out = written_[id] && it != parity_.end() && it->second.live > 1 &&
-              BuildReconPlan(id, /*loc_locked=*/true, &plan);
-  }
-  if (xor_out) {
+  if (written_[id] && it != parity_.end() && it->second.live > 1 &&
+      BuildReconPlan(id, /*loc_locked=*/true, &plan)) {
     // XOR the departing content back out of the group parity so the
     // freed slot contributes zeros again — otherwise every later
     // reconstruction in the group would be poisoned by a ghost block.
     // Best effort: an unreadable AND unreconstructable block (a double
     // failure) leaves the group parity stale; a rebuild recomputes it.
+    lock.unlock();
     std::vector<char> old(block_size_);
     if (ReadCurrentLocked(plan, old.data()).ok()) {
       (void)ApplyParityLocked(g, old.data(), /*absolute=*/false);
     }
+    lock.lock();
+    it = parity_.find(g);
   }
-  std::unique_lock<std::shared_mutex> lock(loc_mu_);
   disks_[l.disk]->Free(l.child_id);
   written_[id] = 0;
   freed_[id] = 1;
   free_list_.push_back(id);
   allocated_--;
   if (rebuilding_disk_ >= 0) rebuild_dirty_.insert(DataSlot(id));
-  auto it = parity_.find(g);
   if (it != parity_.end() && --it->second.live == 0) {
     // Last member gone: the group dissolves and its parity block is
     // returned to its head.
@@ -318,13 +361,12 @@ Status IndependentDiskDevice::XorBlocks(const std::vector<Loc>& locs,
           "IndependentDiskDevice: double failure (surviving group block "
           "on a dead head)");
     }
-    // Reads ride the retry shim like any other transfer — a transient
-    // fault on a surviving block must not fail a reconstruction the
-    // healthy path would have retried through.
-    BlockDevice* d = disks_[l.disk].get();
-    VEM_RETURN_IF_ERROR(WithRetry(d, l.child_id, [&] {
-      return d->ReadUncounted(l.child_id, tmp.data());
-    }));
+    // A batch of one rides the child's retry loop like any other
+    // transfer — a transient fault on a surviving block must not fail a
+    // reconstruction the healthy path would have retried through.
+    void* buf = tmp.data();
+    VEM_RETURN_IF_ERROR(
+        disks_[l.disk]->ReadBatchUncounted(&l.child_id, &buf, 1));
     g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
     for (size_t j = 0; j < B; ++j) acc[j] ^= tmp[j];
   }
@@ -357,7 +399,9 @@ Status IndependentDiskDevice::ReadCurrentLocked(const ReconPlan& plan,
                                                 void* out) {
   const Loc& t = plan.target;
   if (DiskDead(t.disk)) return ExecuteReconPlan(plan, out);
-  Status s = disks_[t.disk]->ReadUncounted(t.child_id, out);
+  // Like every physical transfer of the redundancy plane, a batch of one:
+  // it rides the child's retry loop.
+  Status s = disks_[t.disk]->ReadBatchUncounted(&t.child_id, &out, 1);
   if (s.ok()) {
     g_parity_bytes_.fetch_add(block_size_, std::memory_order_relaxed);
   } else if (s.IsIOError()) {
@@ -391,27 +435,22 @@ Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
   }
   const size_t B = block_size_;
   BlockDevice* pd = disks_[pl.disk].get();
-  const bool pw = parity_written_.count(g) != 0;
-  Status s;
-  if (absolute || !pw) {
-    // Full-stripe parity (or first content in the group): the delta IS
-    // the new parity — no read-modify-write.
-    s = pd->WriteUncounted(pl.child_id, delta);
-    if (s.ok()) {
-      g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
-      g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
-    }
-  } else {
-    std::vector<char> cur(B);
-    s = pd->ReadUncounted(pl.child_id, cur.data());
-    if (s.ok()) {
-      for (size_t j = 0; j < B; ++j) cur[j] ^= delta[j];
-      s = pd->WriteUncounted(pl.child_id, cur.data());
-    }
-    if (s.ok()) {
-      g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
-      g_parity_bytes_.fetch_add(2 * B, std::memory_order_relaxed);
-    }
+  // Full-stripe parity (or first content in the group): the delta IS the
+  // new parity. Otherwise read-modify-write: fold it into the current
+  // parity. Both transfers are batches of one, so a transient fault is
+  // retried in the child's loop instead of leaving the parity stale.
+  const bool rmw = !absolute && parity_written_.count(g) != 0;
+  std::vector<char> cur(B);
+  void* buf = cur.data();
+  Status s =
+      rmw ? pd->ReadBatchUncounted(&pl.child_id, &buf, 1) : Status::OK();
+  if (s.ok()) {
+    for (size_t j = 0; j < B; ++j) cur[j] ^= delta[j];
+    s = pd->WriteBatchUncounted(&pl.child_id, &buf, 1);
+  }
+  if (s.ok()) {
+    g_parity_writes_.fetch_add(1, std::memory_order_relaxed);
+    g_parity_bytes_.fetch_add(rmw ? 2 * B : B, std::memory_order_relaxed);
   }
   if (s.IsIOError()) {
     // The parity head just died; the data write still carries the
@@ -424,29 +463,42 @@ Status IndependentDiskDevice::ApplyParityLocked(uint64_t g, const char* delta,
   return Status::OK();
 }
 
-void IndependentDiskDevice::MarkWrittenShared(const uint64_t* ids, size_t n) {
-  // Single-byte slots of distinct ids never race; growth happens only
-  // under the exclusive lock, so shared suffices.
-  std::shared_lock<std::shared_mutex> lock(loc_mu_);
-  for (size_t i = 0; i < n; ++i) {
-    if (ids[i] < written_.size()) written_[ids[i]] = 1;
-  }
-}
-
-Status IndependentDiskDevice::Locate(const uint64_t* ids, size_t n,
-                                     Loc* out) const {
+Status IndependentDiskDevice::Locate(const uint64_t* ids, void* const* bufs,
+                                     Request* r) const {
   if (!valid_) {
     return Status::InvalidArgument(
         "IndependentDiskDevice children violate preconditions");
   }
   std::shared_lock<std::shared_mutex> lock(loc_mu_);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < r->n; ++i) {
     if (ids[i] >= loc_.size()) {
       return Status::InvalidArgument("IndependentDiskDevice: bad block id");
     }
-    out[i] = loc_[ids[i]];
+    r->key[i] = uint64_t{loc_[ids[i]].disk} << 32 | i;
+  }
+  std::sort(r->key.data(), r->key.data() + r->n);
+  for (size_t k = 0; k < r->n; ++k) {
+    const size_t i = r->index(k);
+    const Loc& l = loc_[ids[i]];
+    if (r->num_batches == 0 || r->batch[r->num_batches - 1].disk != l.disk) {
+      // Filled in place: a temporary DiskBatch would construct, move and
+      // destroy a Status on every call.
+      DiskBatch& b = r->batch[r->num_batches++];
+      b.disk = l.disk;
+      b.head = disks_[l.disk].get();
+      b.begin = b.end = k;
+    }
+    r->batch[r->num_batches - 1].end++;
+    r->child_ids[k] = l.child_id;
+    r->bufs[k] = bufs[i];
   }
   return Status::OK();
+}
+
+bool IndependentDiskDevice::HeadSwapped(size_t d,
+                                        const BlockDevice* head) const {
+  std::shared_lock<std::shared_mutex> lock(loc_mu_);
+  return disks_[d].get() != head;
 }
 
 void IndependentDiskDevice::ChargeParent(bool write, uint64_t blocks,
@@ -480,61 +532,6 @@ Status IndependentDiskDevice::DegradedReadBlock(uint64_t id, uint32_t disk,
   return Status::OK();
 }
 
-Status IndependentDiskDevice::ReadOne(uint64_t id, void* buf, bool counted) {
-  Loc l{};
-  VEM_RETURN_IF_ERROR(Locate(&id, 1, &l));
-  Status s;
-  if (RedundancyArmed() && DiskDegraded(l.disk)) {
-    s = DegradedReadBlock(id, l.disk, buf, counted);
-  } else {
-    // Per-block retry at the parent: the child's counted single-block
-    // Read charges only on success, so whole-op re-execution cannot
-    // double-count, and failed attempts feed the child head's health.
-    BlockDevice* disk = disks_[l.disk].get();
-    s = WithRetry(disk, l.child_id, [&] {
-      return counted ? disk->Read(l.child_id, buf)
-                     : disk->ReadUncounted(l.child_id, buf);
-    });
-    if (RedundancyArmed() && !s.ok()) {
-      // A rebuild swap may have re-homed the block between the lookup
-      // and the transfer; one re-lookup closes that window.
-      Loc l2;
-      if (Lookup(id, &l2) &&
-          (l2.disk != l.disk || l2.child_id != l.child_id)) {
-        return ReadOne(id, buf, counted);
-      }
-      if (s.IsIOError()) {
-        // Permanent failure past the retry plane: latch the head dead
-        // and serve the block from the group. The failed attempt
-        // charged nothing, so the degraded path's deferred charge is
-        // the only one.
-        MarkDiskDead(l.disk);
-        s = DegradedReadBlock(id, l.disk, buf, counted);
-      }
-    }
-  }
-  VEM_RETURN_IF_ERROR(s);
-  if (counted) ChargeParent(/*write=*/false, 1, 1);  // one head: one step
-  return Status::OK();
-}
-
-Status IndependentDiskDevice::WriteOne(uint64_t id, const void* buf,
-                                       bool counted) {
-  if (RedundancyArmed()) {
-    VEM_RETURN_IF_ERROR(WriteMany(&id, &buf, 1, counted));
-  } else {
-    Loc l{};
-    VEM_RETURN_IF_ERROR(Locate(&id, 1, &l));
-    BlockDevice* disk = disks_[l.disk].get();
-    VEM_RETURN_IF_ERROR(WithRetry(disk, l.child_id, [&] {
-      return counted ? disk->Write(l.child_id, buf)
-                     : disk->WriteUncounted(l.child_id, buf);
-    }));
-  }
-  if (counted) ChargeParent(/*write=*/true, 1, 1);
-  return Status::OK();
-}
-
 uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
                                            size_t n) const {
   // Greedy in-order packing: a wave accumulates blocks until the next
@@ -560,53 +557,46 @@ uint64_t IndependentDiskDevice::CountWaves(const uint64_t* ids,
   return waves;
 }
 
-std::vector<Status> IndependentDiskDevice::RunPerDisk(
-    std::shared_ptr<const DiskBatches> batches, bool write, bool counted) {
-  const size_t D = disks_.size();
-  // Jobs share ownership of `batches` (child ids and buffer pointers): a
-  // job the engine watchdog abandons may still run after this returns.
-  auto run = [batches, write, counted](BlockDevice* disk, size_t d) {
-    const DiskBatch& b = (*batches)[d];
-    const size_t nd = b.child_ids.size();
-    if (nd == 0) return Status::OK();
-    if (write) {
-      return counted ? disk->WriteBatch(b.child_ids.data(), b.bufs.data(), nd)
-                     : disk->WriteBatchUncounted(b.child_ids.data(),
-                                                 b.bufs.data(), nd);
-    }
-    return counted
-               ? disk->ReadBatch(b.child_ids.data(), b.bufs.data(), nd)
-               : disk->ReadBatchUncounted(b.child_ids.data(), b.bufs.data(),
-                                          nd);
-  };
+void IndependentDiskDevice::RunPerDisk(Request* r, bool write, bool counted) {
   // Child-stat snapshots turn a mid-batch death into an exact top-up:
   // healthy charge nd minus what landed before the failure. Reading the
   // counters is safe — the failed disk's job has completed.
-  auto child_blocks = [&](size_t d) {
-    const IoStats& s = disks_[d]->stats();
+  auto child_blocks = [write](const DiskBatch& b) {
+    const IoStats& s = b.head->stats();
     return write ? s.block_writes : s.block_reads;
   };
-  std::vector<uint64_t> before;
   if (counted && RedundancyArmed()) {
-    for (size_t d = 0; d < D; ++d) before.push_back(child_blocks(d));
+    for (DiskBatch& b : r->batches()) b.before = child_blocks(b);
   }
-  std::vector<Status> st(D);
-  if (engine_ == nullptr || D < 2) {
-    for (size_t d = 0; d < D; ++d) st[d] = run(disks_[d].get(), d);
+  if (engine_ == nullptr || disks_.size() < 2 || r->n == 1) {
+    // A one-block request (every Read/Write) runs on the caller: one
+    // head, one step, no engine hop.
+    for (DiskBatch& b : r->batches()) {
+      if (b.skip) continue;
+      b.st = Transfer(b.head, &r->child_ids[b.begin], &r->bufs[b.begin],
+                      b.end - b.begin, write, counted);
+    }
   } else {
-    // One disk-tagged job per non-empty disk: the engine's per-disk
+    // One disk-tagged job per dispatched batch: the engine's per-disk
     // queues serialize same-disk traffic (one transfer per head) while
     // distinct disks run concurrently. The child device pointer is the
     // tag — unique per disk across every device sharing the engine.
+    // Each job owns a copy of its child ids and buffer pointers: a job
+    // the engine watchdog abandons may still run after this returns.
     std::vector<std::function<Status()>> jobs;
     std::vector<uint64_t> tags;
-    std::vector<size_t> job_disk;
-    for (size_t d = 0; d < D; ++d) {
-      if ((*batches)[d].child_ids.empty()) continue;
-      BlockDevice* disk = disks_[d].get();
-      jobs.push_back([run, disk, d] { return run(disk, d); });
-      tags.push_back(DiskTag(d));
-      job_disk.push_back(d);
+    for (const DiskBatch& b : r->batches()) {
+      if (b.skip) continue;
+      const auto* ids = r->child_ids.data();
+      const auto* bufs = r->bufs.data();
+      jobs.push_back(
+          [head = b.head, write, counted,
+           ids = std::vector<uint64_t>(ids + b.begin, ids + b.end),
+           bufs = std::vector<void*>(bufs + b.begin, bufs + b.end)] {
+            return Transfer(head, ids.data(), bufs.data(), ids.size(), write,
+                            counted);
+          });
+      tags.push_back(reinterpret_cast<uintptr_t>(b.head));
     }
     // Uncounted jobs are charge-free end to end, so they may also opt
     // into the ENGINE's whole-job retry plane (when one is configured
@@ -617,80 +607,75 @@ std::vector<Status> IndependentDiskDevice::RunPerDisk(
     std::vector<Status> job_st;
     (void)engine_->RunBatch(std::move(jobs), tags, /*retryable=*/!counted,
                             &job_st);
-    for (size_t k = 0; k < job_disk.size(); ++k) {
-      st[job_disk[k]] = std::move(job_st[k]);
+    size_t k = 0;
+    for (DiskBatch& b : r->batches()) {
+      if (!b.skip) b.st = std::move(job_st[k++]);
     }
   }
-  if (RedundancyArmed()) {
-    for (size_t d = 0; d < D; ++d) {
-      if (!st[d].IsIOError()) continue;
-      // The head died mid-batch: latch it and make the child's charge
-      // what the healthy batch would have recorded.
-      MarkDiskDead(d);
-      if (!counted) continue;
-      const uint64_t nd = (*batches)[d].child_ids.size();
-      const uint64_t landed = child_blocks(d) - before[d];
-      if (landed >= nd) continue;
-      if (write) {
-        disks_[d]->AccountWrites(nd - landed);
-      } else {
-        disks_[d]->AccountReads(nd - landed);
-      }
+  if (!RedundancyArmed()) return;
+  for (DiskBatch& b : r->batches()) {
+    // A head a rebuild swapped out meanwhile is not latched: the caller
+    // re-reads its blocks from the spare.
+    if (!b.st.IsIOError() || HeadSwapped(b.disk, b.head)) continue;
+    // The head died mid-batch: latch it and make the child's charge
+    // what the healthy batch would have recorded.
+    MarkDiskDead(b.disk);
+    if (!counted) continue;
+    const uint64_t nd = b.end - b.begin;
+    const uint64_t landed = child_blocks(b) - b.before;
+    if (landed >= nd) continue;
+    if (write) {
+      b.head->AccountWrites(nd - landed);
+    } else {
+      b.head->AccountReads(nd - landed);
     }
   }
-  return st;
 }
 
 Status IndependentDiskDevice::ReadMany(const uint64_t* ids, void* const* bufs,
                                        size_t n, bool counted) {
   if (n == 0) return Status::OK();
-  std::vector<Loc> locs(n);
-  VEM_RETURN_IF_ERROR(Locate(ids, n, locs.data()));
-  // Blocks served by reconstruction: pre-known degraded heads get their
-  // home child charged per block (what the healthy batch would have
-  // recorded); blocks of a head that dies MID-batch were topped up in
-  // bulk by RunPerDisk, so their reconstructions carry no extra charge.
-  struct Recon {
-    uint64_t id;
-    void* buf;
-    uint32_t disk;
-    bool charge;
-  };
-  std::vector<Recon> recon;
-  uint64_t degraded = 0;  // one view per batch (redundancy: D <= 64)
-  if (RedundancyArmed()) {
-    for (size_t d = 0; d < disks_.size(); ++d) {
-      if (DiskDegraded(d)) degraded |= uint64_t{1} << d;
-    }
+  Request r(n);
+  VEM_RETURN_IF_ERROR(Locate(ids, bufs, &r));
+  // A degraded head's blocks are not dispatched (one view per batch):
+  // they are reconstructed below.
+  for (DiskBatch& b : r.batches()) {
+    b.skip = RedundancyArmed() && DiskDegraded(b.disk);
   }
-  auto batches = std::make_shared<DiskBatches>(disks_.size());
-  for (size_t i = 0; i < n; ++i) {
-    const Loc& l = locs[i];
-    if ((degraded >> l.disk) & 1) {
-      recon.push_back(Recon{ids[i], bufs[i], l.disk, counted});
-    } else {
-      (*batches)[l.disk].Add(l.child_id, bufs[i]);
+  RunPerDisk(&r, /*write=*/false, counted);
+  std::vector<uint64_t> redo_ids;
+  std::vector<void*> redo_bufs;
+  for (DiskBatch& b : r.batches()) {
+    if (b.st.ok()) continue;
+    if (RedundancyArmed() && HeadSwapped(b.disk, b.head)) {
+      // A rebuild swap re-homed the head's blocks between the lookup and
+      // the transfer; one re-lookup closes that window.
+      for (size_t k = b.begin; k < b.end; ++k) {
+        redo_ids.push_back(ids[r.index(k)]);
+        redo_bufs.push_back(r.bufs[k]);
+      }
+      b.st = Status::OK();  // served by the re-read
+      continue;
     }
-  }
-  const std::vector<Status> st = RunPerDisk(batches, /*write=*/false, counted);
-  for (size_t d = 0; d < st.size(); ++d) {
-    if (st[d].ok()) continue;
     // Only a permanent head failure is served by reconstruction; a
     // watchdog Timeout (the job may still be running) or any other
     // error fails the batch.
-    if (!RedundancyArmed() || !st[d].IsIOError()) return st[d];
-    // Reconstruct every block the dead head owed this batch (blocks that
-    // landed before the death are overwritten with identical content).
-    for (size_t i = 0; i < n; ++i) {
-      if (locs[i].disk == d) {
-        recon.push_back(Recon{ids[i], bufs[i], uint32_t(d), false});
-      }
+    if (!RedundancyArmed() || !b.st.IsIOError()) return b.st;
+  }
+  // Reconstruct the blocks of degraded heads and of heads that died
+  // mid-batch (blocks that landed before the death are overwritten with
+  // identical content). Degraded heads get their home child charged per
+  // block (what the healthy batch would have recorded); a mid-batch
+  // death was topped up in bulk by RunPerDisk, so its reconstructions
+  // carry no extra charge.
+  for (const DiskBatch& b : r.batches()) {
+    if (!b.skip && b.st.ok()) continue;
+    for (size_t k = b.begin; k < b.end; ++k) {
+      VEM_RETURN_IF_ERROR(DegradedReadBlock(ids[r.index(k)], b.disk,
+                                            r.bufs[k], b.skip && counted));
     }
   }
-  for (const Recon& r : recon) {
-    VEM_RETURN_IF_ERROR(DegradedReadBlock(r.id, r.disk, r.buf, r.charge));
-  }
-  return Status::OK();
+  return ReadMany(redo_ids.data(), redo_bufs.data(), redo_ids.size(), counted);
 }
 
 Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
@@ -707,8 +692,8 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
   // delta); no caller in the repo issues them.
   std::unique_lock<std::mutex> plock(parity_mu_, std::defer_lock);
   if (RedundancyArmed()) plock.lock();
-  std::vector<Loc> locs(n);
-  VEM_RETURN_IF_ERROR(Locate(ids, n, locs.data()));
+  Request r(n);
+  VEM_RETURN_IF_ERROR(Locate(ids, const_cast<void* const*>(bufs), &r));
   // -------- phase A (parity): per-group deltas against old contents.
   std::unordered_map<uint64_t, std::vector<char>> delta;
   std::unordered_map<uint64_t, uint8_t> full;
@@ -757,27 +742,23 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
   // head's blocks are carried by the redundancy plane alone, charged
   // through the deferred plane exactly as the healthy write would have
   // been (bit-identical child IoStats).
-  auto batches = std::make_shared<DiskBatches>(disks_.size());
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t d = locs[i].disk;
-    if (RedundancyArmed() && DiskDead(d)) {
-      if (counted) disks_[d]->AccountWrites(1);
-      g_degraded_writes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      (*batches)[d].Add(locs[i].child_id, const_cast<void*>(bufs[i]));
-    }
+  for (DiskBatch& b : r.batches()) {
+    b.skip = RedundancyArmed() && DiskDead(b.disk);
+    if (!b.skip) continue;
+    if (counted) b.head->AccountWrites(b.end - b.begin);
+    g_degraded_writes_.fetch_add(b.end - b.begin, std::memory_order_relaxed);
   }
-  const std::vector<Status> st = RunPerDisk(batches, /*write=*/true, counted);
+  RunPerDisk(&r, /*write=*/true, counted);
   Status first_err = Status::OK();
-  for (size_t d = 0; d < st.size(); ++d) {
-    if (st[d].ok()) continue;
-    if (RedundancyArmed() && st[d].IsIOError()) {
+  for (const DiskBatch& b : r.batches()) {
+    if (b.st.ok()) continue;
+    if (RedundancyArmed() && b.st.IsIOError()) {
       // Died mid-batch (latched and charged by RunPerDisk): phase C's
       // parity carries these blocks.
-      g_degraded_writes_.fetch_add((*batches)[d].child_ids.size(),
+      g_degraded_writes_.fetch_add(b.end - b.begin,
                                    std::memory_order_relaxed);
     } else if (first_err.ok()) {
-      first_err = st[d];
+      first_err = b.st;
     }
   }
   if (!RedundancyArmed()) return first_err;
@@ -788,13 +769,15 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
     Status s = ApplyParityLocked(g, dl.data(), full[g] != 0);
     if (!s.ok() && first_err.ok()) first_err = s;
   }
-  // -------- phase D: flags + rebuild dirty tracking.
-  MarkWrittenShared(ids, n);
-  if (rebuilding_disk_ >= 0) {
-    for (size_t i = 0; i < n; ++i) {
-      if (int(locs[i].disk) == rebuilding_disk_) {
-        rebuild_dirty_.insert(DataSlot(ids[i]));
-      }
+  // -------- phase D: flags + rebuild dirty tracking. Single-byte slots
+  // of distinct ids never race; growth happens only under the exclusive
+  // lock, so shared suffices.
+  std::shared_lock<std::shared_mutex> lock(loc_mu_);
+  for (const DiskBatch& b : r.batches()) {
+    for (size_t k = b.begin; k < b.end; ++k) {
+      const uint64_t id = ids[r.index(k)];
+      written_[id] = 1;
+      if (int(b.disk) == rebuilding_disk_) rebuild_dirty_.insert(DataSlot(id));
     }
   }
   return first_err;
@@ -803,7 +786,8 @@ Status IndependentDiskDevice::WriteMany(const uint64_t* ids,
 Status IndependentDiskDevice::ReadBatch(const uint64_t* ids, void* const* bufs,
                                         size_t n) {
   VEM_RETURN_IF_ERROR(ReadMany(ids, bufs, n, /*counted=*/true));
-  ChargeParent(/*write=*/false, n, CountWaves(ids, n));
+  // A single block is one wave: no second lookup.
+  ChargeParent(/*write=*/false, n, n == 1 ? 1 : CountWaves(ids, n));
   return Status::OK();
 }
 
@@ -814,7 +798,7 @@ Status IndependentDiskDevice::WriteBatch(const uint64_t* ids,
   // counted, one parallel step per wave of distinct disks. Randomized
   // cycling makes any D consecutive allocations a full wave, so grouped
   // write-behind scatters at the same D-way rate forecast reads gather.
-  ChargeParent(/*write=*/true, n, CountWaves(ids, n));
+  ChargeParent(/*write=*/true, n, n == 1 ? 1 : CountWaves(ids, n));
   return Status::OK();
 }
 
@@ -904,7 +888,7 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
   }
   spare->set_retry_policy(retry_);
   spare->set_io_engine(engine_);
-  const uint64_t old_tag = reinterpret_cast<uintptr_t>(disks_[d].get());
+  const uint64_t old_tag = DiskTag(d);
   if (engine_ != nullptr) engine_->SetDiskRebuilding(old_tag, true);
   {
     std::lock_guard<std::mutex> plock(parity_mu_);
@@ -980,7 +964,8 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
       if (!plan.written) return Status::OK();
       VEM_RETURN_IF_ERROR(ReadCurrentLocked(plan, buf.data()));
     }
-    VEM_RETURN_IF_ERROR(spare->WriteUncounted(it->second, buf.data()));
+    void* src = buf.data();
+    VEM_RETURN_IF_ERROR(spare->WriteBatchUncounted(&it->second, &src, 1));
     g_rebuilt_blocks_.fetch_add(1, std::memory_order_relaxed);
     g_parity_bytes_.fetch_add(B, std::memory_order_relaxed);
     return Status::OK();
@@ -1067,8 +1052,7 @@ Status IndependentDiskDevice::RebuildDisk(size_t d,
     // with it; the spare inherits the route label with a clean slate.
     engine_->SetDiskRebuilding(old_tag, false);
     engine_->ForgetDisk(old_tag);
-    engine_->LabelDisk(reinterpret_cast<uintptr_t>(disks_[d].get()),
-                       uint64_t{d} + 1);
+    engine_->LabelDisk(DiskTag(d), uint64_t{d} + 1);
   }
   return Status::OK();
 }
@@ -1088,8 +1072,7 @@ void IndependentDiskDevice::set_io_engine(IoEngine* engine) {
     if (engine != nullptr) {
       // The child pointer is the disk tag RunPerDisk and EngineDiskTag use;
       // disk + 1 is the PrefetchRoute of every block it holds.
-      engine->LabelDisk(reinterpret_cast<uintptr_t>(disks_[d].get()),
-                        uint64_t{d} + 1);
+      engine->LabelDisk(DiskTag(d), uint64_t{d} + 1);
     }
   }
 }
@@ -1105,7 +1088,7 @@ uint64_t IndependentDiskDevice::EngineDiskTag(uint64_t block_id) const {
   if (!Lookup(block_id, &l)) {
     return reinterpret_cast<uintptr_t>(this);
   }
-  return reinterpret_cast<uintptr_t>(disks_[l.disk].get());
+  return DiskTag(l.disk);
 }
 
 }  // namespace vem

@@ -19,22 +19,29 @@
 //    (Vitter–Hutchinson randomized cycling);
 //  - batched access: the counted ReadBatch packs its ids greedily, in
 //    order, into "waves" of distinct disks and charges ONE parallel
-//    step per wave (block_reads still count every block). A sequential
-//    one-block-at-a-time consumer charges one step per block, exactly
-//    like a single disk — independence only pays when the algorithm
-//    actually issues multi-block requests, which is the PDM's rule that
-//    the cost model prices algorithmic access patterns. The forecast
-//    merge (sort/forecast_merge.h) is the algorithmic side of the read
+//    step per wave (block_reads still count every block). Read and
+//    Write are batches of one, so a sequential one-block-at-a-time
+//    consumer charges one step per block, exactly like a single disk —
+//    independence only pays when the algorithm actually issues
+//    multi-block requests, which is the PDM's rule that the cost model
+//    prices algorithmic access patterns. The forecast merge
+//    (sort/forecast_merge.h) is the algorithmic side of the read
 //    bargain; grouped write-behind (ExtVector::Writer flushing whole
 //    K-block groups through WriteBatch / AccountWriteBatch) is the
 //    write side. The per-block AccountWriteIds form remains for
 //    consumers whose identity anchor is the block-by-block Write loop
 //    (the buffer pool's ghost flushes).
 //
-// Engine integration: every per-disk fan-out (counted batches and the
-// uncounted plane) is submitted as one job per disk, tagged with the
-// child device, so the IoEngine's per-disk queues and in-flight caps
-// model one transfer per head — a slow disk delays only its own queue.
+// One transfer path: Read, Write and their uncounted forms are
+// one-element ReadMany/WriteMany calls, so lookup, per-block retry (in
+// the child's batch loop), degraded reads and parity upkeep are written
+// once.
+//
+// Engine integration: every per-disk fan-out of more than one block
+// (counted batches and the uncounted plane) is submitted as one job per
+// disk, tagged with the child device, so the IoEngine's per-disk queues
+// and in-flight caps model one transfer per head — a slow disk delays
+// only its own queue. A one-block request runs on the caller.
 //
 // Uncounted plane + deferred accounting: forwarded per child like
 // StripedDevice, with id-aware deferral (AccountReadBatch /
@@ -44,7 +51,7 @@
 //
 // ---------------------------------------------------- redundancy plane
 //
-// SetRedundancy(kParity, group_width) arms single-head fault tolerance:
+// SetParity(group_width) arms single-head fault tolerance:
 // logical ids are grouped G-1 at a time (group of id = id / (G-1), G =
 // group_width clamped to [2, D], 0 meaning D); each group lazily owns
 // one PARITY block = XOR of its members, placed on a head distinct from
@@ -67,8 +74,8 @@
 // parity block alone.
 //
 // ACCOUNTING CONTRACT: logical IoStats (parent and children) stay
-// bit-identical healthy vs degraded. Placement with redundancy armed
-// deliberately IGNORES quarantine (unlike the kNone divert below), so
+// bit-identical healthy vs degraded. Placement with parity armed
+// deliberately IGNORES quarantine (unlike the parity-off divert), so
 // the allocation sequence — and thus every wave count — cannot depend
 // on when a head died; degraded paths charge the home child through
 // its Account* plane exactly as the healthy transfer would have. All
@@ -82,7 +89,7 @@
 // the spare in — placement flips back, the engine forgets the dead
 // head's health record, and reads are non-degraded again.
 // RebuildManager (io/rebuild_manager.h) runs this as a background
-// policy loop. Redundancy supports up to 64 heads (the dead set is one
+// policy loop. Parity supports up to 64 heads (the dead set is one
 // atomic word).
 #pragma once
 
@@ -101,21 +108,6 @@
 #include "util/random.h"
 
 namespace vem {
-
-/// Redundancy scheme for IndependentDiskDevice (see the redundancy
-/// section of the file comment), armed by SetRedundancy.
-///  - kNone:   no redundancy — a permanently failed head loses its
-///             blocks (the historical behavior).
-///  - kParity: RAID-5-style rotated parity groups of width G (the
-///             SetRedundancy group width; G-1 data blocks + 1 parity
-///             block, all on distinct heads). Survives any single-head
-///             failure; small writes pay a physical read-modify-write on
-///             the parity block, charged to the redundancy gauge only.
-///             G = 2 is mirroring.
-/// Redundancy never changes the LOGICAL IoStats planes: degraded reads
-/// and diverted writes charge exactly what the healthy path would have,
-/// and all reconstruction traffic rides RedundancyStats.
-enum class Redundancy { kNone, kParity };
 
 /// Logical device of block size B over D independent child disks with
 /// randomized cycling placement. Stats on this device count PDM parallel
@@ -142,11 +134,12 @@ class IndependentDiskDevice final : public BlockDevice {
   bool valid() const { return valid_; }
 
   size_t block_size() const override { return block_size_; }
+  /// One-element batches: one block, one step.
   Status Read(uint64_t id, void* buf) override {
-    return ReadOne(id, buf, /*counted=*/true);
+    return ReadBatch(&id, &buf, 1);
   }
   Status Write(uint64_t id, const void* buf) override {
-    return WriteOne(id, buf, /*counted=*/true);
+    return WriteBatch(&id, &buf, 1);
   }
 
   /// Counted batches with independent-head accounting: n block
@@ -155,7 +148,7 @@ class IndependentDiskDevice final : public BlockDevice {
   /// Transfers fan out as one child batch per disk — engine-parallel,
   /// disk-tagged jobs when an engine is attached. Both directions
   /// charge waves; per-block consumers keep per-block steps because
-  /// they call Read/Write one block at a time.
+  /// they call Read/Write one block at a time (a wave of one).
   Status ReadBatch(const uint64_t* ids, void* const* bufs, size_t n) override;
   Status WriteBatch(const uint64_t* ids, const void* const* bufs,
                     size_t n) override;
@@ -167,10 +160,10 @@ class IndependentDiskDevice final : public BlockDevice {
   bool SupportsUncounted() const override;
   bool SupportsAsync() const override;
   Status ReadUncounted(uint64_t id, void* buf) override {
-    return ReadOne(id, buf, /*counted=*/false);
+    return ReadMany(&id, &buf, 1, /*counted=*/false);
   }
   Status WriteUncounted(uint64_t id, const void* buf) override {
-    return WriteOne(id, buf, /*counted=*/false);
+    return WriteMany(&id, &buf, 1, /*counted=*/false);
   }
   Status ReadBatchUncounted(const uint64_t* ids, void* const* bufs,
                             size_t n) override {
@@ -204,8 +197,8 @@ class IndependentDiskDevice final : public BlockDevice {
   void set_io_engine(IoEngine* engine) override;
 
   /// Forwards the retry policy to every child (per-block retry lives in
-  /// the children's batch loops) and keeps it locally for the parent's
-  /// own single-block forwards.
+  /// the children's batch loops, single-block transfers included) and
+  /// keeps it for the spares a rebuild swaps in.
   void set_retry_policy(RetryPolicy* retry) override;
 
   /// Per-disk lease routing for the PrefetchGovernor: disk index + 1
@@ -241,13 +234,16 @@ class IndependentDiskDevice final : public BlockDevice {
   uint64_t CountWaves(const uint64_t* ids, size_t n) const;
 
   // ------------------------------------------------- redundancy plane
-  /// Arm a redundancy scheme (see file comment). Must be called before
-  /// the first Allocate and with at most 64 heads; otherwise it is
-  /// ignored and the device stays at kNone. `group_width` is G for
-  /// kParity (0 = D), clamped to [2, D]; G = 2 mirrors every block.
-  void SetRedundancy(Redundancy mode, size_t group_width = 0);
-  Redundancy redundancy() const { return redundancy_; }
-  /// Parity group width G in force (0 when parity is not armed).
+  /// Arm RAID-5-style rotated parity groups of width G = `group_width`
+  /// (0 = D), clamped to [2, D]: G-1 data blocks + 1 parity block, all
+  /// on distinct heads, surviving any single-head failure (see file
+  /// comment); G = 2 mirrors every block. Small writes pay a physical
+  /// read-modify-write on the parity block, charged to the redundancy
+  /// gauge only. Must be called before the first Allocate, with 2 to 64
+  /// heads; otherwise it is ignored and parity stays off — a
+  /// permanently failed head then loses its blocks.
+  void SetParity(size_t group_width = 0);
+  /// Parity group width G in force (0 when parity is off).
   size_t parity_group_width() const {
     return RedundancyArmed() ? group_data_ + 1 : 0;
   }
@@ -318,56 +314,40 @@ class IndependentDiskDevice final : public BlockDevice {
     std::vector<Loc> peers;       // parity block + written live members
   };
 
-  /// One disk's share of a batch, in batch order (so contiguous child
-  /// ids still coalesce in file-backed children).
-  struct DiskBatch {
-    std::vector<uint64_t> child_ids;
-    std::vector<void*> bufs;
-    void Add(uint64_t child_id, void* buf) {
-      child_ids.push_back(child_id);
-      bufs.push_back(buf);
-    }
-  };
-  using DiskBatches = std::vector<DiskBatch>;  // indexed by disk
+  /// One transfer request grouped by disk, and one disk's share of it
+  /// (defined in the .cc).
+  struct Request;
+  struct DiskBatch;
 
   /// The one precondition check of every transfer: a valid device and
-  /// known ids. Copies each id's placement into `out`.
-  Status Locate(const uint64_t* ids, size_t n, Loc* out) const;
+  /// known ids. Groups the request by disk from one placement snapshot,
+  /// taking each batch's head under the same lock.
+  Status Locate(const uint64_t* ids, void* const* bufs, Request* r) const;
+  /// True when a rebuild swap replaced `head` at disk `d`.
+  bool HeadSwapped(size_t d, const BlockDevice* head) const;
 
-  /// The per-disk dispatch: one child batch per non-empty disk on the
-  /// counted or uncounted plane — in disk order without an engine, else
-  /// as disk-tagged engine jobs that share ownership of `batches`, so a
-  /// job the watchdog abandons never touches a dead frame. Returns one
-  /// Status per disk (Timeout for an abandoned job). With redundancy
-  /// armed, a disk that failed with IOError is latched dead and, when
-  /// counted, its child charge topped up to the healthy batch's; the
-  /// caller serves its blocks from the redundancy plane.
-  std::vector<Status> RunPerDisk(std::shared_ptr<const DiskBatches> batches,
-                                 bool write, bool counted);
+  /// The per-disk dispatch of a grouped request: each batch not marked
+  /// skip on the counted or uncounted plane — in disk order on the
+  /// caller without an engine or for a single block, else as disk-tagged
+  /// engine jobs that own copies of their batch, so a job the watchdog
+  /// abandons never touches a dead frame. Leaves each Status in its batch
+  /// (Timeout for an abandoned job). With redundancy armed, a disk that
+  /// failed with IOError (and was not swapped out meanwhile) is latched
+  /// dead and, when counted, its child charge topped up to the healthy
+  /// batch's; the caller serves its blocks from the redundancy plane.
+  void RunPerDisk(Request* r, bool write, bool counted);
 
-  /// Batch transfers: group by disk, dispatch, return the first error.
+  /// Every transfer: group by disk, dispatch, return the first error.
   /// With redundancy armed, reads reconstruct degraded heads' blocks in
-  /// the caller thread (and those of a head that dies mid-batch);
-  /// writes maintain parity read-modify-write (or full-stripe) under
-  /// parity_mu_, and a dead head's content lands in the parity block
-  /// alone.
+  /// the caller thread (and those of a head that dies mid-batch) and
+  /// re-read, once more, the blocks of a head a rebuild swapped out
+  /// under them; writes maintain parity read-modify-write (or
+  /// full-stripe) under parity_mu_, and a dead head's content lands in
+  /// the parity block alone.
   Status ReadMany(const uint64_t* ids, void* const* bufs, size_t n,
                   bool counted);
   Status WriteMany(const uint64_t* ids, const void* const* bufs, size_t n,
                    bool counted);
-  /// Single-block transfers, retried per block at the parent.
-  Status ReadOne(uint64_t id, void* buf, bool counted);
-  Status WriteOne(uint64_t id, const void* buf, bool counted);
-
-  /// Run one transfer on `disk` through the retry plane. Without a
-  /// policy `op` runs directly: RunWithDiskRetry(nullptr, ...) would
-  /// still report fail-stop evidence to the engine.
-  template <typename Op>
-  Status WithRetry(BlockDevice* disk, uint64_t child_id, Op&& op) {
-    if (retry_ == nullptr) return op();
-    return RunWithDiskRetry(retry_, engine_,
-                            reinterpret_cast<uintptr_t>(disk), child_id, op);
-  }
 
   /// Charge this device `blocks` transfers in `steps` parallel steps.
   void ChargeParent(bool write, uint64_t blocks, uint64_t steps);
@@ -414,8 +394,7 @@ class IndependentDiskDevice final : public BlockDevice {
   /// exact charge its healthy transfer would have recorded.
   Status DegradedReadBlock(uint64_t id, uint32_t disk, void* buf, bool charge);
 
-  bool RedundancyArmed() const { return redundancy_ != Redundancy::kNone; }
-  void MarkWrittenShared(const uint64_t* ids, size_t n);
+  bool RedundancyArmed() const { return group_data_ != 0; }
 
   size_t block_size_;
   std::vector<std::unique_ptr<BlockDevice>> disks_;
@@ -431,7 +410,7 @@ class IndependentDiskDevice final : public BlockDevice {
   Rng rng_;                              // placement randomness (seeded)
   std::vector<uint32_t> cycle_;          // current disk permutation
   size_t cycle_pos_ = 0;                 // next slot in cycle_
-  // Quarantine snapshot for kNone placement diversion, refreshed once
+  // Quarantine snapshot for parity-off placement diversion, refreshed once
   // per placement cycle (satellite of the flapping-head race: one cycle
   // must see ONE consistent quarantine view, not a per-allocation one).
   // Bit d = head d quarantined at the last cycle boundary.
@@ -441,12 +420,11 @@ class IndependentDiskDevice final : public BlockDevice {
   std::atomic<bool> valid_{true};
 
   // ------------------------------------------------- redundancy state
-  Redundancy redundancy_ = Redundancy::kNone;
-  size_t group_data_ = 0;  // data blocks per parity group = G - 1
+  size_t group_data_ = 0;  // data blocks per parity group = G - 1; 0 = off
   // Guarded by loc_mu_ like loc_: parity placement and the per-id
-  // written/freed flags (single-byte slots are mutated under the SHARED
-  // lock — distinct ids never race, and growth happens only under the
-  // exclusive lock).
+  // written/freed flags, kept beside loc_ in both modes (single-byte
+  // slots are mutated under the SHARED lock — distinct ids never race,
+  // and growth happens only under the exclusive lock).
   std::unordered_map<uint64_t, ParityLoc> parity_;  // group -> parity
   std::vector<uint8_t> written_;                    // id -> payload landed
   std::vector<uint8_t> freed_;                      // id -> on free_list_

@@ -4,6 +4,7 @@
 
 #include "io/io_ring.h"
 #include "io/retry_policy.h"
+#include "util/clock.h"
 
 namespace vem {
 
@@ -12,13 +13,6 @@ namespace {
 // batch a single job produces (FileBlockDevice caps runs at 512 iovecs),
 // so one job's runs submit with one io_uring_enter.
 constexpr unsigned kRingEntries = 256;
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 }  // namespace
 
 IoEngine::IoEngine(size_t num_threads, size_t disk_inflight_cap,

@@ -50,7 +50,7 @@ struct IoStats {
 };
 
 /// Physical gauge for the redundancy plane (an IndependentDiskDevice
-/// armed by SetRedundancy). Strictly SEPARATE from IoStats: the logical
+/// armed by SetParity). Strictly SEPARATE from IoStats: the logical
 /// planes stay bit-identical healthy vs degraded, and every byte the
 /// redundancy machinery moves — parity read-modify-writes,
 /// reconstruction waves, rebuild drains — lands here instead. Same

@@ -1,7 +1,6 @@
 #include "io/memory_arbiter.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "io/io_engine.h"
 #include "util/options.h"
@@ -9,12 +8,6 @@
 namespace vem {
 
 namespace {
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 /// Same half-life fold the governor uses for its shape history.
 double Fold(bool have, double ewma, double sample) {
   return have ? 0.5 * ewma + 0.5 * sample : sample;

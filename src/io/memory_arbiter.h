@@ -60,7 +60,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -240,9 +239,7 @@ class MemoryArbiter {
     uint64_t min_revoke_gap_ns = 0;
   };
 
-  /// Nanosecond monotonic clock; injectable for deterministic tests.
-  using Clock = std::function<uint64_t()>;
-
+  /// `clock` is injectable for deterministic tests (null = SteadyNowNs).
   explicit MemoryArbiter(Config cfg, Clock clock = nullptr);
   /// Policy derived from the machine configuration (M, block size).
   explicit MemoryArbiter(const Options& opts, Clock clock = nullptr);

@@ -1,22 +1,12 @@
 #include "io/prefetch_governor.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "io/io_engine.h"
 #include "io/memory_arbiter.h"
 #include "util/options.h"
 
 namespace vem {
-
-namespace {
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
 
 PrefetchGovernor::PrefetchGovernor(Config cfg, Clock clock)
     : cfg_(cfg), clock_(clock ? std::move(clock) : Clock(&SteadyNowNs)) {

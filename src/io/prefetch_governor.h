@@ -41,10 +41,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+
+#include "util/clock.h"
 
 namespace vem {
 
@@ -101,9 +102,7 @@ class PrefetchGovernor {
     size_t probe_every = 8;
   };
 
-  /// Nanosecond monotonic clock; injectable for deterministic tests.
-  using Clock = std::function<uint64_t()>;
-
+  /// `clock` is injectable for deterministic tests (null = SteadyNowNs).
   explicit PrefetchGovernor(Config cfg, Clock clock = nullptr);
 
   /// Convenience: policy derived from the machine configuration. The

@@ -34,7 +34,7 @@ size_t RebuildManager::BatchBlocks() const {
 }
 
 Status RebuildManager::RunOnce() {
-  if (device_ == nullptr || device_->redundancy() == Redundancy::kNone) {
+  if (device_ == nullptr || device_->parity_group_width() == 0) {
     return Status::OK();
   }
   Status first_err = Status::OK();

@@ -62,13 +62,6 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t DefaultClockNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 void DefaultSleepNs(uint64_t ns) {
   std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
@@ -98,7 +91,7 @@ Status StatusFromErrno(const char* op, int64_t offset, int err) {
 }
 
 RetryPolicy::RetryPolicy(Config cfg)
-    : RetryPolicy(cfg, DefaultClockNs, DefaultSleepNs) {}
+    : RetryPolicy(cfg, SteadyNowNs, DefaultSleepNs) {}
 
 RetryPolicy::RetryPolicy(Config cfg, Clock clock, Sleeper sleeper)
     : cfg_(cfg), clock_(std::move(clock)), sleeper_(std::move(sleeper)) {}

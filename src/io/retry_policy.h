@@ -25,6 +25,7 @@
 #include <functional>
 #include <string>
 
+#include "util/clock.h"
 #include "util/status.h"
 
 namespace vem {
@@ -57,14 +58,13 @@ class RetryPolicy {
     uint64_t max_us = 20000;
   };
 
-  /// Monotonic nanosecond clock; injectable so tests advance time by
-  /// hand. The default reads std::chrono::steady_clock.
-  using Clock = std::function<uint64_t()>;
   /// Sleeper(ns): how to spend a backoff. The default nanosleeps; tests
   /// substitute a recorder so suites stay fast.
   using Sleeper = std::function<void(uint64_t)>;
 
   explicit RetryPolicy(Config cfg);
+  /// `clock` is injectable so tests advance time by hand (the default
+  /// is SteadyNowNs).
   RetryPolicy(Config cfg, Clock clock, Sleeper sleeper);
 
   /// Execute `op` until it returns OK, a non-transient Status, or the

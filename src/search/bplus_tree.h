@@ -18,7 +18,6 @@
 
 #include "core/ext_vector.h"
 #include "io/buffer_pool.h"
-#include "serve/execution_context.h"
 #include "util/status.h"
 
 namespace vem {
@@ -35,14 +34,6 @@ class BPlusTree {
     leaf_cap_ = (block_size_ - kHeaderBytes) / (sizeof(K) + sizeof(V));
     int_cap_ = (block_size_ - kHeaderBytes - 8) / (sizeof(K) + 8);
   }
-
-  /// Serving-plane wiring: cache nodes in an ExecutionContext's pool —
-  /// one tenant's slice of a (possibly shared) machine M
-  /// (serve/execution_context.h). The frames are a revocable lease, so
-  /// the index gains frames while scans idle and cedes cold ones under
-  /// staging pressure, at unchanged per-operation I/O charges.
-  explicit BPlusTree(ExecutionContext* ctx, Cmp cmp = Cmp())
-      : BPlusTree(ctx->pool(), cmp) {}
 
   /// Create the (initially empty leaf) root. Call exactly once.
   Status Init() {

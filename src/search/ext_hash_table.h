@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "io/buffer_pool.h"
-#include "serve/execution_context.h"
 #include "util/status.h"
 
 namespace vem {
@@ -33,10 +32,6 @@ class ExtHashTable {
       : pool_(pool), block_size_(pool->device()->block_size()) {
     bucket_cap_ = (block_size_ - kHeaderBytes) / (sizeof(K) + sizeof(V));
   }
-
-  /// Serving-plane wiring: cache buckets in an ExecutionContext's pool
-  /// (one tenant of a possibly shared M; serve/execution_context.h).
-  explicit ExtHashTable(ExecutionContext* ctx) : ExtHashTable(ctx->pool()) {}
 
   /// Create the initial single-bucket table. Call exactly once.
   Status Init() {

@@ -19,7 +19,7 @@ AdmissionController::AdmissionController(MemoryArbiter* arbiter)
     : AdmissionController(arbiter, Config()) {}
 
 AdmissionController::AdmissionController(MemoryArbiter* arbiter, Config cfg,
-                                         MemoryArbiter::Clock clock)
+                                         Clock clock)
     : arbiter_(arbiter), cfg_(cfg), clock_(std::move(clock)) {
   if (!clock_) {
     clock_ = [arbiter]() { return arbiter->now_ns(); };

@@ -128,7 +128,7 @@ class AdmissionController {
   /// in tests (defaults to the arbiter's clock).
   explicit AdmissionController(MemoryArbiter* arbiter);
   AdmissionController(MemoryArbiter* arbiter, Config cfg,
-                      MemoryArbiter::Clock clock = nullptr);
+                      Clock clock = nullptr);
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -157,7 +157,7 @@ class AdmissionController {
 
   MemoryArbiter* arbiter_;
   Config cfg_;
-  MemoryArbiter::Clock clock_;
+  Clock clock_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<uint64_t> queue_;  // waiter seq numbers, FIFO

@@ -11,13 +11,14 @@
 // ExecutionContext bundles the whole machine view behind one object:
 //   { Options, BlockDevice*, IoEngine*, MemoryArbiter tenant lease,
 //     PrefetchGovernor, BufferPool }
-// and the pool-backed layers accept it directly (BPlusTree, ExtHashTable,
-// ExtGraph, WeightedGraph, SemiExternalSssp, ExtMatrix), as does
-// ExternalSorter. The Options inside the context carry the per-query
-// knobs: a layer built from the context reads memory_budget and
-// prefetch_depth from options() once, at construction, exactly as a
-// layer built from (device, Options) does; pool-less layers and free
-// functions take ctx->options() directly.
+// and the layers take its parts: a pool-backed layer (BPlusTree,
+// ExtHashTable, ExtGraph, WeightedGraph, SemiExternalSssp, ExtMatrix) is
+// built from ctx->pool() (and ctx->device() / ctx->options() where its
+// constructor asks for them); ExternalSorter alone accepts the context
+// itself. The Options inside the context carry the per-query knobs: a
+// layer built from them reads memory_budget and prefetch_depth once, at
+// construction, exactly as a layer built from (device, Options) does;
+// pool-less layers and free functions take ctx->options() directly.
 //
 // Two construction modes:
 //  - STANDALONE: the context owns a private MemoryArbiter over
@@ -69,7 +70,7 @@ class ExecutionContext {
   /// arbiter/governor rate limits in deterministic tests.
   ExecutionContext(BlockDevice* dev, const Options& opts,
                    IoEngine* engine = nullptr,
-                   MemoryArbiter::Clock clock = nullptr)
+                   Clock clock = nullptr)
       : opts_(opts),
         dev_(dev),
         engine_(engine),
@@ -90,7 +91,7 @@ class ExecutionContext {
   ExecutionContext(BlockDevice* dev, const Options& opts,
                    MemoryArbiter* arbiter, std::unique_ptr<TenantLease> tenant,
                    IoEngine* engine = nullptr,
-                   MemoryArbiter::Clock clock = nullptr)
+                   Clock clock = nullptr)
       : opts_(opts),
         dev_(dev),
         engine_(engine),

@@ -107,13 +107,6 @@ class ExternalSorter {
     return std::max(m, two_blocks);
   }
 
-  /// Replacement selection ("snow plow") run formation: a tournament over
-  /// M items emits ascending output while refilling from the input, so a
-  /// random permutation yields runs of expected length 2M — one fewer
-  /// merge pass right at the N/M boundary (the classic tape-era trick the
-  /// survey recounts).
-  void set_replacement_selection(bool on) { replacement_selection_ = on; }
-
   /// Forecast-scheduled merge refills (sort/forecast_merge.h): run
   /// readers are replaced by whole-block refill waves — the empty run's
   /// next block plus the next block of the most-urgent other runs
@@ -172,7 +165,6 @@ class ExternalSorter {
  private:
   /// Phase 1: produce sorted runs of run_length() items.
   Status FormRuns(const ExtVector<T>& input, std::deque<ExtVector<T>>* runs) {
-    if (replacement_selection_) return FormRunsReplacement(input, runs);
     const size_t run_items = run_length();
     typename ExtVector<T>::Reader reader(&input, 0, prefetch_depth_);
     std::vector<T> buf;
@@ -266,69 +258,6 @@ class ExternalSorter {
     return false;
   }
 
-  /// Replacement-selection run formation: a heap of (epoch, item) where
-  /// items smaller than the last emitted one are deferred to the next
-  /// run's epoch. Runs close when the current epoch drains.
-  Status FormRunsReplacement(const ExtVector<T>& input,
-                             std::deque<ExtVector<T>>* runs) {
-    struct Entry {
-      uint64_t epoch;
-      T item;
-    };
-    auto entry_after = [this](const Entry& a, const Entry& b) {
-      if (a.epoch != b.epoch) return a.epoch > b.epoch;
-      return cmp_(b.item, a.item);
-    };
-    const size_t heap_items = run_length();
-    typename ExtVector<T>::Reader reader(&input, 0, prefetch_depth_);
-    std::vector<Entry> heap;
-    heap.reserve(std::min(heap_items, input.size()));
-    T item;
-    while (heap.size() < heap_items && reader.Next(&item)) {
-      heap.push_back(Entry{0, item});
-    }
-    VEM_RETURN_IF_ERROR(reader.status());
-    std::make_heap(heap.begin(), heap.end(), entry_after);
-
-    uint64_t cur_epoch = 0;
-    std::unique_ptr<ExtVector<T>> run;
-    std::unique_ptr<typename ExtVector<T>::Writer> writer;
-    bool input_done = heap.size() < heap_items;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), entry_after);
-      Entry e = heap.back();
-      heap.pop_back();
-      if (run == nullptr || e.epoch != cur_epoch) {
-        if (writer != nullptr) {
-          VEM_RETURN_IF_ERROR(writer->Finish());
-          runs->push_back(std::move(*run));
-        }
-        cur_epoch = e.epoch;
-        run = std::make_unique<ExtVector<T>>(dev_);
-        writer = std::make_unique<typename ExtVector<T>::Writer>(
-            run.get(), prefetch_depth_);
-      }
-      if (!writer->Append(e.item)) return writer->status();
-      if (!input_done) {
-        T next;
-        if (reader.Next(&next)) {
-          // Items below the last emitted key must wait for the next run.
-          uint64_t epoch = cmp_(next, e.item) ? cur_epoch + 1 : cur_epoch;
-          heap.push_back(Entry{epoch, next});
-          std::push_heap(heap.begin(), heap.end(), entry_after);
-        } else {
-          VEM_RETURN_IF_ERROR(reader.status());
-          input_done = true;
-        }
-      }
-    }
-    if (writer != nullptr) {
-      VEM_RETURN_IF_ERROR(writer->Finish());
-      runs->push_back(std::move(*run));
-    }
-    return Status::OK();
-  }
-
   /// Merge the first `take` runs of `runs` into `out`; merged runs are
   /// destroyed (their blocks freed) as soon as they are drained.
   Status MergeFront(std::deque<ExtVector<T>>* runs, size_t take,
@@ -384,7 +313,6 @@ class ExternalSorter {
   size_t prefetch_depth_;
   Cmp cmp_;
   Metrics metrics_;
-  bool replacement_selection_ = false;
   bool forecast_merge_ = false;
 };
 

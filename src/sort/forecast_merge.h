@@ -39,7 +39,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -47,6 +46,7 @@
 #include "io/block_device.h"
 #include "io/io_engine.h"
 #include "sort/loser_tree.h"
+#include "util/clock.h"
 #include "util/status.h"
 
 namespace vem {
@@ -159,13 +159,6 @@ class ForecastMerger {
     Status st;
   };
 
-  static uint64_t NowNs() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-
   T Head(size_t r) const {
     T v;
     std::memcpy(&v, runs_[r].cur.get() + runs_[r].pos * sizeof(T), sizeof(T));
@@ -186,14 +179,14 @@ class ForecastMerger {
     Run& run = runs_[r];
     if (!run.staged_valid) ScheduleWave(r);
     if (run.staged_inflight) {
-      uint64_t t0 = NowNs();
+      uint64_t t0 = SteadyNowNs();
       run.staged_st = dev_->io_engine()->Wait(run.ticket);
       run.staged_inflight = false;
       // Transport advisory: member waits that keep returning instantly
       // mean the fills beat the merge comfortably (warm cache) and the
       // per-job engine round-trip is pure overhead — go inline. A slow
       // inline read in ScheduleWave flips background fills back on.
-      if (NowNs() - t0 < kFastWaitNs) {
+      if (SteadyNowNs() - t0 < kFastWaitNs) {
         if (++fast_waits_ >= kFastWaitsToInline) use_engine_ = false;
       } else {
         fast_waits_ = 0;
@@ -304,9 +297,9 @@ class ForecastMerger {
       // distinct per-disk queues.
       BlockDevice* dev = dev_;
       IoEngine* engine = dev->io_engine();
-      uint64_t t0 = NowNs();
+      uint64_t t0 = SteadyNowNs();
       runs_[members[0]].staged_st = dev->ReadUncounted(w.ids[0], ptrs[0]);
-      if (NowNs() - t0 > kSlowReadNs) {
+      if (SteadyNowNs() - t0 > kSlowReadNs) {
         // Real device latency is back: background fills pay again.
         use_engine_ = true;
         fast_waits_ = 0;

@@ -19,7 +19,6 @@
 #include "core/ext_vector.h"
 #include "io/block_device.h"
 #include "io/buffer_pool.h"
-#include "serve/execution_context.h"
 #include "util/options.h"
 #include "util/status.h"
 
@@ -31,11 +30,6 @@ class ExtMatrix {
   ExtMatrix(BlockDevice* dev, size_t rows, size_t cols,
             BufferPool* pool = nullptr)
       : rows_(rows), cols_(cols), data_(dev, pool) {}
-
-  /// Serving-plane wiring: tiles paged through an ExecutionContext (one
-  /// tenant of a possibly shared M; serve/execution_context.h).
-  ExtMatrix(ExecutionContext* ctx, size_t rows, size_t cols)
-      : ExtMatrix(ctx->device(), rows, cols, ctx->pool()) {}
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

@@ -170,20 +170,111 @@ TEST(IndependentDiskAccounting, BatchedWritesChargeWaveSteps) {
   EXPECT_EQ(probe3.delta().parallel_writes, 8u);
 }
 
-TEST(IndependentDiskAccounting, SingleTransfersChargeOneStepEach) {
-  IndependentDiskDevice dev(4, kBlock, kSeed);
-  char block[kBlock] = {7};
-  IoProbe probe(dev);
-  for (int i = 0; i < 6; ++i) {
-    uint64_t id = dev.Allocate();
-    ASSERT_TRUE(dev.Write(id, block).ok());
-    ASSERT_TRUE(dev.Read(id, block).ok());
+/// What one run of single-block transfers leaves behind.
+struct SingleRun {
+  std::vector<char> bytes;  // every block read back, in id order
+  IoStats parent;
+  std::vector<IoStats> children;
+  uint64_t retries = 0;
+};
+
+/// Single-block transfers on a D=4 device of Faulty(Memory) children
+/// under a retry policy: write kN blocks, latch head 1 dead (`dead`),
+/// overwrite every other block, read everything back. `transient` fails
+/// each transfer's first two attempts on its home head; `batch` issues
+/// every transfer as a one-element ReadBatch/WriteBatch instead of
+/// Read/Write. Checks the bytes against what was written.
+SingleRun RunSingles(bool parity, size_t width, bool dead, bool transient,
+                     bool batch) {
+  constexpr uint64_t kN = 12;
+  std::vector<std::unique_ptr<MemoryBlockDevice>> inners;
+  std::vector<FaultyBlockDevice*> wrappers;
+  std::vector<std::unique_ptr<BlockDevice>> disks;
+  for (int d = 0; d < 4; ++d) {
+    inners.push_back(std::make_unique<MemoryBlockDevice>(kBlock));
+    auto w = std::make_unique<FaultyBlockDevice>(inners.back().get());
+    wrappers.push_back(w.get());
+    disks.push_back(std::move(w));
   }
-  IoStats d = probe.delta();
-  EXPECT_EQ(d.block_reads, 6u);
-  EXPECT_EQ(d.parallel_reads, 6u);  // one head at a time: no batch, no win
-  EXPECT_EQ(d.block_writes, 6u);
-  EXPECT_EQ(d.parallel_writes, 6u);
+  IndependentDiskDevice dev(std::move(disks), kSeed);
+  if (parity) dev.SetParity(width);
+  EXPECT_EQ(dev.parity_group_width(), parity ? (width == 0 ? 4u : width) : 0u);
+  RetryPolicy::Config cfg;
+  cfg.retry_limit = 3;
+  cfg.base_us = 0;
+  RetryPolicy policy(cfg);
+  dev.set_retry_policy(&policy);
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < kN; ++i) ids.push_back(dev.Allocate());
+  std::vector<char> expect(kN * kBlock);
+  IoProbe probe(dev);
+  auto write = [&](uint64_t id, char version) {
+    char* block = expect.data() + id * kBlock;
+    for (size_t j = 0; j < kBlock; ++j) block[j] = char(id * 31 + j) ^ version;
+    FaultyBlockDevice* home = wrappers[dev.disk_of(id)];
+    if (transient) home->SetTransientWriteFault(home->writes_seen() + 1, 2);
+    const void* buf = block;
+    Status s = batch ? dev.WriteBatch(&id, &buf, 1) : dev.Write(id, block);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  };
+  for (uint64_t id : ids) write(id, 0);
+  if (dead) dev.MarkDiskDead(1);
+  for (uint64_t id : ids) {
+    if (id % 2 == 0) write(id, 0x5A);
+  }
+  SingleRun run;
+  run.bytes.resize(kN * kBlock);
+  for (uint64_t id : ids) {
+    void* buf = run.bytes.data() + id * kBlock;
+    FaultyBlockDevice* home = wrappers[dev.disk_of(id)];
+    if (transient) home->SetTransientReadFault(home->reads_seen() + 1, 2);
+    Status s = batch ? dev.ReadBatch(&id, &buf, 1) : dev.Read(id, buf);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  EXPECT_TRUE(run.bytes == expect);
+  run.parent = probe.delta();
+  for (size_t d = 0; d < dev.num_disks(); ++d) {
+    run.children.push_back(dev.disk_stats(d));
+  }
+  run.retries = policy.retries();
+  // One head at a time: no batch, no win — one step per block.
+  EXPECT_EQ(run.parent.block_reads, kN);
+  EXPECT_EQ(run.parent.parallel_reads, kN);
+  EXPECT_EQ(run.parent.block_writes, kN + kN / 2);
+  EXPECT_EQ(run.parent.parallel_writes, kN + kN / 2);
+  return run;
+}
+
+// A one-block request is a batch of one: Read/Write charge, retry and
+// degrade exactly like one-element ReadBatch/WriteBatch calls — with
+// parity off, at width 2 (mirroring) and at width D; healthy and with a
+// dead head; with and without transient faults absorbed by the child's
+// retry loop.
+TEST(IndependentDiskAccounting, SingleTransfersChargeOneStepEach) {
+  struct Case {
+    const char* name;
+    bool parity;
+    size_t width;
+  };
+  for (const Case& c : {Case{"off", false, 0}, Case{"width2", true, 2},
+                        Case{"widthD", true, 0}}) {
+    for (bool dead : {false, true}) {
+      for (bool transient : {false, true}) {
+        SCOPED_TRACE(std::string(c.name) + (dead ? " dead" : " healthy") +
+                     (transient ? " transient" : ""));
+        SingleRun one = RunSingles(c.parity, c.width, dead, transient, false);
+        SingleRun many = RunSingles(c.parity, c.width, dead, transient, true);
+        EXPECT_TRUE(one.bytes == many.bytes);
+        EXPECT_EQ(one.parent, many.parent);
+        ASSERT_EQ(one.children.size(), many.children.size());
+        for (size_t d = 0; d < one.children.size(); ++d) {
+          EXPECT_EQ(one.children[d], many.children[d]) << "child " << d;
+        }
+        EXPECT_EQ(one.retries, many.retries);
+        EXPECT_EQ(one.retries > 0, transient);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- stats identity
@@ -201,8 +292,7 @@ struct WorkloadCost {
 WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
                          bool governed,
                          IoBackend backend = IoBackend::kWorkerPool,
-                         Redundancy redundancy = Redundancy::kNone,
-                         size_t group_width = 0) {
+                         bool parity = false, size_t group_width = 0) {
   std::vector<std::unique_ptr<BlockDevice>> disks;
   for (int d = 0; d < 4; ++d) {
     auto child = std::make_unique<FileBlockDevice>(
@@ -214,8 +304,8 @@ WorkloadCost RunWorkload(const std::string& tag, size_t depth, bool engine_on,
   EXPECT_TRUE(dev.valid());
   EXPECT_TRUE(dev.SupportsUncounted());
   EXPECT_TRUE(dev.SupportsAsync());
-  dev.SetRedundancy(redundancy, group_width);
-  EXPECT_EQ(dev.redundancy(), redundancy);
+  if (parity) dev.SetParity(group_width);
+  EXPECT_EQ(dev.parity_group_width() != 0, parity);
   IoEngine engine(3, /*disk_inflight_cap=*/1, backend);
   PrefetchGovernor::Config gov_cfg;
   gov_cfg.budget_blocks = 128;
@@ -326,9 +416,9 @@ TEST(IndependentDiskIdentity, RedundantEngineOnMatchesEngineOff) {
     SCOPED_TRACE(name);
     WorkloadCost off = RunWorkload(name + "_off", 8, false, false,
                                    IoBackend::kWorkerPool,
-                                   Redundancy::kParity, width);
+                                   /*parity=*/true, width);
     WorkloadCost on = RunWorkload(name + "_on", 8, true, false,
-                                  IoBackend::kWorkerPool, Redundancy::kParity,
+                                  IoBackend::kWorkerPool, /*parity=*/true,
                                   width);
     EXPECT_TRUE(std::is_sorted(off.output.begin(), off.output.end()));
     EXPECT_EQ(off.output, on.output);

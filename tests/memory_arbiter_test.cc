@@ -33,7 +33,7 @@ namespace {
 /// Deterministic clock: tests advance it by hand.
 struct FakeClock {
   std::atomic<uint64_t> now_ns{0};
-  MemoryArbiter::Clock fn() {
+  Clock fn() {
     return [this] { return now_ns.load(); };
   }
 };
@@ -491,7 +491,7 @@ TEST(MemoryArbiterIdentity, MultiTenantStatsMatchSingleTenantRuns) {
   const size_t kKeys = 20000;
   const size_t kScanItems = 16 * (4096 / sizeof(uint64_t));
   auto run_tenant = [&](ExecutionContext* ctx, uint64_t seed) {
-    BPlusTree<uint64_t, uint64_t> tree(ctx);
+    BPlusTree<uint64_t, uint64_t> tree(ctx->pool());
     EXPECT_TRUE(tree.Init().ok());
     Rng rng(seed);
     for (size_t i = 0; i < kKeys; ++i) {
@@ -580,8 +580,8 @@ struct KeyVal {
   bool operator==(const KeyVal&) const = default;
 };
 
-/// With the shim gone, the ExecutionContext overloads are the only
-/// arbitrated wiring of the algorithm layers. Each must match the same
+/// A layer wired from an ExecutionContext (its pool, device and Options;
+/// ExternalSorter takes the context itself) must match the same
 /// operations on a fixed pool (structures) or the (budget, depth)
 /// overload with the same Options (sort and relational wrappers). Each
 /// structure's working set outgrows the 32-frame baseline, so its
@@ -594,7 +594,7 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
       "ExtHashTable", opts,
       [](BlockDevice*, ExecutionContext* ctx, BufferPool* pool) {
         using Table = ExtHashTable<uint64_t, uint64_t>;
-        auto table = ctx != nullptr ? std::make_unique<Table>(ctx)
+        auto table = ctx != nullptr ? std::make_unique<Table>(ctx->pool())
                                     : std::make_unique<Table>(pool);
         EXPECT_TRUE(table->Init().ok());
         Rng rng(41);
@@ -617,7 +617,8 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
       [&](BlockDevice* dev, ExecutionContext* ctx, BufferPool* pool) {
         const size_t n = 256;  // 128 blocks per matrix
         auto make = [&] {
-          return ctx != nullptr ? std::make_unique<ExtMatrix>(ctx, n, n)
+          return ctx != nullptr ? std::make_unique<ExtMatrix>(
+                                      ctx->device(), n, n, ctx->pool())
                                 : std::make_unique<ExtMatrix>(dev, n, n, pool);
         };
         auto in = make();
@@ -642,8 +643,9 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         }
         ExtVector<Edge> arcs(dev);
         EXPECT_TRUE(arcs.AppendAll(e.data(), e.size()).ok());
-        auto g = ctx != nullptr ? std::make_unique<ExtGraph>(ctx)
-                                : std::make_unique<ExtGraph>(dev, pool);
+        auto g = ctx != nullptr
+                     ? std::make_unique<ExtGraph>(ctx->device(), ctx->pool())
+                     : std::make_unique<ExtGraph>(dev, pool);
         EXPECT_TRUE(g->Build(arcs, n, opts, true).ok());
         std::vector<uint64_t> got;
         Rng probe(44);
@@ -664,11 +666,13 @@ TEST(MemoryArbiterIdentity, ContextOverloadsMatchReferenceRuns) {
         }
         ExtVector<WeightedEdge> arcs(dev);
         EXPECT_TRUE(arcs.AppendAll(e.data(), e.size()).ok());
-        auto g = ctx != nullptr ? std::make_unique<WeightedGraph>(ctx)
+        auto g = ctx != nullptr ? std::make_unique<WeightedGraph>(
+                                      ctx->device(), ctx->pool())
                                 : std::make_unique<WeightedGraph>(dev, pool);
         EXPECT_TRUE(g->Build(arcs, n, opts).ok());
         auto sssp = ctx != nullptr
-                        ? std::make_unique<SemiExternalSssp>(ctx)
+                        ? std::make_unique<SemiExternalSssp>(
+                              ctx->device(), ctx->pool(), ctx->options())
                         : std::make_unique<SemiExternalSssp>(dev, pool, opts);
         ExtVector<uint64_t> dist(dev, pool);
         EXPECT_TRUE(sssp->Run(*g, 0, &dist).ok());

@@ -22,7 +22,7 @@ namespace {
 /// Deterministic clock: tests advance it by hand.
 struct FakeClock {
   std::atomic<uint64_t> now_ns{0};
-  PrefetchGovernor::Clock fn() {
+  Clock fn() {
     return [this] { return now_ns.load(); };
   }
 };

@@ -49,14 +49,14 @@ void PatternBlock(char* buf, uint64_t id, uint64_t version) {
   }
 }
 
-/// D=4 device of Faulty(Memory) children with a redundancy mode armed
+/// D=4 device of Faulty(Memory) children, parity armed when `parity`
 /// (`group_width` 2 mirrors every block).
 struct RedundantRig {
   std::vector<std::unique_ptr<MemoryBlockDevice>> inners;
   std::vector<FaultyBlockDevice*> wrappers;
   std::unique_ptr<IndependentDiskDevice> dev;
 
-  explicit RedundantRig(Redundancy mode, size_t group_width = 0,
+  explicit RedundantRig(bool parity, size_t group_width = 0,
                         size_t num_disks = 4) {
     std::vector<std::unique_ptr<BlockDevice>> disks;
     for (size_t d = 0; d < num_disks; ++d) {
@@ -67,8 +67,8 @@ struct RedundantRig {
     }
     dev = std::make_unique<IndependentDiskDevice>(std::move(disks), kSeed);
     EXPECT_TRUE(dev->valid());
-    dev->SetRedundancy(mode, group_width);
-    EXPECT_EQ(dev->redundancy(), mode);
+    if (parity) dev->SetParity(group_width);
+    EXPECT_EQ(dev->parity_group_width() != 0, parity);
   }
 };
 
@@ -132,15 +132,15 @@ TEST(FailStop, EscalatesToLatchedQuarantine) {
 // what it owns. Disk 0's share is the batch's inline job, slowed well
 // past a thread wake-up so the lone worker has picked up disk 1's share
 // before the wait could steal it; disk 1's share stalls. At D=2 parity
-// groups have width 2, so kParity is the mirrored case.
+// groups have width 2, so the parity case is the mirrored one.
 TEST(RedundancyWatchdog, TimedOutHeadFailsTheBatch) {
-  for (Redundancy mode : {Redundancy::kNone, Redundancy::kParity}) {
-    SCOPED_TRACE(int(mode));
+  for (bool parity : {false, true}) {
+    SCOPED_TRACE(parity);
     Options opts;
     opts.io_threads = 1;
     opts.io_deadline_ms = 50;
     IoEngine engine(opts);
-    RedundantRig rig(mode, /*group_width=*/0, /*num_disks=*/2);
+    RedundantRig rig(parity, /*group_width=*/0, /*num_disks=*/2);
     uint64_t ids[2];
     char block[kBlock];
     for (uint64_t& id : ids) {
@@ -170,7 +170,7 @@ TEST(RedundancyWatchdog, TimedOutHeadFailsTheBatch) {
 // --------------------------------------------------- parity placement
 
 TEST(RedundancyPlacement, ParityGroupMembersLandOnDistinctDisks) {
-  RedundantRig rig(Redundancy::kParity);  // G = D = 4 -> 3 data + parity
+  RedundantRig rig(/*parity=*/true);  // G = D = 4 -> 3 data + parity
   ASSERT_EQ(rig.dev->parity_group_width(), 4u);
   std::vector<uint64_t> ids;
   for (int i = 0; i < 96; ++i) ids.push_back(rig.dev->Allocate());
@@ -190,8 +190,8 @@ TEST(RedundancyPlacement, ParityGroupMembersLandOnDistinctDisks) {
 TEST(RedundancyPlacement, ArmingIsRejectedAfterFirstAllocate) {
   IndependentDiskDevice dev(4, kBlock, kSeed);
   (void)dev.Allocate();
-  dev.SetRedundancy(Redundancy::kParity);
-  EXPECT_EQ(dev.redundancy(), Redundancy::kNone);
+  dev.SetParity();
+  EXPECT_EQ(dev.parity_group_width(), 0u);
 }
 
 // ------------------------------------------------- parity consistency
@@ -201,7 +201,7 @@ TEST(RedundancyPlacement, ArmingIsRejectedAfterFirstAllocate) {
 // block must reconstruct to exactly its last-written content.
 TEST(RedundancyConsistency, ParityConsistentAfterRandomWritesAnyDiskDead) {
   for (size_t kill = 0; kill < 4; ++kill) {
-    RedundantRig rig(Redundancy::kParity);
+    RedundantRig rig(/*parity=*/true);
     std::map<uint64_t, std::vector<char>> shadow;
     std::vector<uint64_t> live;
     Rng rng(kSeed + 7);  // same op sequence for every `kill`
@@ -269,7 +269,7 @@ TEST(RedundancyConsistency, ParityConsistentAfterRandomWritesAnyDiskDead) {
 
 // Width 2: every group is one data block plus its copy.
 TEST(RedundancyConsistency, MirrorServesCopyWhenPrimaryDead) {
-  RedundantRig rig(Redundancy::kParity, /*group_width=*/2);
+  RedundantRig rig(/*parity=*/true, /*group_width=*/2);
   ASSERT_EQ(rig.dev->parity_group_width(), 2u);
   std::map<uint64_t, std::vector<char>> shadow;
   std::vector<uint64_t> ids;
@@ -290,8 +290,52 @@ TEST(RedundancyConsistency, MirrorServesCopyWhenPrimaryDead) {
   EXPECT_GT(rig.dev->redundancy_stats().degraded_reads, 0u);
 }
 
+// The parity plane's physical transfers ride the child's retry loop like
+// the data transfers: one transient fault on the old-data read or on the
+// parity write of a small write is retried, the write succeeds, and a
+// later degraded read reconstructs the NEW content (a parity write that
+// failed after the data landed would leave the group silently stale).
+TEST(RedundancyConsistency, TransientParityFaultsAreRetried) {
+  RedundantRig rig(/*parity=*/true);
+  RetryPolicy::Config cfg;
+  cfg.retry_limit = 3;
+  cfg.base_us = 0;
+  RetryPolicy policy(cfg);
+  rig.dev->set_retry_policy(&policy);
+  std::vector<uint64_t> ids;
+  std::vector<char> buf(kBlock);
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(rig.dev->Allocate());
+    PatternBlock(buf.data(), ids.back(), 0);
+    ASSERT_TRUE(rig.dev->Write(ids.back(), buf.data()).ok());
+  }
+  const uint64_t id = ids[0];
+  const size_t home = rig.dev->disk_of(id);
+  for (uint64_t version : {1, 2}) {
+    SCOPED_TRACE(version == 1 ? "old-data read fault" : "parity write fault");
+    for (size_t d = 0; d < rig.wrappers.size(); ++d) {
+      FaultyBlockDevice* w = rig.wrappers[d];
+      if (version == 1 && d == home) {
+        w->SetTransientReadFault(w->reads_seen() + 1, 1);
+      } else if (version == 2 && d != home) {
+        w->SetTransientWriteFault(w->writes_seen() + 1, 1);
+      }
+    }
+    const uint64_t retries = policy.retries();
+    PatternBlock(buf.data(), id, version);
+    Status s = rig.dev->Write(id, buf.data());
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_GT(policy.retries(), retries);
+  }
+  rig.dev->MarkDiskDead(home);
+  std::vector<char> out(kBlock);
+  ASSERT_TRUE(rig.dev->Read(id, out.data()).ok());
+  EXPECT_EQ(std::memcmp(out.data(), buf.data(), kBlock), 0);
+  EXPECT_GT(rig.dev->redundancy_stats().degraded_reads, 0u);
+}
+
 TEST(RedundancyConsistency, DegradedReadOfNeverWrittenBlockIsCorruption) {
-  RedundantRig rig(Redundancy::kParity);
+  RedundantRig rig(/*parity=*/true);
   uint64_t id = rig.dev->Allocate();
   rig.dev->MarkDiskDead(rig.dev->disk_of(id));
   char out[kBlock];
@@ -314,7 +358,7 @@ struct RedundantWorkloadResult {
 /// attempt — mid-sort, past the first run formation.
 RedundantWorkloadResult RunRedundantSortWorkload(size_t group_width,
                                                  bool kill_mid_run) {
-  RedundantRig rig(Redundancy::kParity, group_width);
+  RedundantRig rig(/*parity=*/true, group_width);
   if (kill_mid_run) rig.wrappers[1]->SetDeadAfter(300);
   RedundantWorkloadResult res;
   Rng rng(41);
@@ -385,7 +429,7 @@ TEST(RedundancyDegraded, KillOneDiskMidSortMirrorStatsIdentical) {
 // the dead child's deferred plane.
 TEST(RedundancyDegraded, BatchedRandomReadsMidBatchDeathStatsIdentical) {
   auto run = [](bool kill) {
-    RedundantRig rig(Redundancy::kParity);
+    RedundantRig rig(/*parity=*/true);
     std::vector<uint64_t> ids;
     std::vector<std::vector<char>> payload;
     for (int i = 0; i < 240; ++i) {
@@ -454,7 +498,7 @@ TEST(RedundancyDegraded, BatchedRandomReadsMidBatchDeathStatsIdentical) {
 // ------------------------------------------------------------- rebuild
 
 TEST(RedundancyRebuild, RebuildOntoSpareRestoresNonDegradedReads) {
-  RedundantRig rig(Redundancy::kParity);
+  RedundantRig rig(/*parity=*/true);
   std::map<uint64_t, std::vector<char>> shadow;
   std::vector<uint64_t> ids;
   for (int i = 0; i < 64; ++i) {
@@ -500,7 +544,7 @@ TEST(RedundancyRebuild, RebuildOntoSpareRestoresNonDegradedReads) {
 }
 
 TEST(RedundancyRebuild, CancelledRebuildReParksSpareAndStaysDegraded) {
-  RedundantRig rig(Redundancy::kParity);
+  RedundantRig rig(/*parity=*/true);
   std::vector<uint64_t> ids;
   char buf[kBlock];
   for (int i = 0; i < 32; ++i) {
@@ -538,7 +582,7 @@ TEST(RedundancyRebuild, WritesAndFreesDuringRebuildLandOnTheSpare) {
     for (size_t kill = 0; kill < 4; ++kill) {
       SCOPED_TRACE("width " + std::to_string(width) + " kill " +
                    std::to_string(kill));
-      RedundantRig rig(Redundancy::kParity, width);
+      RedundantRig rig(/*parity=*/true, width);
       std::map<uint64_t, std::vector<char>> shadow;
       std::vector<uint64_t> live;
       uint64_t version = 0;
@@ -598,7 +642,7 @@ TEST(RedundancyRebuild, WritesAndFreesDuringRebuildLandOnTheSpare) {
 }
 
 TEST(RedundancyRebuild, RebuildManagerDrainsDeadHead) {
-  RedundantRig rig(Redundancy::kParity, /*group_width=*/2);
+  RedundantRig rig(/*parity=*/true, /*group_width=*/2);
   std::map<uint64_t, std::vector<char>> shadow;
   for (int i = 0; i < 40; ++i) {
     uint64_t id = rig.dev->Allocate();

@@ -112,7 +112,7 @@ TEST(RetryPolicy, JitterIsDeterministicPerKey) {
 struct FakeTime {
   uint64_t now_ns = 0;
   std::vector<uint64_t> sleeps;
-  RetryPolicy::Clock clock() {
+  Clock clock() {
     return [this] { return now_ns; };
   }
   RetryPolicy::Sleeper sleeper() {

@@ -1,5 +1,4 @@
-// Tests for external selection, replacement-selection run formation, and
-// B+-tree bulk loading.
+// Tests for external selection and B+-tree bulk loading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,81 +89,6 @@ TEST(Selection, AllEqualInput) {
   uint64_t got;
   ASSERT_TRUE(sel.Select(vec, 5000, &got).ok());
   EXPECT_EQ(got, 42u);
-}
-
-// ----------------------------------------------- replacement selection runs
-
-TEST(ReplacementSelection, RunsAreLongerOnRandomInput) {
-  const size_t n = 100000;
-  MemoryBlockDevice dev(kBlock);
-  ExtVector<uint64_t> input(&dev);
-  Rng rng(13);
-  {
-    ExtVector<uint64_t>::Writer w(&input);
-    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(w.Append(rng.Next()));
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  ExternalSorter<uint64_t> plain(&dev, kOpts);
-  ExternalSorter<uint64_t> snow(&dev, kOpts);
-  snow.set_replacement_selection(true);
-  ExtVector<uint64_t> out1(&dev), out2(&dev);
-  ASSERT_TRUE(plain.Sort(input, &out1).ok());
-  ASSERT_TRUE(snow.Sort(input, &out2).ok());
-  // Expected ~2x longer runs => ~half the run count.
-  EXPECT_LT(snow.metrics().initial_runs,
-            plain.metrics().initial_runs * 2 / 3)
-      << "plain=" << plain.metrics().initial_runs
-      << " snow=" << snow.metrics().initial_runs;
-  // Identical output.
-  std::vector<uint64_t> a, b;
-  ASSERT_TRUE(out1.ReadAll(&a).ok());
-  ASSERT_TRUE(out2.ReadAll(&b).ok());
-  EXPECT_EQ(a, b);
-}
-
-TEST(ReplacementSelection, NearlySortedInputGivesOneRun) {
-  // The snow-plow effect peaks on presorted data: a single run.
-  const size_t n = 50000;
-  MemoryBlockDevice dev(kBlock);
-  ExtVector<uint64_t> input(&dev);
-  Rng rng(14);
-  {
-    ExtVector<uint64_t>::Writer w(&input);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(w.Append(i * 10 + rng.Uniform(10)));  // local jitter
-    }
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  ExternalSorter<uint64_t> snow(&dev, kOpts);
-  snow.set_replacement_selection(true);
-  ExtVector<uint64_t> out(&dev);
-  ASSERT_TRUE(snow.Sort(input, &out).ok());
-  EXPECT_EQ(snow.metrics().initial_runs, 1u);
-  std::vector<uint64_t> got;
-  ASSERT_TRUE(out.ReadAll(&got).ok());
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  EXPECT_EQ(got.size(), n);
-}
-
-TEST(ReplacementSelection, ReverseSortedWorstCase) {
-  // Descending input defeats replacement selection: runs of length M.
-  const size_t n = 20000;
-  MemoryBlockDevice dev(kBlock);
-  ExtVector<uint64_t> input(&dev);
-  {
-    ExtVector<uint64_t>::Writer w(&input);
-    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(w.Append(n - i));
-    ASSERT_TRUE(w.Finish().ok());
-  }
-  ExternalSorter<uint64_t> snow(&dev, kOpts);
-  snow.set_replacement_selection(true);
-  ExtVector<uint64_t> out(&dev);
-  ASSERT_TRUE(snow.Sort(input, &out).ok());
-  size_t m_items = kMem / sizeof(uint64_t);
-  EXPECT_GE(snow.metrics().initial_runs, n / m_items);
-  std::vector<uint64_t> got;
-  ASSERT_TRUE(out.ReadAll(&got).ok());
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
 // -------------------------------------------------------------- bulk load
